@@ -129,7 +129,7 @@ def _load_inputs(args) -> tuple[model.ModelParams, bool]:
         raise SystemExit(EXIT_VALIDATION) from exc
 
 
-def _require_grid(low: float, high: float, points: int, tol: float | None = None) -> None:
+def _require_grid(low: float, high: float, points: int) -> None:
     if not (math.isfinite(low) and math.isfinite(high) and 0 < low <= high):
         print(f"grid bounds must be finite and 0 < min <= max, got [{low}, {high}]",
               file=sys.stderr)
@@ -137,9 +137,6 @@ def _require_grid(low: float, high: float, points: int, tol: float | None = None
     if points < 1 or (points == 1 and low != high):
         print("grid needs at least one point (and min == max for a single point)",
               file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
-    if tol is not None and not 0 < tol:
-        print(f"tolerance must be positive, got {tol}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
 
 
@@ -220,9 +217,10 @@ def cmd_correlation(args) -> int:
     if not mono:
         print("correlation requires mono_metric parameters", file=sys.stderr)
         return EXIT_VALIDATION
-    _require_grid(args.s_min, args.s_max, args.s_points, args.quad_tol)
-    svals = np.logspace(math.log10(args.s_min), math.log10(args.s_max), args.s_points)
+    _require_grid(args.s_min, args.s_max, args.s_points)
+    # QuadConfig rejects a non-positive --quad-tol (exit 2 through main)
     cfg = correlation.QuadConfig(rel_tol=args.quad_tol, abs_tol=min(1e-15, args.quad_tol))
+    svals = np.logspace(math.log10(args.s_min), math.log10(args.s_max), args.s_points)
     header = ["s", "delta", "D_analytic", "D_numeric", "D_numeric_err", "D_truncated"]
     rows = []
     failed = False
@@ -250,6 +248,9 @@ def cmd_correlation(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.cases < 1 or args.p_points < 1:
+        print("oracle-check needs --cases >= 1 and --p-points >= 1", file=sys.stderr)
+        return EXIT_VALIDATION
     rng = np.random.Generator(np.random.Philox(args.seed))
     cases = oracle.sample_parameter_sets(rng, args.cases)
     momenta = np.logspace(-2, 1, args.p_points)
@@ -397,6 +398,9 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_VALIDATION
     except (KkbecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except ArithmeticError as exc:
+        print(f"error: inputs outside the floating-point range: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -5,13 +5,11 @@ inverse cubed healing length (the 1/xi^3 prefactor divided out):
 
 * ``analytic_corr`` -- the continuum closed form
   (1/(2 sqrt2 pi^2)) * R_l / (s^2 + (R_l Delta)^2)^(3/2);
-* ``numeric_corr`` -- the mode sum
-  sum_j cos(2 pi j Delta / N) * (1/(2 pi^2 s)) * int_0^inf eta sin(eta s)
-  [f_j(eta) - 1/N] d eta, with f_j the exact squared amplitude difference
-  (u_j - v_j)^2 in dimensionless momentum eta = p*xi (the common 1/N
-  large-eta asymptote is subtracted per mode; its weighted sum cancels
-  exactly for Delta != 0 mod N and is a pure contact term otherwise, so the
-  returned value is unchanged for s > 0);
+* ``numeric_corr`` -- the mode sum as one integral, (1/(2 pi^2 s)) int_0^inf
+  eta sin(eta s) sum_j cos(2 pi j Delta / N) [f_j(eta) - 1/N] d eta, with
+  f_j = (u_j - v_j)^2 at eta = p*xi; the 1/N asymptote, removed in exact
+  cancellation-free form, cancels for Delta != 0 mod N and is a pure contact
+  term otherwise, so the value for s > 0 is unchanged;
 * ``truncated_corr`` -- the low-mode relativistic sum
   (1/N) sum_{|j| <= j_tr} R_m(j) K1(R_m(j) s) / (sqrt2 pi^2 s) with
   R_m(j) = alpha_j / R_l, cosine-weighted by default for Delta != 0.
@@ -25,6 +23,7 @@ only like 1/eta.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -131,6 +130,11 @@ class QuadConfig:
     panel_rel_tol: float = 1e-13
     max_depth: int = 24
 
+    def __post_init__(self):
+        if not (self.rel_tol > 0 and self.abs_tol > 0 and self.panel_rel_tol > 0
+                and 1 <= self.start_panels <= self.max_panels):
+            raise ValueError(f"need tolerances > 0 and 1 <= start_panels <= max_panels: {self}")
+
 
 def _gl_panel(f, a: float, b: float) -> float:
     x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
@@ -168,13 +172,17 @@ def _accelerated_tail(partials: np.ndarray) -> tuple[float, float]:
     return float(best), float(err)
 
 
-def fourier_sin_integral(g, s: float, cfg: QuadConfig | None = None) -> tuple[float, float]:
+def fourier_sin_integral(
+    g, s: float, cfg: QuadConfig | None = None, breaks=()
+) -> tuple[float, float]:
     """Integrate g(eta)*sin(eta*s) over [0, inf) for smooth, slowly decaying g.
 
     ``g`` must accept numpy arrays. Panels run between consecutive zeros of
     sin(eta*s); the panel count grows geometrically until the accelerated
-    tail stabilizes. Raises :class:`QuadratureError` (carrying the partial
-    value) if the budget is exhausted.
+    tail stabilizes. Panels are split at the ``breaks``, so that structure of
+    g much narrower than pi/s cannot pass the refinement test unseen. Raises
+    :class:`QuadratureError` (carrying the partial value) if the budget is
+    exhausted.
     """
     if s <= 0:
         raise ValueError("oscillation frequency s must be positive")
@@ -184,12 +192,14 @@ def fourier_sin_integral(g, s: float, cfg: QuadConfig | None = None) -> tuple[fl
     def f(eta):
         return g(eta) * np.sin(eta * s)
 
+    breaks = sorted(map(float, breaks))
     panels: list[float] = []
     count = cfg.start_panels
-    value, err = 0.0, math.inf
     while True:
         for k in range(len(panels), count):
-            panels.append(_adaptive_panel(f, k * width, (k + 1) * width, cfg))
+            a, b = k * width, (k + 1) * width
+            cuts = [a, *breaks[bisect.bisect_right(breaks, a):bisect.bisect_left(breaks, b)], b]
+            panels.append(sum(_adaptive_panel(f, lo, hi, cfg) for lo, hi in zip(cuts, cuts[1:])))
         partials = np.cumsum(panels)
         tail_len = max(8, len(panels) // 2)
         value, err = _accelerated_tail(partials[-tail_len:])
@@ -270,6 +280,25 @@ def _gap_ratios(params: ModelParams) -> np.ndarray:
     return mus
 
 
+def _amplitude_excess(mus: np.ndarray, n_sp: int):
+    """eta -> f_j(eta) - 1/N for every gap ratio mu_j, shape eta.shape + mus.shape.
+
+    (a - r)/(N r) = 2 c a / (N r (a + r)) with c = sqrt(1 - mu^2), a = 1 + c +
+    eta^2, r = sqrt(mu^2 + 2 eta^2 + eta^4); a - r cancels at large eta.
+    """
+    mu_sq = mus * mus
+    c = np.sqrt(1.0 - mu_sq)
+    scale = 2.0 * c / n_sp
+
+    def excess(eta):
+        eta_sq = np.square(np.asarray(eta, dtype=float))[..., np.newaxis]
+        a = (1.0 + c) + eta_sq
+        r = np.sqrt(mu_sq + eta_sq * (2.0 + eta_sq))
+        return scale * a / (r * (a + r))
+
+    return excess
+
+
 def mode_integrand(params: ModelParams, j: int, eta) -> float | np.ndarray:
     """(u_j - v_j)^2 at dimensionless momentum eta = p*xi.
 
@@ -277,14 +306,11 @@ def mode_integrand(params: ModelParams, j: int, eta) -> float | np.ndarray:
     eta^4) with mu_j = E_rj/(m c_s^2); requires mono-metric parameters and
     (j, eta) != (0, 0).
     """
-    mu = float(_gap_ratios(params)[j % params.species_count])
-    eta_arr = np.asarray(eta, dtype=float)
-    if mu == 0.0 and np.any(eta_arr == 0.0):
+    n_sp = params.species_count
+    mus = _gap_ratios(params)[[j % n_sp]]
+    if mus[0] == 0.0 and np.any(np.asarray(eta) == 0.0):
         raise ValueError("the massless mode has no amplitude at eta = 0")
-    eta_sq = eta_arr**2
-    value = ((1.0 + eta_sq) + math.sqrt(1.0 - mu * mu)) / (
-        params.species_count * np.sqrt(mu * mu + 2.0 * eta_sq + eta_sq**2)
-    )
+    value = 1.0 / n_sp + _amplitude_excess(mus, n_sp)(eta)[..., 0]
     return float(value) if np.isscalar(eta) else value
 
 
@@ -298,38 +324,27 @@ def numeric_corr(
     query: CorrelationQuery, quad_config: QuadConfig | None = None
 ) -> tuple[float, float]:
     """Exact mode-sum correlator, in 1/xi^3 units, with an error estimate."""
-    params = query.params
-    n_sp = params.species_count
-    mus = _gap_ratios(params)
-    inv_n = 1.0 / n_sp
+    n_sp = query.params.species_count
+    mus = _gap_ratios(query.params)
     delta = _fold_delta(query.delta, n_sp)
     weights = np.cos(2.0 * math.pi * np.arange(n_sp) * delta / n_sp)
+    excess = _amplitude_excess(mus, n_sp)
 
-    total = 0.0
-    total_err = 0.0
-    for j in range(n_sp):
-        mu = mus[j]
-        sqrt_term = math.sqrt(1.0 - mu * mu)
+    def g(eta):
+        return eta * (excess(eta) @ weights)
 
-        def g(eta, _mu=mu, _c=sqrt_term):
-            eta_sq = eta * eta
-            f_mode = ((1.0 + eta_sq) + _c) / (
-                n_sp * np.sqrt(_mu * _mu + 2.0 * eta_sq + eta_sq * eta_sq)
-            )
-            return eta * (f_mode - inv_n)
-
-        try:
-            integral, err = fourier_sin_integral(g, query.s, quad_config)
-        except QuadratureError as exc:
-            raise QuadratureError(
-                f"mode {j}: {exc}",
-                partial_value=exc.partial_value,
-                error_estimate=exc.error_estimate,
-            ) from exc
-        total += float(weights[j]) * integral
-        total_err += abs(float(weights[j])) * err
+    # g has structure at every eta ~ mu_j and at eta ~ 1, and decays like 1/eta
+    # beyond: halve [0, pi/s] down to the smallest gap ratio so no panel hides it
+    width = math.pi / query.s
+    low = float(np.min(mus[mus > 0.0], initial=1.0))
+    breaks = width * 0.5 ** np.arange(1, max(1, math.ceil(math.log2(width / low)) + 1))
+    integral, err = fourier_sin_integral(g, query.s, quad_config, breaks)
+    # roundoff of the pointwise weighted sum, ~1e-16 sum_j |w_j I_j| with each
+    # mode integral I_j <~ min(pi/2, sqrt2/s)/N, is invisible to the quadrature
+    mode_scale = min(0.5 * math.pi, math.sqrt(2.0) / query.s) / n_sp
+    err = max(err, 1e-16 * float(np.sum(np.abs(weights))) * mode_scale)
     norm = 2.0 * math.pi**2 * query.s
-    return total / norm, total_err / norm
+    return integral / norm, err / norm
 
 
 def truncated_corr(query: CorrelationQuery, j_tr: int, weighted: bool = True) -> float:

@@ -162,6 +162,8 @@ def validate(params: ModelParams, regime: str = RELATIVISTIC) -> ValidationRepor
     ):
         if not _finite(value):
             err(f"{name}_finite", f"{name} must be finite, got {value!r}")
+    if params.rabi == 0:
+        err("rabi_nonzero", "Omega must be nonzero: the lattice spacing diverges at Omega = 0")
     if params.system_length is not None and not _finite(params.system_length):
         err("system_length_finite", f"L must be finite or null, got {params.system_length!r}")
 
@@ -175,13 +177,15 @@ def validate(params: ModelParams, regime: str = RELATIVISTIC) -> ValidationRepor
         if om >= 0:
             err("rabi_sign", f"Omega must be negative in the relativistic analog regime, got {om}")
         else:
-            ratio = abs(om) / nU
+            # n*U underflows to 0 for tiny positive n and U
+            ratio = abs(om) / nU if nU > 0 else math.inf
             if ratio >= 1.0:
                 err("rabi_small", f"|Omega| must stay below nU, got |Omega|/nU = {ratio:.6g}")
             elif ratio > WARN_RATIO:
                 warn("rabi_small", f"|Omega|/nU = {ratio:.6g} strains |Omega| << nU")
             if params.system_length is not None:
-                ir_bound = 1.0 / (2.0 * params.atom_mass * params.system_length**2)
+                ir_scale = 2.0 * params.atom_mass * params.system_length**2
+                ir_bound = 1.0 / ir_scale if ir_scale > 0 else math.inf
                 if ir_bound >= abs(om):
                     err(
                         "system_length_bound",
@@ -191,7 +195,7 @@ def validate(params: ModelParams, regime: str = RELATIVISTIC) -> ValidationRepor
         for label, scale in (("nU", nU), ("nU'", abs(params.nUprime))):
             if scale <= 0:
                 continue
-            ratio = scale / abs(om) if om != 0 else math.inf
+            ratio = scale / abs(om)
             if ratio >= 1.0:
                 err("rabi_large", f"|Omega| must exceed {label}, got {label}/|Omega| = {ratio:.6g}")
             elif ratio > WARN_RATIO:

@@ -1,10 +1,12 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.integrate import IntegrationWarning
 
 from kkbec.model import ModelParams
 
@@ -86,3 +88,49 @@ def closed_form_e_sq(params: ModelParams, p: float) -> np.ndarray:
     m_cs_sq = n_u - 2.0 * om + 2.0 * (n_up + om) * cos_a
     eps = p * p / (2.0 * params.atom_mass)
     return gap_sq + (m_cs_sq / params.atom_mass) * p * p + eps * eps
+
+
+def correlator_quadpack_oracle(params: ModelParams, s: float, delta: int) -> tuple[float, float]:
+    """The numeric correlator as N separate QUADPACK integrals, one per mode.
+
+    Returns (sum_j w_j I_j, sum_j |w_j I_j|), both divided by 2 pi^2 s, with
+    w_j = cos(2 pi j Delta / N) and I_j = int_0^inf eta (f_j - 1/N) sin(eta s).
+    Independent of the package's quadrature and gap code: the gaps come from
+    the literal closed forms, each I_j is QAWO on [0, A] (A a whole number of
+    periods past the structure at eta <~ 1) plus a QAWF tail from A, and any
+    IntegrationWarning is an error. A coarse first pass sets the absolute
+    tolerance, since at large s the I_j cancel far below the integrand's size.
+    """
+    n_sp = params.species_count
+    cutoff = params.nU - 2.0 * params.rabi
+    mus = np.sqrt(np.maximum(closed_form_e_sq(params, 0.0), 0.0)) / cutoff
+    mus[0] = 0.0
+    period = 2.0 * math.pi / s
+    head_end = period * math.ceil(20.0 / period)
+
+    def mode(mu):
+        c = math.sqrt(1.0 - mu * mu)
+
+        def g(eta):
+            e2 = eta * eta
+            root = math.sqrt(mu * mu + 2.0 * e2 + e2 * e2)
+            eta_over_root = 1.0 / math.sqrt(2.0 + e2) if mu == 0.0 else eta / root
+            return eta_over_root * 2.0 * c * (1.0 + c + e2) / (n_sp * (1.0 + c + e2 + root))
+
+        return g
+
+    def integral(g, epsabs, epsrel):
+        head, _ = integrate.quad(g, 0.0, head_end, weight="sin", wvar=s,
+                                 epsabs=epsabs, epsrel=epsrel, limit=2000)
+        tail, _ = integrate.quad(g, head_end, np.inf, weight="sin", wvar=s,
+                                 epsabs=max(epsabs, epsrel * abs(head)), limlst=200, limit=2000)
+        return head + tail
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        modes = [mode(float(mu)) for mu in mus]
+        scale = max(abs(integral(g, 0.0, 1e-6)) for g in modes)
+        values = np.array([integral(g, 1e-12 * scale, 1e-12) for g in modes])
+    terms = np.cos(2.0 * math.pi * np.arange(n_sp) * delta / n_sp) * values
+    norm = 2.0 * math.pi**2 * s
+    return float(terms.sum()) / norm, float(np.abs(terms).sum()) / norm

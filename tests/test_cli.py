@@ -230,6 +230,25 @@ class TestConfigHandling:
         assert main(["correlation", "--config", config, "--delta", "12"]) == 2
 
 
+class TestTotality:
+    """Degenerate inputs end in a validation exit, never a traceback or a vacuous pass."""
+
+    @pytest.mark.parametrize("argv", [
+        ["tower", "--normalized-omega", "0"],
+        ["correlation", "--normalized-omega", "1e-300", "--s-points", "1",
+         "--s-min", "5", "--s-max", "5"],
+        ["oracle-check", "--cases", "0"],
+        ["oracle-check", "--cases", "-1"],
+        ["oracle-check", "--cases", "2", "--p-points", "0"],
+    ])
+    def test_validation_exit(self, tmp_path, capsys, argv):
+        code, out = run_to_file(tmp_path, "out", argv)
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err and "Traceback" not in err
+
+
 class TestDeterminismAndSvg:
     def test_byte_identical_reruns(self, tmp_path, config):
         commands = {

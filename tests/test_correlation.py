@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 from scipy import special
 
+from kkbec import correlation
 from kkbec.errors import DomainError, QuadratureError, StabilityError, ValidityError
-from kkbec.model import ModelParams, derive_scales
+from kkbec.model import ModelParams, derive_scales, normalized_params
 from kkbec.correlation import (
     CorrelationQuery,
     QuadConfig,
+    _amplitude_excess,
+    _gap_ratios,
     analytic_corr,
     bessel_k1,
     correlation_sample,
@@ -19,7 +22,7 @@ from kkbec.correlation import (
 )
 from kkbec.spectrum import bogoliubov_amplitudes, rest_energy_sq
 
-from conftest import k1_integral_oracle
+from conftest import correlator_quadpack_oracle, k1_integral_oracle
 
 
 class TestBesselK1:
@@ -93,6 +96,20 @@ class TestFourierSinIntegral:
             fourier_sin_integral(lambda eta: eta, 0.0)
 
 
+class TestQuadConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"start_panels": 0},
+        {"start_panels": -3},
+        {"start_panels": 128, "max_panels": 64},
+        {"rel_tol": 0.0},
+        {"abs_tol": -1e-15},
+        {"panel_rel_tol": float("nan")},
+    ])
+    def test_rejects_invalid_settings(self, kwargs):
+        with pytest.raises(ValueError):
+            QuadConfig(**kwargs)
+
+
 class TestQueryValidation:
     def test_bounds(self, standard_params):
         with pytest.raises(ValueError):
@@ -129,6 +146,23 @@ class TestAnalyticCorrelator:
 
 
 class TestModeIntegrand:
+    def test_amplitude_excess_precision(self):
+        # the subtracted amplitude f_j - 1/N against 50-digit arithmetic; the
+        # difference form (a - r)/(N r) is 8e-8 off at eta = 1e5
+        mpmath = pytest.importorskip("mpmath")
+        n_sp = 9
+        mus = np.array([0.0, 1e-3, 0.3, 0.999])
+        etas = np.logspace(-6, 6, 61)
+        values = _amplitude_excess(mus, n_sp)(etas)
+        with mpmath.workdps(50):
+            for i, eta in enumerate(etas):
+                e2 = mpmath.mpf(float(eta)) ** 2
+                for k, mu in enumerate(mus):
+                    mu = mpmath.mpf(float(mu))
+                    root = mpmath.sqrt(mu * mu + 2 * e2 + e2 * e2)
+                    exact = ((1 + e2 + mpmath.sqrt(1 - mu * mu)) / root - 1) / n_sp
+                    assert abs(values[i, k] - exact) <= 1e-14 * exact
+
     def test_free_asymptote(self, standard_params):
         value = mode_integrand(standard_params, 3, 1e4)
         assert value * 9.0 == pytest.approx(1.0, abs=1e-7)
@@ -204,27 +238,17 @@ class TestNumericCorrelator:
 
     def test_imaginary_part_cancels(self, figure_params):
         # the sine-weighted companion of the cosine mode sum must vanish
-        from kkbec.correlation import _gap_ratios
-
         mus = _gap_ratios(figure_params)
         n_sp = figure_params.species_count
-        s = 15.0
-        total_cos, total_sin = 0.0, 0.0
-        for j in range(n_sp):
-            mu = float(mus[j])
-            root = math.sqrt(1.0 - mu * mu)
+        angles = 2.0 * math.pi * np.arange(n_sp) / n_sp
+        excess = _amplitude_excess(mus, n_sp)
 
-            def g(eta, _mu=mu, _c=root):
-                eta_sq = eta * eta
-                f_mode = ((1.0 + eta_sq) + _c) / (
-                    n_sp * np.sqrt(_mu * _mu + 2.0 * eta_sq + eta_sq * eta_sq)
-                )
-                return eta * (f_mode - 1.0 / n_sp)
+        def weighted(weights):
+            integral, _ = fourier_sin_integral(lambda eta: eta * (excess(eta) @ weights), 15.0)
+            return integral
 
-            integral, _ = fourier_sin_integral(g, s)
-            angle = 2.0 * math.pi * j / n_sp
-            total_cos += math.cos(angle) * integral
-            total_sin += math.sin(angle) * integral
+        total_cos = weighted(np.cos(angles))
+        total_sin = weighted(np.sin(angles))
         assert abs(total_sin) <= 1e-12 * abs(total_cos)
 
     def test_contact_term_excluded_at_delta_zero(self, figure_params):
@@ -236,12 +260,63 @@ class TestNumericCorrelator:
         assert math.isfinite(value)
         assert value > 0.0
 
+    def test_flat_at_vanishing_separation(self):
+        # for Delta != 0 the synthetic distance dominates: D(s) - D(0) = O(s^2),
+        # so a first panel [0, pi/s] of width 3e6 must still resolve eta ~ 1
+        params = normalized_params(0.1, 101)
+        tiny, err = numeric_corr(CorrelationQuery(s=1e-6, delta=3, params=params))
+        small, _ = numeric_corr(CorrelationQuery(s=1e-4, delta=3, params=params))
+        assert abs(tiny - small) <= 1e-6 * small
+        assert err <= 1e-6 * small
+
     def test_quadrature_error_propagates(self, figure_params):
         query = CorrelationQuery(s=20.0, delta=1, params=figure_params)
         cfg = QuadConfig(rel_tol=1e-16, abs_tol=1e-30, start_panels=8, max_panels=8)
         with pytest.raises(QuadratureError) as excinfo:
             numeric_corr(query, cfg)
         assert excinfo.value.partial_value is not None
+
+
+class TestQuadpackOracle:
+    """The mode sum against N independent QUADPACK integrals."""
+
+    HARD = [(ratio, n_sp, s, delta)
+            for ratio in (1e-3, 0.1)
+            for n_sp in (51, 101)
+            for s in (0.05, 0.3)
+            for delta in (n_sp // 3, n_sp // 2)]
+    EASY = [(1e-3, 9, 1.5, 0), (1e-3, 9, 20.0, 1), (0.1, 9, 5.0, 3), (0.1, 51, 200.0, 2),
+            (0.1, 101, 1e-3, 3)]
+    # rows that cancel to 1e-9 of their per-mode scale; a mesh of the first
+    # panel that stops at eta = 1 misses the gaps and returns -1e-17 here
+    WEAK = [(1e-5, 101, 1.0, 33), (1e-6, 101, 1.0, 33)]
+
+    @pytest.mark.parametrize("ratio, n_sp, s, delta", HARD + EASY + WEAK)
+    def test_matches_per_mode_quadpack(self, ratio, n_sp, s, delta):
+        params = normalized_params(ratio, n_sp)
+        expected, scale = correlator_quadpack_oracle(params, s, delta)
+        value, err = numeric_corr(CorrelationQuery(s=s, delta=delta, params=params))
+        assert abs(value - expected) <= 1e-9 * scale
+        assert value == pytest.approx(expected, rel=1e-4)
+        # never below the roundoff of the pointwise weighted mode sum
+        assert 1e-16 * scale <= err <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("n_sp, s, delta", [(9, 0.1, 1), (51, 0.05, 17)])
+def test_panel_count_gate(monkeypatch, n_sp, s, delta):
+    # machine-independent work bound; an integrand that loses its digits to
+    # cancellation at large eta drives the first point to millions of panels
+    panels = 0
+    gl_panel = correlation._gl_panel
+
+    def counted(f, a, b):
+        nonlocal panels
+        panels += 1
+        return gl_panel(f, a, b)
+
+    monkeypatch.setattr(correlation, "_gl_panel", counted)
+    numeric_corr(CorrelationQuery(s=s, delta=delta, params=normalized_params(1e-3, n_sp)))
+    assert 0 < panels <= 2000
 
 
 class TestTruncatedCorrelator:
@@ -297,8 +372,6 @@ class TestCrossChecks:
         weighted tower built from exact gaps must track the numeric correlator
         to a couple of percent in the figure window.
         """
-        from kkbec.correlation import _gap_ratios
-
         mus = _gap_ratios(figure_params)
         n_sp = figure_params.species_count
         for s in (20.0, 30.0, 40.0):

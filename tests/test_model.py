@@ -167,6 +167,18 @@ class TestValidate:
         names = {v.constraint for v in report.errors()}
         assert "atom_mass_positive" in names and "density_positive" in names
 
+    def test_zero_rabi_rejected_in_every_regime(self):
+        for regime in (RELATIVISTIC, NONRELATIVISTIC, UNRESTRICTED):
+            report = validate(ModelParams(9, 1.0, 1.0, 1.0, 0.0, 0.0), regime)
+            assert [v.constraint for v in report.errors()] == ["rabi_nonzero"]
+
+    def test_total_on_vanishing_products(self):
+        # n*U and 2*m*L^2 underflow to 0 although every factor is valid
+        tiny = validate(ModelParams(3, 1.0, 1e-191, 1e-191, 0.0, -1.0), RELATIVISTIC)
+        assert [v.constraint for v in tiny.errors()] == ["rabi_small"]
+        point = validate(ModelParams(9, 1.0, 1.0, 1.0, 0.1, -0.1, 0.0), RELATIVISTIC)
+        assert [v.constraint for v in point.errors()] == ["system_length_bound"]
+
     def test_unknown_regime(self, standard_params):
         with pytest.raises(ValueError):
             validate(standard_params, "hyperbolic")
