@@ -24,7 +24,6 @@ from .model import (
 )
 from .spectrum import (
     BogoliubovAmplitudes,
-    DispersionSample,
     TowerEntry,
     bogoliubov_amplitudes,
     continuum_mass_sq,

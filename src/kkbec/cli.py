@@ -108,59 +108,42 @@ def _svg_polylines(path, curves: dict[str, list[tuple[float, float]]], log_log: 
 
 def _load_inputs(args) -> tuple[model.ModelParams, bool]:
     if args.normalized_omega is not None:
-        params = model.normalized_params(args.normalized_omega, args.species)
-        return params, True
+        return model.normalized_params(args.normalized_omega, args.species), True
     if args.config is None:
-        print("either --config or --normalized-omega is required", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
-    try:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO) from exc
-    except json.JSONDecodeError as exc:
-        print(f"config is not valid JSON: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION) from exc
-    try:
-        return model.params_from_document(doc)
-    except ValueError as exc:
-        print(f"invalid parameter document: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION) from exc
+        raise ValueError("either --config or --normalized-omega is required")
+    with open(args.config, "r", encoding="utf-8") as handle:
+        doc = json.load(handle)
+    return model.params_from_document(doc)
 
 
 def _require_grid(low: float, high: float, points: int) -> None:
     if not (math.isfinite(low) and math.isfinite(high) and 0 < low <= high):
-        print(f"grid bounds must be finite and 0 < min <= max, got [{low}, {high}]",
-              file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
+        raise ValueError(f"grid bounds must be finite and 0 < min <= max, got [{low}, {high}]")
     if points < 1 or (points == 1 and low != high):
-        print("grid needs at least one point (and min == max for a single point)",
-              file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
+        raise ValueError("grid needs at least one point (and min == max for a single point)")
 
 
-def _require_valid(params: model.ModelParams, regime: str) -> None:
+def _report(params: model.ModelParams, regime: str) -> model.ValidationReport:
     report = model.validate(params, regime)
     for violation in report.violations:
         print(f"{violation.severity}: {violation.constraint}: {violation.message}",
               file=sys.stderr)
-    if not report.ok:
-        raise SystemExit(EXIT_VALIDATION)
+    return report
+
+
+def _require_valid(params: model.ModelParams) -> None:
+    if not _report(params, model.UNRESTRICTED).ok:
+        raise ValueError("parameters violate the model constraints")
 
 
 def _maybe_svg(args, curves, log_log=True):
-    if not args.svg:
-        return
-    if args.out is None:
-        print("--svg requires --out", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
-    _svg_polylines(str(args.out) + ".svg", curves, log_log)
+    if args.svg:
+        _svg_polylines(str(args.out) + ".svg", curves, log_log)
 
 
 def cmd_tower(args) -> int:
     params, _ = _load_inputs(args)
-    _require_valid(params, model.UNRESTRICTED)
+    _require_valid(params)
     entries = spectrum.kk_tower(params)
     header = ["j", "n", "alpha", "Erj_sq_exact", "Erj_sq_continuum", "csj_sq",
               "p5", "constraint_value", "degeneracy"]
@@ -170,21 +153,17 @@ def cmd_tower(args) -> int:
          e.degeneracy]
         for e in entries
     ]
-    try:
-        _write_table(args.out, header, rows, args.format)
-        _maybe_svg(args, {
-            "exact": [(e.mode.j, e.rest_energy_sq) for e in entries],
-            "continuum": [(e.mode.j, e.continuum_mass_sq) for e in entries],
-        }, log_log=False)
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_table(args.out, header, rows, args.format)
+    _maybe_svg(args, {
+        "exact": [(e.mode.j, e.rest_energy_sq) for e in entries],
+        "continuum": [(e.mode.j, e.continuum_mass_sq) for e in entries],
+    }, log_log=False)
     return EXIT_OK
 
 
 def cmd_dispersion(args) -> int:
     params, mono = _load_inputs(args)
-    _require_valid(params, model.UNRESTRICTED)
+    _require_valid(params)
     _require_grid(args.eta_min, args.eta_max, args.eta_points)
     scales = model.derive_scales(params, mono_metric=mono)
     etas = np.logspace(math.log10(args.eta_min), math.log10(args.eta_max), args.eta_points)
@@ -202,21 +181,16 @@ def cmd_dispersion(args) -> int:
             rows.append([j, float(eta), p, energy, over_csp])
             pts.append((float(eta), energy))
         curves[f"j={j}"] = pts
-    try:
-        _write_table(args.out, header, rows, args.format)
-        _maybe_svg(args, curves)
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_table(args.out, header, rows, args.format)
+    _maybe_svg(args, curves)
     return EXIT_OK
 
 
 def cmd_correlation(args) -> int:
     params, mono = _load_inputs(args)
-    _require_valid(params, model.UNRESTRICTED)
+    _require_valid(params)
     if not mono:
-        print("correlation requires mono_metric parameters", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("correlation requires mono_metric parameters")
     _require_grid(args.s_min, args.s_max, args.s_points)
     # QuadConfig rejects a non-positive --quad-tol (exit 2 through main)
     cfg = correlation.QuadConfig(rel_tol=args.quad_tol, abs_tol=min(1e-15, args.quad_tol))
@@ -234,23 +208,18 @@ def cmd_correlation(args) -> int:
             numeric, err = float("nan"), float("nan")
             failed = True
         rows.append([float(s), args.delta, analytic, numeric, err, truncated])
-    try:
-        _write_table(args.out, header, rows, args.format)
-        _maybe_svg(args, {
-            "analytic": [(r[0], r[2]) for r in rows],
-            "numeric": [(r[0], r[3]) for r in rows],
-            "truncated": [(r[0], r[5]) for r in rows],
-        })
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_table(args.out, header, rows, args.format)
+    _maybe_svg(args, {
+        "analytic": [(r[0], r[2]) for r in rows],
+        "numeric": [(r[0], r[3]) for r in rows],
+        "truncated": [(r[0], r[5]) for r in rows],
+    })
     return EXIT_QUADRATURE if failed else EXIT_OK
 
 
 def cmd_oracle_check(args) -> int:
     if args.cases < 1 or args.p_points < 1:
-        print("oracle-check needs --cases >= 1 and --p-points >= 1", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ValueError("oracle-check needs --cases >= 1 and --p-points >= 1")
     rng = np.random.Generator(np.random.Philox(args.seed))
     cases = oracle.sample_parameter_sets(rng, args.cases)
     momenta = np.logspace(-2, 1, args.p_points)
@@ -281,17 +250,13 @@ def cmd_oracle_check(args) -> int:
         "tachyon_case_flagged": bool(expected_unstable),
         "pass": bool(passed),
     }
-    try:
-        _write_text(args.out, json.dumps(report, indent=2) + "\n")
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_text(args.out, json.dumps(report, indent=2) + "\n")
     return EXIT_OK if passed else EXIT_ORACLE
 
 
 def cmd_validate(args) -> int:
     params, mono = _load_inputs(args)
-    report = model.validate(params, args.regime)
+    report = _report(params, args.regime)
     constraints = []
     if report.ok:
         for j in range((params.species_count + 1) // 2):
@@ -313,9 +278,6 @@ def cmd_validate(args) -> int:
         "mode_constraints": constraints,
         "ok": report.ok and all(c["note"] != "reject" for c in constraints),
     }
-    for violation in report.violations:
-        print(f"{violation.severity}: {violation.constraint}: {violation.message}",
-              file=sys.stderr)
     for entry in constraints:
         if entry["note"] != "ok":
             print(
@@ -323,25 +285,8 @@ def cmd_validate(args) -> int:
                 f"{entry['constraint_value']:.6g} (warn>{CONSTRAINT_WARN}, reject>={CONSTRAINT_REJECT})",
                 file=sys.stderr,
             )
-    try:
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
-    except OSError as exc:
-        print(f"cannot write output: {exc}", file=sys.stderr)
-        return EXIT_IO
+    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK if payload["ok"] else EXIT_VALIDATION
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON parameter document")
-    sub.add_argument("--normalized-omega", type=float, default=None, metavar="RATIO",
-                     help="normalized mono-metric mode: m=n=U=1, |Omega|/nU=RATIO")
-    sub.add_argument("--species", type=int, default=9,
-                     help="N for --normalized-omega (default 9)")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_argument("--svg", action="store_true",
-                     help="also write a minimal SVG plot next to --out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,20 +296,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "ring-coupled multicomponent condensate",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # parent parsers: each subcommand takes only the option groups it reads
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output path (default stdout)")
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--config", help="JSON parameter document")
+    inputs.add_argument("--normalized-omega", type=float, default=None, metavar="RATIO",
+                        help="normalized mono-metric mode: m=n=U=1, |Omega|/nU=RATIO")
+    inputs.add_argument("--species", type=int, default=9,
+                        help="N for --normalized-omega (default 9)")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=("csv", "json"), default="csv")
+    table.add_argument("--svg", action="store_true",
+                       help="also write a minimal SVG plot next to --out")
 
-    tower = subs.add_parser("tower", help="mass tower table (exact vs continuum)")
-    _add_common(tower)
+    tower = subs.add_parser("tower", parents=[inputs, out, table],
+                            help="mass tower table (exact vs continuum)")
     tower.set_defaults(func=cmd_tower)
 
-    disp = subs.add_parser("dispersion", help="dispersion curves over an eta grid")
-    _add_common(disp)
+    disp = subs.add_parser("dispersion", parents=[inputs, out, table],
+                           help="dispersion curves over an eta grid")
     disp.add_argument("--eta-min", type=float, default=0.01)
     disp.add_argument("--eta-max", type=float, default=10.0)
     disp.add_argument("--eta-points", type=int, default=60)
     disp.set_defaults(func=cmd_dispersion)
 
-    corr = subs.add_parser("correlation", help="analytic/numeric/truncated correlators")
-    _add_common(corr)
+    corr = subs.add_parser("correlation", parents=[inputs, out, table],
+                           help="analytic/numeric/truncated correlators")
     corr.add_argument("--s-min", type=float, default=2.0)
     corr.add_argument("--s-max", type=float, default=40.0)
     corr.add_argument("--s-points", type=int, default=25)
@@ -375,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="reproduce the unweighted printed truncated form")
     corr.set_defaults(func=cmd_correlation)
 
-    check = subs.add_parser("oracle-check", help="closed forms vs brute-force BdG")
-    _add_common(check)
+    check = subs.add_parser("oracle-check", parents=[out],
+                            help="closed forms vs brute-force BdG")
+    check.add_argument("--seed", type=int, default=DEFAULT_SEED)
     check.add_argument("--cases", type=int, default=120)
     check.add_argument("--p-points", type=int, default=20)
     check.set_defaults(func=cmd_oracle_check)
 
-    val = subs.add_parser("validate", help="regime constraint report")
-    _add_common(val)
+    val = subs.add_parser("validate", parents=[inputs, out], help="regime constraint report")
     val.add_argument("--regime", choices=model.REGIMES, default=model.RELATIVISTIC)
     val.set_defaults(func=cmd_validate)
 
@@ -390,12 +348,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place that turns an outcome into an exit code."""
     args = build_parser().parse_args(argv)
+    if getattr(args, "svg", False) and args.out is None:
+        print("error: --svg requires --out", file=sys.stderr)
+        return EXIT_IO
     try:
         return args.func(args)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_VALIDATION
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (KkbecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

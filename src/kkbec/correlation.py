@@ -152,7 +152,9 @@ def _adaptive_panel(f, a: float, b: float, cfg: QuadConfig, depth: int = 0) -> f
     halves = _gl_panel(f, a, mid) + _gl_panel(f, mid, b)
     if abs(halves - whole) <= cfg.panel_rel_tol * abs(halves) + _PANEL_ABS_FLOOR:
         return halves
-    if depth >= cfg.max_depth:
+    # halving never makes a non-finite panel finite (the integrand is NaN once
+    # eta^2 overflows); fourier_sin_integral then fails at once
+    if depth >= cfg.max_depth or not math.isfinite(halves):
         return halves
     return _adaptive_panel(f, a, mid, cfg, depth + 1) + _adaptive_panel(f, mid, b, cfg, depth + 1)
 
@@ -182,7 +184,7 @@ def fourier_sin_integral(
     tail stabilizes. Panels are split at the ``breaks``, so that structure of
     g much narrower than pi/s cannot pass the refinement test unseen. Raises
     :class:`QuadratureError` (carrying the partial value) if the budget is
-    exhausted.
+    exhausted or the integral is not finite.
     """
     if s <= 0:
         raise ValueError("oscillation frequency s must be positive")
@@ -207,7 +209,7 @@ def fourier_sin_integral(
         err = max(err, 1e-16 * float(np.sum(np.abs(panels))))
         if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
             return value, err
-        if count >= cfg.max_panels:
+        if count >= cfg.max_panels or not math.isfinite(err):
             raise QuadratureError(
                 f"no convergence after {count} panels (err={err:.3g})",
                 partial_value=value,

@@ -34,14 +34,8 @@ class BdGSystem:
 
 def ring_coupling_matrix(species_count: int) -> np.ndarray:
     """C_ij = delta_{i,j+1} + delta_{i+1,j} with indices mod N."""
-    c = np.zeros((species_count, species_count))
-    for i in range(species_count):
-        for j in range(species_count):
-            if i % species_count == (j + 1) % species_count:
-                c[i, j] += 1.0
-            if (i + 1) % species_count == j % species_count:
-                c[i, j] += 1.0
-    return c
+    ident = np.eye(species_count)
+    return np.roll(ident, -1, axis=1) + np.roll(ident, 1, axis=1)
 
 
 def build_bdg(params: ModelParams, p: float) -> BdGSystem:

@@ -16,7 +16,6 @@ from .model import ModeIndex, ModelParams
 
 __all__ = [
     "BogoliubovAmplitudes",
-    "DispersionSample",
     "TowerEntry",
     "bogoliubov_amplitudes",
     "continuum_mass_sq",
@@ -29,13 +28,6 @@ __all__ = [
     "sound_speed_sq",
     "validity_constraint",
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class DispersionSample:
-    mode: ModeIndex
-    momentum: float
-    energy: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,10 +49,6 @@ class TowerEntry:
     sound_speed_sq: float
     degeneracy: int
     constraint_value: float
-
-
-def _alpha(params: ModelParams, j: int) -> float:
-    return 2.0 * math.pi * (j % params.species_count) / params.species_count
 
 
 def _cos_alpha(params: ModelParams, j: int) -> float:
@@ -195,12 +183,3 @@ def nonrel_dispersion(params: ModelParams, j: int, p: float) -> float:
         + 2.0 * abs(params.rabi) * (1.0 - c)
         + params.density * (params.self_interaction + params.cross_interaction * c)
     )
-
-
-def dispersion_samples(params: ModelParams, j: int, momenta) -> list[DispersionSample]:
-    """Evaluate the dispersion on a momentum grid, as sample records."""
-    mode = ModeIndex.from_j(j, params.species_count)
-    return [
-        DispersionSample(mode=mode, momentum=float(p), energy=dispersion(params, j, float(p)))
-        for p in momenta
-    ]

@@ -287,8 +287,7 @@ def test_c10_cli_determinism(tmp_path):
         "tower": ["tower", "--config", str(config)],
         "dispersion": ["dispersion", "--config", str(config), "--eta-points", "20"],
         "correlation": ["correlation", "--config", str(config), "--s-points", "6"],
-        "oracle-check": ["oracle-check", "--config", str(config),
-                         "--cases", "25", "--seed", "99"],
+        "oracle-check": ["oracle-check", "--cases", "25", "--seed", "99"],
         "validate": ["validate", "--config", str(config)],
     }
     identical = True

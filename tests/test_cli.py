@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kkbec.cli import main
+from kkbec.cli import build_parser, main
+from kkbec.model import REGIMES
 
 STANDARD_DOC = {
     "N": 9, "m": 1.0, "n": 1.0, "U": 1.0,
@@ -150,12 +157,23 @@ class TestCorrelation:
         row = out.read_text().splitlines()[1].split(",")
         assert row[3] == "nan"
 
+    def test_overflowing_integrand_exit_code(self, tmp_path):
+        # eta^2 overflows past ~1e154, so at s = 1e-160 the integrand is NaN on
+        # almost every panel; the row must fail fast instead of refining them
+        code, out = run_to_file(
+            tmp_path, "corr.csv",
+            ["correlation", "--normalized-omega", "0.1", "--s-points", "1",
+             "--s-min", "1e-160", "--s-max", "1e-160"],
+        )
+        assert code == 4
+        assert out.read_text().splitlines()[1].split(",")[3] == "nan"
+
 
 class TestOracleCheck:
     def test_report(self, tmp_path, config):
         code, out = run_to_file(
             tmp_path, "oracle.json",
-            ["oracle-check", "--config", config, "--cases", "6", "--p-points", "5"],
+            ["oracle-check", "--cases", "6", "--p-points", "5"],
         )
         assert code == 0
         report = json.loads(out.read_text())
@@ -174,7 +192,7 @@ class TestOracleCheck:
         )
         code, out = run_to_file(
             tmp_path, "oracle.json",
-            ["oracle-check", "--config", config, "--cases", "2", "--p-points", "3"],
+            ["oracle-check", "--cases", "2", "--p-points", "3"],
         )
         assert code == 5
         assert json.loads(out.read_text())["pass"] is False
@@ -256,7 +274,7 @@ class TestDeterminismAndSvg:
             "disp": ["dispersion", "--config", config, "--eta-points", "3"],
             "corr": ["correlation", "--normalized-omega", "0.001", "--s-points", "2",
                      "--s-min", "12", "--s-max", "20"],
-            "oracle": ["oracle-check", "--config", config, "--cases", "4",
+            "oracle": ["oracle-check", "--cases", "4",
                        "--p-points", "4", "--seed", "7"],
             "validate": ["validate", "--config", config],
         }
@@ -276,3 +294,96 @@ class TestDeterminismAndSvg:
 
     def test_svg_requires_out(self, config):
         assert main(["tower", "--config", config, "--svg"]) == 3
+
+    def test_svg_without_out_writes_nothing(self, capsys):
+        assert main(["tower", "--normalized-omega", "0.1", "--svg"]) == 3
+        assert capsys.readouterr().out == ""
+
+
+class TestOptions:
+    # each subcommand takes only the options it reads
+    EXPECTED = {
+        "tower": {"--config", "--normalized-omega", "--species", "--out", "--format", "--svg"},
+        "dispersion": {"--config", "--normalized-omega", "--species", "--out", "--format",
+                       "--svg", "--eta-min", "--eta-max", "--eta-points"},
+        "correlation": {"--config", "--normalized-omega", "--species", "--out", "--format",
+                        "--svg", "--s-min", "--s-max", "--s-points", "--delta", "--j-tr",
+                        "--quad-tol", "--unweighted-truncation"},
+        "oracle-check": {"--out", "--seed", "--cases", "--p-points"},
+        "validate": {"--config", "--normalized-omega", "--species", "--out", "--regime"},
+    }
+
+    def test_per_command_options(self):
+        subs = next(a for a in build_parser()._actions if a.dest == "command").choices
+        options = {
+            name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+            for name, sub in subs.items()
+        }
+        assert options == self.EXPECTED
+
+    def test_removed_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-check", "--normalized-omega", "0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+               1e-300, 1e300, -1e300]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-1e3, 1e3), st.floats(1e-4, 0.2))
+COUNTS = st.integers(-1, 4)
+
+
+def _flags(**strategies):
+    """One '--flag=value' per strategy; the '=' keeps a value like '-inf' from reading as a flag."""
+    return st.tuples(*[
+        strategy.map(lambda v, flag=name.replace("_", "-"): f"--{flag}={v}")
+        for name, strategy in strategies.items()
+    ]).map(list)
+
+
+def _grid(name):
+    """--NAME-min/max/points: drawn independently, or as a grid that passes the checks."""
+    valid = st.tuples(st.floats(1e-3, 1e2), st.floats(1.0, 1e2), st.integers(2, 4))
+    return st.one_of(
+        st.tuples(FLOATS, FLOATS, COUNTS),
+        FLOATS.map(lambda x: (x, x, 1)),
+        valid.map(lambda t: (t[0], t[0] * t[1], t[2])),
+    ).map(lambda t: [f"--{name}-min={t[0]}", f"--{name}-max={t[1]}", f"--{name}-points={t[2]}"])
+
+
+INPUTS = dict(normalized_omega=FLOATS, species=st.integers(0, 50).map(lambda k: 2 * k + 1))
+TABLE = dict(format=st.sampled_from(["csv", "json"]))
+FUZZ = {
+    "tower": _flags(**INPUTS, **TABLE),
+    "dispersion": st.tuples(_flags(**INPUTS, **TABLE), _grid("eta")).map(lambda p: p[0] + p[1]),
+    "correlation": st.tuples(
+        _flags(**INPUTS, **TABLE, delta=st.integers(-1, 4), j_tr=st.integers(-1, 3),
+               quad_tol=FLOATS),
+        _grid("s"),
+    ).map(lambda p: p[0] + p[1]),
+    "oracle-check": _flags(seed=st.integers(-1, 2**64), cases=COUNTS, p_points=COUNTS),
+    "validate": _flags(**INPUTS, regime=st.sampled_from(REGIMES)),
+}
+
+
+class TestFuzz:
+    """Any numeric flag ends in a documented exit code, never a traceback."""
+
+    @pytest.mark.parametrize("command", sorted(FUZZ))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_documented_exit_code(self, command, data):
+        argv = [command] + data.draw(FUZZ[command])
+        if command in ("tower", "dispersion", "correlation"):
+            argv += data.draw(st.sampled_from([[], ["--svg"]]))
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            argv += data.draw(st.sampled_from([[], ["--out", f"{tmp}/out"]]))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse rejects its input this way
+                    code = exc.code
+        assert code in {0, 2, 3, 4, 5}, (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

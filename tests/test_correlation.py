@@ -319,6 +319,23 @@ def test_panel_count_gate(monkeypatch, n_sp, s, delta):
     assert 0 < panels <= 2000
 
 
+def test_overflowing_integrand_fails_fast(monkeypatch):
+    # eta^2 overflows past ~1e154, so at s = 1e-160 the integrand is NaN on
+    # almost every panel; refining those to max_depth once cost 2^24 panels each
+    panels = 0
+    gl_panel = correlation._gl_panel
+
+    def counted(f, a, b):
+        nonlocal panels
+        panels += 1
+        return gl_panel(f, a, b)
+
+    monkeypatch.setattr(correlation, "_gl_panel", counted)
+    with pytest.raises(QuadratureError):
+        numeric_corr(CorrelationQuery(s=1e-160, delta=1, params=normalized_params(0.1, 9)))
+    assert panels <= 4000
+
+
 class TestTruncatedCorrelator:
     def test_massless_only(self, figure_params):
         for s in (5.0, 20.0):

@@ -11,7 +11,6 @@ from kkbec.spectrum import (
     bogoliubov_amplitudes,
     continuum_mass_sq,
     dispersion,
-    dispersion_samples,
     kk_tower,
     nonrel_dispersion,
     p5,
@@ -142,12 +141,6 @@ class TestDispersion:
         flipped = ModelParams(9, 1.0, 1.0, 1.0, -0.1, 0.1)
         with pytest.raises(StabilityError):
             dispersion(flipped, 1, 0.0)
-
-    def test_samples_helper(self, standard_params):
-        samples = dispersion_samples(standard_params, 2, [0.1, 0.2])
-        assert [s.momentum for s in samples] == [0.1, 0.2]
-        assert samples[0].mode.kk_label == 2
-        assert samples[1].energy > samples[0].energy
 
 
 class TestBogoliubovAmplitudes:
