@@ -15,15 +15,14 @@ inverse cubed healing length (the 1/xi^3 prefactor divided out):
   R_m(j) = alpha_j / R_l, cosine-weighted by default for Delta != 0.
 
 The radial reduction of the 3D Fourier integral is analytic; the remaining
-oscillatory 1D integral is integrated panel-by-panel between consecutive
-zeros of sin(eta*s) and the alternating partial sums are accelerated by
-repeated averaging (van Wijngaarden), since the subtracted integrand decays
-only like 1/eta.
+oscillatory 1D integral, whose subtracted integrand decays only like 1/eta,
+goes to the Ooura-Mori double-exponential rule for Fourier integrals, whose
+nodes approach the zeros of sin(eta*s).
 """
 
 from __future__ import annotations
 
-import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,106 +115,82 @@ def bessel_k1(x: float) -> float:
 # Oscillatory quadrature: int_0^inf g(eta) sin(eta*s) d eta
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-
-
 @dataclass(frozen=True, slots=True)
 class QuadConfig:
-    """Knobs of the oscillatory integrator."""
+    """Tolerances of the oscillatory integrator."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-15
-    start_panels: int = 64
-    max_panels: int = 4096
-    panel_rel_tol: float = 1e-13
-    max_depth: int = 24
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0 and self.panel_rel_tol > 0
-                and 1 <= self.start_panels <= self.max_panels):
-            raise ValueError(f"need tolerances > 0 and 1 <= start_panels <= max_panels: {self}")
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
+            raise ValueError(f"need tolerances > 0: {self}")
 
 
-def _gl_panel(f, a: float, b: float) -> float:
-    x = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-    return 0.5 * (b - a) * float(np.dot(_GL_WEIGHTS, f(x)))
+@functools.cache
+def _de_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes u_k, weights w_k of int_0^inf f(u) sin(u) du ~ sum_k w_k f(u_k).
+
+    Ooura-Mori double-exponential rule for Fourier integrals (J. Comput.
+    Appl. Math. 112 (1999) 229) at step h = 0.1 * 2^-level: u = M phi(t) with
+    M = pi/h, phi = t/(1 - E), E = exp(-2t - alpha (1 - e^-t) - beta (e^t - 1)),
+    beta = 1/4 and alpha = beta/sqrt(1 + M ln(1 + M)/(4 pi)). The nodes approach
+    the zeros pi*k of sin as t -> inf; weights under 1e-30 at the ends are cut.
+    """
+    h = 0.1 * 0.5**level
+    m = math.pi / h
+    beta = 0.25
+    alpha = beta / math.sqrt(1.0 + m * math.log1p(m) / (4.0 * math.pi))
+    k = np.arange(math.floor(-12.0 / h), math.ceil(7.0 / h) + 1)  # past the cut at every step
+    t = k * h
+    # E overflows at t << 0, where phi -> 0; t = 0 gives 0/0, set from the limits below
+    with np.errstate(all="ignore"):
+        u = -2.0 * t + alpha * np.expm1(-t) - beta * np.expm1(t)
+        one_minus_e = -np.expm1(u)
+        e_ratio = 1.0 / np.expm1(-u)  # E/(1 - E), exact where E under- or overflows
+        phi = t / one_minus_e
+        dphi = (1.0 - t * (2.0 + alpha * np.exp(-t) + beta * np.exp(t)) * e_ratio) / one_minus_e
+        # M phi = pi k + M t E/(1 - E) for t > 0; the direct form loses the
+        # small remainder there, the shifted one loses it for t < 0
+        sine = np.where(t > 0, (-1.0) ** k * np.sin(m * t * e_ratio), np.sin(m * phi))
+    c = 2.0 + alpha + beta  # limits at t = 0
+    phi[k == 0], dphi[k == 0] = 1.0 / c, (alpha - beta + c * c) / (2.0 * c * c)
+    sine[k == 0] = math.sin(m / c)
+    weights = h * m * dphi * sine
+    lo, hi = np.flatnonzero(np.abs(weights) > 1e-30)[[0, -1]]
+    nodes, weights = m * phi[lo:hi + 1], weights[lo:hi + 1]
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
-# refinement below this absolute scale is roundoff-chasing in doubles,
-# independently of how tight the requested integral tolerance is
-_PANEL_ABS_FLOOR = 1e-17
-
-
-def _adaptive_panel(f, a: float, b: float, cfg: QuadConfig, depth: int = 0) -> float:
-    whole = _gl_panel(f, a, b)
-    mid = 0.5 * (a + b)
-    halves = _gl_panel(f, a, mid) + _gl_panel(f, mid, b)
-    if abs(halves - whole) <= cfg.panel_rel_tol * abs(halves) + _PANEL_ABS_FLOOR:
-        return halves
-    # halving never makes a non-finite panel finite (the integrand is NaN once
-    # eta^2 overflows); fourier_sin_integral then fails at once
-    if depth >= cfg.max_depth or not math.isfinite(halves):
-        return halves
-    return _adaptive_panel(f, a, mid, cfg, depth + 1) + _adaptive_panel(f, mid, b, cfg, depth + 1)
-
-
-def _accelerated_tail(partials: np.ndarray) -> tuple[float, float]:
-    # Repeated averaging of the alternating partial sums; apex value plus the
-    # difference of the last two averaging levels as the error estimate.
-    level = partials
-    prev = level[-1]
-    best = prev
-    err = abs(prev)
-    while level.size > 1:
-        level = 0.5 * (level[:-1] + level[1:])
-        best = level[-1]
-        err = abs(best - prev)
-        prev = best
-    return float(best), float(err)
-
-
-def fourier_sin_integral(
-    g, s: float, cfg: QuadConfig | None = None, breaks=()
-) -> tuple[float, float]:
+def fourier_sin_integral(g, s: float, cfg: QuadConfig | None = None) -> tuple[float, float]:
     """Integrate g(eta)*sin(eta*s) over [0, inf) for smooth, slowly decaying g.
 
-    ``g`` must accept numpy arrays. Panels run between consecutive zeros of
-    sin(eta*s); the panel count grows geometrically until the accelerated
-    tail stabilizes. Panels are split at the ``breaks``, so that structure of
-    g much narrower than pi/s cannot pass the refinement test unseen. Raises
-    :class:`QuadratureError` (carrying the partial value) if the budget is
-    exhausted or the integral is not finite.
+    ``g`` must accept numpy arrays. The double-exponential rule runs at steps
+    0.1 * 2^-k, k = 0..6, until two successive sums agree within the tolerance;
+    their difference, at least the roundoff of the sum, is the error estimate.
+    Raises :class:`QuadratureError` (carrying the last sum) if they never agree,
+    agree only to a roundoff above the tolerance, or a sum is not finite.
     """
     if s <= 0:
         raise ValueError("oscillation frequency s must be positive")
     cfg = cfg or QuadConfig()
-    width = math.pi / s
-
-    def f(eta):
-        return g(eta) * np.sin(eta * s)
-
-    breaks = sorted(map(float, breaks))
-    panels: list[float] = []
-    count = cfg.start_panels
-    while True:
-        for k in range(len(panels), count):
-            a, b = k * width, (k + 1) * width
-            cuts = [a, *breaks[bisect.bisect_right(breaks, a):bisect.bisect_left(breaks, b)], b]
-            panels.append(sum(_adaptive_panel(f, lo, hi, cfg) for lo, hi in zip(cuts, cuts[1:])))
-        partials = np.cumsum(panels)
-        tail_len = max(8, len(panels) // 2)
-        value, err = _accelerated_tail(partials[-tail_len:])
-        # accumulated roundoff over the panel sums bounds the achievable accuracy
-        err = max(err, 1e-16 * float(np.sum(np.abs(panels))))
-        if err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+    value = math.inf  # the first step has no sum to agree with
+    for level in range(7):
+        nodes, weights = _de_rule(level)
+        # an overflow in g leaves inf or NaN in the sum, which fails below
+        with np.errstate(all="ignore"):
+            terms = weights * g(nodes / s)
+            prev, value = value, float(np.sum(terms)) / s
+            # roundoff of the sum bounds the achievable accuracy
+            roundoff = 1e-16 * float(np.sum(np.abs(terms))) / s
+            err = max(abs(value - prev), roundoff)
+        if math.isfinite(value) and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
             return value, err
-        if count >= cfg.max_panels or not math.isfinite(err):
-            raise QuadratureError(
-                f"no convergence after {count} panels (err={err:.3g})",
-                partial_value=value,
-                error_estimate=err,
-            )
-        count = min(2 * count, cfg.max_panels)
+        if not math.isfinite(value) or err == roundoff:  # a finer step cannot help
+            break
+    raise QuadratureError(f"no convergence by quadrature step {level + 1} of 7 (err={err:.3g})",
+                          partial_value=value, error_estimate=err)
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +261,19 @@ def _amplitude_excess(mus: np.ndarray, n_sp: int):
     """eta -> f_j(eta) - 1/N for every gap ratio mu_j, shape eta.shape + mus.shape.
 
     (a - r)/(N r) = 2 c a / (N r (a + r)) with c = sqrt(1 - mu^2), a = 1 + c +
-    eta^2, r = sqrt(mu^2 + 2 eta^2 + eta^4); a - r cancels at large eta.
+    eta^2, r = sqrt(mu^2 + 2 eta^2 + eta^4); a - r cancels at large eta. r
+    and a/r are formed without eta^4, so nothing overflows before eta^2 does.
     """
     mu_sq = mus * mus
     c = np.sqrt(1.0 - mu_sq)
     scale = 2.0 * c / n_sp
 
     def excess(eta):
-        eta_sq = np.square(np.asarray(eta, dtype=float))[..., np.newaxis]
+        eta = np.asarray(eta, dtype=float)[..., np.newaxis]
+        eta_sq = eta * eta
         a = (1.0 + c) + eta_sq
-        r = np.sqrt(mu_sq + eta_sq * (2.0 + eta_sq))
-        return scale * a / (r * (a + r))
+        r = np.hypot(mus, eta * np.sqrt(2.0 + eta_sq))
+        return scale * (a / r) / (a + r)
 
     return excess
 
@@ -335,12 +312,7 @@ def numeric_corr(
     def g(eta):
         return eta * (excess(eta) @ weights)
 
-    # g has structure at every eta ~ mu_j and at eta ~ 1, and decays like 1/eta
-    # beyond: halve [0, pi/s] down to the smallest gap ratio so no panel hides it
-    width = math.pi / query.s
-    low = float(np.min(mus[mus > 0.0], initial=1.0))
-    breaks = width * 0.5 ** np.arange(1, max(1, math.ceil(math.log2(width / low)) + 1))
-    integral, err = fourier_sin_integral(g, query.s, quad_config, breaks)
+    integral, err = fourier_sin_integral(g, query.s, quad_config)
     # roundoff of the pointwise weighted sum, ~1e-16 sum_j |w_j I_j| with each
     # mode integral I_j <~ min(pi/2, sqrt2/s)/N, is invisible to the quadrature
     mode_scale = min(0.5 * math.pi, math.sqrt(2.0) / query.s) / n_sp

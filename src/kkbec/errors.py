@@ -26,7 +26,7 @@ class DomainError(KkbecError):
 
 
 class QuadratureError(KkbecError):
-    """Oscillatory quadrature did not converge within its panel budget.
+    """Oscillatory quadrature did not converge within its step ladder.
 
     Carries the best available estimate so callers can decide whether the
     partial result is still useful.

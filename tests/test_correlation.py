@@ -62,7 +62,8 @@ class TestFourierSinIntegral:
 
     def test_lorentzian_tail(self):
         # int_0^inf eta sin(eta s)/(eta^2 + a^2) d eta = (pi/2) exp(-a s)
-        for a, s in [(0.5, 3.0), (1.0, 10.0), (0.05, 20.0)]:
+        # the last three have structure much narrower than pi/s near the origin
+        for a, s in [(0.5, 3.0), (1.0, 10.0), (0.05, 20.0), (1.0, 1e-4), (1.0, 1e-6), (1e-3, 1.0)]:
             value, err = fourier_sin_integral(lambda eta: eta / (eta**2 + a**2), s)
             expected = 0.5 * math.pi * math.exp(-a * s)
             assert value == pytest.approx(expected, rel=1e-9)
@@ -85,11 +86,41 @@ class TestFourierSinIntegral:
         assert value == pytest.approx(2.0 * s / (1.0 + s * s) ** 2, rel=1e-9)
 
     def test_budget_exhaustion_carries_partial(self):
-        cfg = QuadConfig(rel_tol=1e-16, abs_tol=1e-30, start_panels=8, max_panels=16)
+        cfg = QuadConfig(rel_tol=1e-16, abs_tol=1e-30)
         with pytest.raises(QuadratureError) as excinfo:
             fourier_sin_integral(lambda eta: eta / (eta**2 + 1.0), 3.0, cfg)
         assert excinfo.value.partial_value is not None
         assert excinfo.value.error_estimate is not None
+
+    def test_unreachable_tolerance_fails_at_the_roundoff(self):
+        # once two sums agree to within their roundoff, no finer step can meet
+        # a tolerance below it, so the row fails after the second step
+        evaluations = 0
+
+        def g(eta):
+            nonlocal evaluations
+            evaluations += eta.size
+            return eta / (eta**2 + 1.0)
+
+        with pytest.raises(QuadratureError) as excinfo:
+            fourier_sin_integral(g, 3.0, QuadConfig(rel_tol=1e-16, abs_tol=1e-30))
+        assert evaluations <= 1000
+        expected = 0.5 * math.pi * math.exp(-3.0)
+        assert excinfo.value.partial_value == pytest.approx(expected, rel=1e-13)
+
+    def test_cancelling_integrand_fails_within_the_ladder(self):
+        # the difference form loses ~1e-16 absolute at large eta, so at s = 1e-6
+        # no step reaches the tolerance; the fixed ladder bounds the work
+        evaluations = 0
+
+        def g(eta):
+            nonlocal evaluations
+            evaluations += eta.size
+            return eta / np.sqrt(eta**2 + 1.0) - 1.0
+
+        with pytest.raises(QuadratureError):
+            fourier_sin_integral(g, 1e-6)
+        assert evaluations <= 20_000
 
     def test_invalid_frequency(self):
         with pytest.raises(ValueError):
@@ -98,12 +129,9 @@ class TestFourierSinIntegral:
 
 class TestQuadConfig:
     @pytest.mark.parametrize("kwargs", [
-        {"start_panels": 0},
-        {"start_panels": -3},
-        {"start_panels": 128, "max_panels": 64},
         {"rel_tol": 0.0},
         {"abs_tol": -1e-15},
-        {"panel_rel_tol": float("nan")},
+        {"rel_tol": float("nan")},
     ])
     def test_rejects_invalid_settings(self, kwargs):
         with pytest.raises(ValueError):
@@ -147,14 +175,16 @@ class TestAnalyticCorrelator:
 
 class TestModeIntegrand:
     def test_amplitude_excess_precision(self):
-        # the subtracted amplitude f_j - 1/N against 50-digit arithmetic; the
-        # difference form (a - r)/(N r) is 8e-8 off at eta = 1e5
+        # the subtracted amplitude f_j - 1/N against 650-digit arithmetic, up to
+        # where eta^2 overflows; the difference form (a - r)/(N r) is 8e-8 off at
+        # eta = 1e5, and eta^4 in r overflowed past eta ~ 1e77
         mpmath = pytest.importorskip("mpmath")
         n_sp = 9
         mus = np.array([0.0, 1e-3, 0.3, 0.999])
-        etas = np.logspace(-6, 6, 61)
+        # dense where the amplitude has structure, one point a decade in the tail
+        etas = np.concatenate([np.logspace(-6, 6, 61), np.logspace(7, 150, 144)])
         values = _amplitude_excess(mus, n_sp)(etas)
-        with mpmath.workdps(50):
+        with mpmath.workdps(650):
             for i, eta in enumerate(etas):
                 e2 = mpmath.mpf(float(eta)) ** 2
                 for k, mu in enumerate(mus):
@@ -269,9 +299,22 @@ class TestNumericCorrelator:
         assert abs(tiny - small) <= 1e-6 * small
         assert err <= 1e-6 * small
 
+    def test_scale_free_at_tiny_separation(self):
+        # D ~ 1/s as s -> 0 at fixed Delta; at s = 1e-100 the integrand reaches
+        # eta ~ 1e102, where eta^4 overflows
+        params = normalized_params(0.1, 9)
+        values = [s * numeric_corr(CorrelationQuery(s=s, delta=1, params=params))[0]
+                  for s in (1e-30, 1e-100)]
+        assert values[1] == pytest.approx(values[0], rel=1e-9)
+
+    def test_unrepresentable_separation_fails(self):
+        # at s = 5e-324 nearly every node u/s overflows to eta = inf
+        with pytest.raises(QuadratureError):
+            numeric_corr(CorrelationQuery(s=5e-324, delta=1, params=normalized_params(0.1, 9)))
+
     def test_quadrature_error_propagates(self, figure_params):
         query = CorrelationQuery(s=20.0, delta=1, params=figure_params)
-        cfg = QuadConfig(rel_tol=1e-16, abs_tol=1e-30, start_panels=8, max_panels=8)
+        cfg = QuadConfig(rel_tol=1e-16, abs_tol=1e-30)
         with pytest.raises(QuadratureError) as excinfo:
             numeric_corr(query, cfg)
         assert excinfo.value.partial_value is not None
@@ -302,38 +345,40 @@ class TestQuadpackOracle:
         assert 1e-16 * scale <= err <= 1e-9 * scale
 
 
+def _count_evaluations(monkeypatch) -> list[int]:
+    """Count every eta at which numeric_corr's mode integrand is evaluated."""
+    evaluations = [0]
+    make_excess = correlation._amplitude_excess
+
+    def counted(mus, n_sp):
+        excess = make_excess(mus, n_sp)
+
+        def evaluate(eta):
+            evaluations[0] += np.size(eta)
+            return excess(eta)
+
+        return evaluate
+
+    monkeypatch.setattr(correlation, "_amplitude_excess", counted)
+    return evaluations
+
+
 @pytest.mark.parametrize("n_sp, s, delta", [(9, 0.1, 1), (51, 0.05, 17)])
-def test_panel_count_gate(monkeypatch, n_sp, s, delta):
+def test_evaluation_count_gate(monkeypatch, n_sp, s, delta):
     # machine-independent work bound; an integrand that loses its digits to
-    # cancellation at large eta drives the first point to millions of panels
-    panels = 0
-    gl_panel = correlation._gl_panel
-
-    def counted(f, a, b):
-        nonlocal panels
-        panels += 1
-        return gl_panel(f, a, b)
-
-    monkeypatch.setattr(correlation, "_gl_panel", counted)
+    # cancellation at large eta drives the first point to millions of evaluations
+    evaluations = _count_evaluations(monkeypatch)
     numeric_corr(CorrelationQuery(s=s, delta=delta, params=normalized_params(1e-3, n_sp)))
-    assert 0 < panels <= 2000
+    assert 0 < evaluations[0] <= 2000
 
 
 def test_overflowing_integrand_fails_fast(monkeypatch):
-    # eta^2 overflows past ~1e154, so at s = 1e-160 the integrand is NaN on
-    # almost every panel; refining those to max_depth once cost 2^24 panels each
-    panels = 0
-    gl_panel = correlation._gl_panel
-
-    def counted(f, a, b):
-        nonlocal panels
-        panels += 1
-        return gl_panel(f, a, b)
-
-    monkeypatch.setattr(correlation, "_gl_panel", counted)
+    # eta^2 overflows past ~1e154, so at s = 1e-160 the integrand is NaN at
+    # almost every node; the first step's non-finite sum must end the row
+    evaluations = _count_evaluations(monkeypatch)
     with pytest.raises(QuadratureError):
         numeric_corr(CorrelationQuery(s=1e-160, delta=1, params=normalized_params(0.1, 9)))
-    assert panels <= 4000
+    assert evaluations[0] <= 1000
 
 
 class TestTruncatedCorrelator:
