@@ -17,6 +17,7 @@ from .model import (
     Violation,
     check_mono_metricity,
     derive_scales,
+    kk_label,
     normalized_params,
     params_from_document,
     params_to_document,
@@ -28,6 +29,7 @@ from .spectrum import (
     bogoliubov_amplitudes,
     continuum_mass_sq,
     dispersion,
+    energy_sq,
     kk_tower,
     nonrel_dispersion,
     p5,

@@ -167,22 +167,21 @@ def cmd_dispersion(args) -> int:
     _require_grid(args.eta_min, args.eta_max, args.eta_points)
     scales = model.derive_scales(params, mono_metric=mono)
     etas = np.logspace(math.log10(args.eta_min), math.log10(args.eta_max), args.eta_points)
-    header = ["j", "eta", "p", "E", "E_over_csp"]
-    rows = []
-    curves: dict[str, list[tuple[float, float]]] = {}
-    for j in range(params.species_count):
-        cs_sq = spectrum.sound_speed_sq(params, j)
-        cs = math.sqrt(cs_sq) if cs_sq > 0 else None
-        pts = []
-        for eta in etas:
-            p = float(eta) / scales.healing_length
-            energy = spectrum.dispersion(params, j, p)
-            over_csp = energy / (cs * p) if (cs and p > 0) else None
-            rows.append([j, float(eta), p, energy, over_csp])
-            pts.append((float(eta), energy))
-        curves[f"j={j}"] = pts
-    _write_table(args.out, header, rows, args.format)
-    _maybe_svg(args, curves)
+    js = np.arange(params.species_count)[:, np.newaxis]  # one row of the grid per mode
+    # as in Python float arithmetic: overflow gives inf, a division by zero raises
+    with np.errstate(over="ignore", invalid="ignore", divide="raise"):
+        momenta = etas / scales.healing_length
+        cs_sq = spectrum.sound_speed_sq(params, js)
+        has_cone = (cs_sq > 0) & (momenta > 0)
+        energies = spectrum.dispersion(params, js, momenta)
+        over_csp = np.divide(energies, np.sqrt(cs_sq) * momenta,
+                             out=np.zeros_like(energies), where=has_cone)
+    columns = np.broadcast_arrays(js, etas, momenta, energies,
+                                  np.where(has_cone, over_csp, None))
+    rows = list(zip(*(column.ravel().tolist() for column in columns)))
+    _write_table(args.out, ["j", "eta", "p", "E", "E_over_csp"], rows, args.format)
+    _maybe_svg(args, {f"j={j}": list(zip(etas.tolist(), row))
+                      for j, row in enumerate(energies.tolist())})
     return EXIT_OK
 
 
@@ -259,14 +258,11 @@ def cmd_validate(args) -> int:
     report = _report(params, args.regime)
     constraints = []
     if report.ok:
-        for j in range((params.species_count + 1) // 2):
-            value = spectrum.validity_constraint(params, j)
-            note = "ok"
-            if value >= CONSTRAINT_REJECT:
-                note = "reject"
-            elif value > CONSTRAINT_WARN:
-                note = "warn"
-            constraints.append({"j": j, "constraint_value": value, "note": note})
+        values = spectrum.validity_constraint(params, np.arange((params.species_count + 1) // 2))
+        notes = np.where(values >= CONSTRAINT_REJECT, "reject",
+                         np.where(values > CONSTRAINT_WARN, "warn", "ok"))
+        constraints = [{"j": j, "constraint_value": value, "note": note}
+                       for j, (value, note) in enumerate(zip(values.tolist(), notes))]
     payload = {
         "regime": args.regime,
         "mono_metric": bool(mono),

@@ -9,7 +9,8 @@ inverse cubed healing length (the 1/xi^3 prefactor divided out):
   eta sin(eta s) sum_j cos(2 pi j Delta / N) [f_j(eta) - 1/N] d eta, with
   f_j = (u_j - v_j)^2 at eta = p*xi; the 1/N asymptote, removed in exact
   cancellation-free form, cancels for Delta != 0 mod N and is a pure contact
-  term otherwise, so the value for s > 0 is unchanged;
+  term otherwise, so the value for s > 0 is unchanged. Modes j and N - j share
+  f_j, so the sum runs over the (N+1)/2 levels |n| with their summed weights;
 * ``truncated_corr`` -- the low-mode relativistic sum
   (1/N) sum_{|j| <= j_tr} R_m(j) K1(R_m(j) s) / (sqrt2 pi^2 s) with
   R_m(j) = alpha_j / R_l, cosine-weighted by default for Delta != 0.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError, StabilityError, ValidityError
-from .model import ModelParams, check_mono_metricity, derive_scales
+from .model import ModelParams, check_mono_metricity, derive_scales, kk_label
 from .spectrum import rest_energy_sq
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -230,9 +231,10 @@ def analytic_corr(query: CorrelationQuery) -> float:
     nearest image min(Delta, N - Delta).
     """
     ratio = derive_scales(query.params, mono_metric=True).length_ratio
-    delta = _fold_delta(query.delta, query.params.species_count)
-    rho_sq = query.s**2 + (ratio * delta) ** 2
-    return ratio / (2.0 * math.sqrt(2.0) * math.pi**2 * rho_sq**1.5)
+    delta = abs(kk_label(query.delta, query.params.species_count))
+    # R_l/rho^3 as (R_l/rho)/rho^2 stays finite where rho^3 overflows
+    rho = math.hypot(query.s, ratio * delta)
+    return ratio / rho / (rho * rho) / (2.0 * math.sqrt(2.0) * math.pi**2)
 
 
 def _gap_ratios(params: ModelParams) -> np.ndarray:
@@ -240,13 +242,14 @@ def _gap_ratios(params: ModelParams) -> np.ndarray:
     cutoff = params.nU - 2.0 * params.rabi  # m c_s^2 under mono-metricity
     if cutoff <= 0:
         raise StabilityError(f"no stable sound cone: m c_s^2 = {cutoff:.6g} <= 0")
-    mus = np.empty(params.species_count)
-    for j in range(params.species_count):
-        gap_sq = rest_energy_sq(params, j)
-        # the gapless mode evaluates to 0 only up to cancellation noise
-        if gap_sq < -1e-12 * cutoff * cutoff:
-            raise StabilityError(f"tachyonic gap at j={j}; correlators undefined")
-        mus[j] = math.sqrt(max(gap_sq, 0.0)) / cutoff
+    # as in Python float arithmetic, an overflowing gap is inf and fails below
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap_sq = rest_energy_sq(params, np.arange(params.species_count))
+    # the gapless mode evaluates to 0 only up to cancellation noise
+    tachyonic = gap_sq < -1e-12 * cutoff * cutoff
+    if np.any(tachyonic):
+        raise StabilityError(f"tachyonic gap at j={np.argmax(tachyonic)}; correlators undefined")
+    mus = np.sqrt(np.maximum(gap_sq, 0.0)) / cutoff
     if np.any(mus > 1.0):
         raise ValidityError("a mode gap exceeds the cutoff energy m c_s^2")
     if not check_mono_metricity(params, 1e-9):
@@ -293,21 +296,17 @@ def mode_integrand(params: ModelParams, j: int, eta) -> float | np.ndarray:
     return float(value) if np.isscalar(eta) else value
 
 
-def _fold_delta(delta: int, n_sp: int) -> int:
-    # cos(2 pi j (N-Delta)/N) == cos(2 pi j Delta/N); folding makes the
-    # symmetry hold bit-for-bit instead of to the last ulp
-    return min(delta % n_sp, n_sp - delta % n_sp)
-
-
 def numeric_corr(
     query: CorrelationQuery, quad_config: QuadConfig | None = None
 ) -> tuple[float, float]:
     """Exact mode-sum correlator, in 1/xi^3 units, with an error estimate."""
     n_sp = query.params.species_count
-    mus = _gap_ratios(query.params)
-    delta = _fold_delta(query.delta, n_sp)
-    weights = np.cos(2.0 * math.pi * np.arange(n_sp) * delta / n_sp)
-    excess = _amplitude_excess(mus, n_sp)
+    modes = np.arange(n_sp)
+    # level |n| sums the weights cos(2 pi j Delta/N) of its modes j = +-n; folding
+    # j*Delta keeps each angle exact and the weights symmetric bit for bit
+    angles = 2.0 * np.pi * abs(kk_label(modes * query.delta, n_sp)) / n_sp
+    weights = np.bincount(abs(kk_label(modes, n_sp)), np.cos(angles))
+    excess = _amplitude_excess(_gap_ratios(query.params)[:weights.size], n_sp)
 
     def g(eta):
         return eta * (excess(eta) @ weights)
@@ -333,7 +332,7 @@ def truncated_corr(query: CorrelationQuery, j_tr: int, weighted: bool = True) ->
         raise ValueError(f"j_tr must lie in 0..{(n_sp - 1) // 2}, got {j_tr}")
     ratio = derive_scales(query.params, mono_metric=True).length_ratio
     s = query.s
-    delta = _fold_delta(query.delta, n_sp)
+    delta = abs(kk_label(query.delta, n_sp))
     total = 0.0
     for j in range(-j_tr, j_tr + 1):
         weight = math.cos(2.0 * math.pi * j * delta / n_sp) if weighted else 1.0

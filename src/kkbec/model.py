@@ -94,9 +94,18 @@ class ModeIndex:
     def from_j(cls, j: int, species_count: int) -> "ModeIndex":
         if not 0 <= j < species_count:
             raise ValueError(f"mode index {j} outside 0..{species_count - 1}")
-        half = (species_count - 1) // 2
-        label = j if j <= half else j - species_count
-        return cls(j=j, alpha=2.0 * math.pi * j / species_count, kk_label=label)
+        return cls(j=j, alpha=2.0 * math.pi * j / species_count,
+                   kk_label=kk_label(j, species_count))
+
+
+def kk_label(j: int | np.ndarray, species_count: int) -> int | np.ndarray:
+    """Signed KK label n of mode j mod N (an int, or an array for an array j).
+
+    j up to (N-1)/2 keeps its value and j - N is taken above, so modes j and
+    N - j fold onto one degenerate level |n| = min(j, N - j).
+    """
+    j = j % species_count
+    return j - species_count * (j > (species_count - 1) // 2)
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,9 +3,10 @@
 Builds the quadratic fluctuation form of the full Hamiltonian around the
 uniform mean field (chemical potential mu = nU + 2nU' + 2*Omega, the value
 that keeps the j = 0 mode gapless) and extracts squared eigenenergies with a
-dense symmetric eigensolver. Nothing here touches the closed forms in
-:mod:`kkbec.spectrum`; agreement between the two is what the test suite and
-the `oracle-check` CLI command certify.
+dense symmetric eigensolver. Only :func:`compare_with_closed_forms` touches
+the closed forms in :mod:`kkbec.spectrum`, to hold them against these spectra;
+that agreement is what the test suite and the `oracle-check` CLI command
+certify.
 """
 
 from __future__ import annotations
@@ -160,21 +161,14 @@ def compare_with_closed_forms(params: ModelParams, momenta) -> tuple[float, bool
     """Max relative E^2 mismatch between oracle and closed forms on a p-grid."""
     from . import spectrum  # local import keeps the two routes visibly separate
 
+    momenta = np.asarray(momenta, dtype=float)
+    closed = np.sort(spectrum.energy_sq(params, np.arange(params.species_count),
+                                        momenta[:, np.newaxis]), axis=1)
     worst = 0.0
     stable_all = True
-    for p in momenta:
-        system = build_bdg(params, float(p))
-        e_sq, stable = oracle_energies(system)
+    for p, closed_p in zip(momenta, closed):
+        e_sq, stable = oracle_energies(build_bdg(params, float(p)))
         stable_all = stable_all and stable
-        closed = np.array(
-            [
-                spectrum.rest_energy_sq(params, j)
-                + spectrum.sound_speed_sq(params, j) * p * p
-                + (p * p / (2.0 * params.atom_mass)) ** 2
-                for j in range(params.species_count)
-            ]
-        )
-        diff = np.abs(np.sort(e_sq) - np.sort(closed))
-        rel = diff / np.maximum(np.abs(np.sort(closed)), 1e-12)
+        rel = np.abs(np.sort(e_sq) - closed_p) / np.maximum(np.abs(closed_p), 1e-12)
         worst = max(worst, float(rel.max()))
     return worst, stable_all

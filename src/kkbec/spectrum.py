@@ -3,7 +3,10 @@
 Every function here evaluates a closed form; the independent numerical check
 lives in :mod:`kkbec.oracle`. Mode j runs over 0..N-1 with angle
 alpha_j = 2*pi*j/N; levels j and N-j are degenerate, and the signed label
-n in [-(N-1)/2, (N-1)/2] names the synthetic-momentum branch.
+n in [-(N-1)/2, (N-1)/2] (:func:`kkbec.model.kk_label`) names the
+synthetic-momentum branch. The forms broadcast over an integer array j and a
+float array p, e.g. ``dispersion(params, np.arange(N)[:, None], momenta)`` is
+the (N, len(momenta)) table, bit for bit the floats of the scalar calls.
 """
 
 from __future__ import annotations
@@ -11,8 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateModeError, StabilityError
-from .model import ModeIndex, ModelParams
+from .model import ModeIndex, ModelParams, kk_label
+
+ModeIndices = int | np.ndarray
+Momenta = float | np.ndarray
 
 __all__ = [
     "BogoliubovAmplitudes",
@@ -20,6 +28,7 @@ __all__ = [
     "bogoliubov_amplitudes",
     "continuum_mass_sq",
     "dispersion",
+    "energy_sq",
     "kk_tower",
     "nonrel_dispersion",
     "p5",
@@ -51,16 +60,14 @@ class TowerEntry:
     constraint_value: float
 
 
-def _cos_alpha(params: ModelParams, j: int) -> float:
-    # Fold j onto min(j, N-j) so that degenerate partners share the cosine
-    # bit-for-bit; cos(2*pi - a) and cos(a) otherwise differ in the last ulp.
+def _cos_alpha(params: ModelParams, j: ModeIndices) -> float | np.ndarray:
+    # |n| gives partners j, N - j one cosine bit for bit; a float keeps scalars in Python arithmetic
     n_sp = params.species_count
-    jf = j % n_sp
-    jf = min(jf, n_sp - jf)
-    return math.cos(2.0 * math.pi * jf / n_sp)
+    c = np.cos(2.0 * np.pi * abs(kk_label(j, n_sp)) / n_sp)
+    return c if np.ndim(c) else float(c)
 
 
-def rest_energy_sq(params: ModelParams, j: int) -> float:
+def rest_energy_sq(params: ModelParams, j: ModeIndices) -> float | np.ndarray:
     """Squared gap of mode j, general (multi-metric) form.
 
     Evaluated as 4*Omega*(cos a - 1)*[(2nU' + Omega) cos a + nU - Omega], the
@@ -75,7 +82,7 @@ def rest_energy_sq(params: ModelParams, j: int) -> float:
     return 4.0 * om * (c - 1.0) * ((2.0 * params.nUprime + om) * c + params.nU - om) + 0.0
 
 
-def rest_energy_sq_mono(params: ModelParams, j: int) -> float:
+def rest_energy_sq_mono(params: ModelParams, j: ModeIndices) -> float | np.ndarray:
     """Squared gap under mono-metricity, -4*Omega*[nU(1-cos a) - Omega sin^2 a].
 
     Agrees identically with :func:`rest_energy_sq` when n*U' = -Omega.
@@ -86,21 +93,26 @@ def rest_energy_sq_mono(params: ModelParams, j: int) -> float:
     return -4.0 * om * (params.nU * (1.0 - c) - om * sin_sq) + 0.0
 
 
-def sound_speed_sq(params: ModelParams, j: int) -> float:
+def sound_speed_sq(params: ModelParams, j: ModeIndices) -> float | np.ndarray:
     """Per-mode squared sound speed, m*c_sj^2 = nU - 2Om + 2(nU' + Om) cos a_j."""
     c = _cos_alpha(params, j)
     return (params.nU - 2.0 * params.rabi + 2.0 * (params.nUprime + params.rabi) * c) / params.atom_mass
 
 
-def dispersion(params: ModelParams, j: int, p: float) -> float:
-    """Excitation energy E_j(p) = sqrt(E_rj^2 + c_sj^2 p^2 + (p^2/2m)^2)."""
+def energy_sq(params: ModelParams, j: ModeIndices, p: Momenta) -> float | np.ndarray:
+    """Squared excitation energy E_j(p)^2 = E_rj^2 + c_sj^2 p^2 + (p^2/2m)^2."""
     eps = p * p / (2.0 * params.atom_mass)
-    e_sq = rest_energy_sq(params, j) + sound_speed_sq(params, j) * p * p + eps * eps
-    if e_sq < 0:
-        raise StabilityError(
-            f"tachyonic mode: E^2 = {e_sq:.6g} < 0 at j={j}, p={p:.6g}"
-        )
-    return math.sqrt(e_sq)
+    return rest_energy_sq(params, j) + sound_speed_sq(params, j) * p * p + eps * eps
+
+
+def dispersion(params: ModelParams, j: ModeIndices, p: Momenta) -> float | np.ndarray:
+    """Excitation energy sqrt(:func:`energy_sq`); raises at the first (j, p) with E^2 < 0."""
+    e_sq = energy_sq(params, j, p)
+    if np.any(e_sq < 0):
+        e_sq, j, p = (np.broadcast_to(x, np.shape(e_sq)).ravel() for x in (e_sq, j, p))
+        k = np.argmax(e_sq < 0)
+        raise StabilityError(f"tachyonic mode: E^2 = {e_sq[k]:.6g} < 0 at j={j[k]}, p={p[k]:.6g}")
+    return np.sqrt(e_sq) if np.ndim(e_sq) else math.sqrt(e_sq)
 
 
 def bogoliubov_amplitudes(params: ModelParams, j: int, p: float) -> BogoliubovAmplitudes:
@@ -120,56 +132,43 @@ def bogoliubov_amplitudes(params: ModelParams, j: int, p: float) -> BogoliubovAm
     return BogoliubovAmplitudes(u=u, v=v)
 
 
-def p5(params: ModelParams, j: int) -> float:
+def p5(params: ModelParams, j: ModeIndices) -> float | np.ndarray:
     """Discrete synthetic-dimension momentum 2*pi*n/(N*a), signed via the KK label."""
-    mode = ModeIndex.from_j(j, params.species_count)
     a = 1.0 / math.sqrt(2.0 * params.atom_mass * abs(params.rabi))
-    return 2.0 * math.pi * mode.kk_label / (params.species_count * a)
+    return 2.0 * math.pi * kk_label(j, params.species_count) / (params.species_count * a)
 
 
-def continuum_mass_sq(params: ModelParams, j: int) -> float:
+def continuum_mass_sq(params: ModelParams, j: ModeIndices) -> float | np.ndarray:
     """Continuum-limit squared gap c_s^2 * p5^2 (mono-metric sound speed)."""
     cs_sq = (params.nU - 2.0 * params.rabi) / params.atom_mass
     momentum = p5(params, j)
     return cs_sq * momentum * momentum
 
 
-def validity_constraint(params: ModelParams, j: int) -> float:
+def validity_constraint(params: ModelParams, j: ModeIndices) -> float | np.ndarray:
     """Dimensionless p5/(sqrt(2) m c_s) = 2*pi*|n|*xi/(N*a); must be << 1."""
-    mode = ModeIndex.from_j(j, params.species_count)
     om = abs(params.rabi)
-    return (
-        2.0
-        * math.pi
-        * abs(mode.kk_label)
-        / params.species_count
-        * math.sqrt(om / (params.nU + 2.0 * om))
-    )
+    n_abs = abs(kk_label(j, params.species_count))
+    return 2.0 * math.pi * n_abs / params.species_count * math.sqrt(om / (params.nU + 2.0 * om))
 
 
 def kk_tower(params: ModelParams) -> list[TowerEntry]:
     """All N tower entries sorted by |n| (massless first, +n before -n)."""
-    if params.species_count % 2 == 0:
+    n_sp = params.species_count
+    if n_sp % 2 == 0:
         raise ValueError("the mass tower pairing j <-> N-j requires odd N")
-    entries = []
-    for j in range(params.species_count):
-        mode = ModeIndex.from_j(j, params.species_count)
-        entries.append(
-            TowerEntry(
-                mode=mode,
-                rest_energy_sq=rest_energy_sq(params, j),
-                continuum_mass_sq=continuum_mass_sq(params, j),
-                p5=p5(params, j),
-                sound_speed_sq=sound_speed_sq(params, j),
-                degeneracy=1 if mode.kk_label == 0 else 2,
-                constraint_value=validity_constraint(params, j),
-            )
-        )
+    # as in Python float arithmetic: overflow gives inf, a division by zero raises
+    with np.errstate(over="ignore", invalid="ignore", divide="raise"):
+        columns = [f(params, np.arange(n_sp)).tolist() for f in (
+            rest_energy_sq, continuum_mass_sq, p5, sound_speed_sq, validity_constraint)]
+    entries = [TowerEntry(ModeIndex.from_j(j, n_sp), gap_sq, cont_sq, momentum, cs_sq,
+                          degeneracy=1 if j == 0 else 2, constraint_value=constraint)
+               for j, (gap_sq, cont_sq, momentum, cs_sq, constraint) in enumerate(zip(*columns))]
     entries.sort(key=lambda e: (abs(e.mode.kk_label), e.mode.kk_label < 0))
     return entries
 
 
-def nonrel_dispersion(params: ModelParams, j: int, p: float) -> float:
+def nonrel_dispersion(params: ModelParams, j: ModeIndices, p: Momenta) -> float | np.ndarray:
     """Non-relativistic closed form p^2/2m + 2|Om|(1 - cos a_j) + n(U + U' cos a_j).
 
     Intended for |Omega| >> nU, nU'; evaluated as quoted except that the gap

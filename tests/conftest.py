@@ -96,9 +96,9 @@ def correlator_quadpack_oracle(params: ModelParams, s: float, delta: int) -> tup
     Returns (sum_j w_j I_j, sum_j |w_j I_j|), both divided by 2 pi^2 s, with
     w_j = cos(2 pi j Delta / N) and I_j = int_0^inf eta (f_j - 1/N) sin(eta s).
     Independent of the package's quadrature and gap code: the gaps come from
-    the literal closed forms, each I_j is QAWO on [0, A] (A a whole number of
-    periods past the structure at eta <~ 1) plus a QAWF tail from A, and any
-    IntegrationWarning is an error. A coarse first pass sets the absolute
+    the literal closed forms, each I_j is QAWO on [0, 20] and [20, A] (A a
+    whole number of periods past the structure at eta <~ 1) plus a QAWF tail
+    from A, and any IntegrationWarning is an error. A coarse first pass sets the absolute
     tolerance, since at large s the I_j cancel far below the integrand's size.
     """
     n_sp = params.species_count
@@ -120,8 +120,12 @@ def correlator_quadpack_oracle(params: ModelParams, s: float, delta: int) -> tup
         return g
 
     def integral(g, epsabs, epsrel):
-        head, _ = integrate.quad(g, 0.0, head_end, weight="sin", wvar=s,
-                                 epsabs=epsabs, epsrel=epsrel, limit=2000)
+        # at s <~ 3e-5 one QAWO interval spans so much more than the structure
+        # at eta <~ 1 that its first estimates miss it and agree, so [0, 20]
+        # is integrated on its own
+        head = sum(integrate.quad(g, lo, hi, weight="sin", wvar=s, epsabs=epsabs,
+                                  epsrel=epsrel, limit=2000)[0]
+                   for lo, hi in ((0.0, 20.0), (20.0, head_end)) if hi > lo)
         tail, _ = integrate.quad(g, head_end, np.inf, weight="sin", wvar=s,
                                  epsabs=max(epsabs, epsrel * abs(head)), limlst=200, limit=2000)
         return head + tail

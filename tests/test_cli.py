@@ -253,8 +253,6 @@ class TestTotality:
 
     @pytest.mark.parametrize("argv", [
         ["tower", "--normalized-omega", "0"],
-        ["correlation", "--normalized-omega", "1e-300", "--s-points", "1",
-         "--s-min", "5", "--s-max", "5"],
         ["oracle-check", "--cases", "0"],
         ["oracle-check", "--cases", "-1"],
         ["oracle-check", "--cases", "2", "--p-points", "0"],
@@ -265,6 +263,17 @@ class TestTotality:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err and "Traceback" not in err
+
+    def test_tiny_rabi_correlator_underflows(self, tmp_path):
+        # at |Omega|/nU = 1e-300, (R_l Delta)^3 overflows but R_l/rho^3 is a
+        # representable 3.6e-302
+        code, out = run_to_file(tmp_path, "out", [
+            "correlation", "--normalized-omega", "1e-300", "--s-points", "1",
+            "--s-min", "5", "--s-max", "5"])
+        assert code == 0
+        row = dict(zip(*[line.split(",") for line in out.read_text().splitlines()]))
+        assert math.isfinite(float(row["D_analytic"]))
+        assert float(row["D_analytic"]) == pytest.approx(3.58e-302, rel=1e-3)
 
 
 class TestDeterminismAndSvg:

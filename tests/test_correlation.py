@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from kkbec import correlation
@@ -312,6 +314,31 @@ class TestNumericCorrelator:
         with pytest.raises(QuadratureError):
             numeric_corr(CorrelationQuery(s=5e-324, delta=1, params=normalized_params(0.1, 9)))
 
+    def test_cancelling_weights_against_long_double(self):
+        # at N = 1001, Delta = 500 the weights cos(2 pi j Delta/N) cancel to
+        # 1e-16 of the sum only if each angle is reduced mod 2 pi exactly;
+        # rounding 2 pi j Delta/N near j Delta ~ 5e5 moved D by 40 times its
+        # error estimate. Reference: all N modes in long double, same nodes.
+        n_sp, delta, s = 1001, 500, 10.0**-2.5
+        params = normalized_params(1e-3, n_sp)
+        value, err = numeric_corr(CorrelationQuery(s=s, delta=delta, params=params))
+        ld = np.longdouble
+        two_pi = 8 * np.arctan(ld(1))
+        j = np.arange(n_sp)
+        cos_a = np.cos(two_pi * j / n_sp)
+        om, cutoff = ld(params.rabi), ld(params.nU) - 2 * ld(params.rabi)
+        mu_sq = np.maximum(4 * om * (cos_a - 1) * ((2 * ld(params.nUprime) + om) * cos_a
+                                                  + ld(params.nU) - om), 0) / cutoff**2
+        c = np.sqrt(1 - mu_sq)
+        weights = np.cos(two_pi * (j * delta % n_sp) / n_sp)
+        nodes, rule = correlation._de_rule(4)
+        eta = (nodes.astype(ld) / ld(s))[:, np.newaxis]
+        a = 1 + c + eta * eta
+        r = np.sqrt(mu_sq + eta * eta * (2 + eta * eta))
+        integrand = eta[:, 0] * ((2 * c / n_sp) * (a / r) / (a + r) @ weights)
+        expected = float(np.sum(rule.astype(ld) * integrand) / ld(s)) / (2.0 * math.pi**2 * s)
+        assert abs(value - expected) <= 2.0 * err
+
     def test_quadrature_error_propagates(self, figure_params):
         query = CorrelationQuery(s=20.0, delta=1, params=figure_params)
         cfg = QuadConfig(rel_tol=1e-16, abs_tol=1e-30)
@@ -342,6 +369,20 @@ class TestQuadpackOracle:
         assert abs(value - expected) <= 1e-9 * scale
         assert value == pytest.approx(expected, rel=1e-4)
         # never below the roundoff of the pointwise weighted mode sum
+        assert 1e-16 * scale <= err <= 1e-9 * scale
+
+    # QUADPACK integrates every one of the N modes on its own, so it checks the
+    # sum over the (N+1)/2 levels independently; below s = 1e-5 it returns
+    # wrong values without a warning
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 10).flatmap(lambda k: st.tuples(st.just(2 * k + 1), st.integers(0, 2 * k))),
+           st.floats(math.log10(1e-4), math.log10(0.2)), st.floats(-5.0, 2.0))
+    def test_property_matches_per_mode_quadpack(self, mode_count_and_delta, log_ratio, log_s):
+        (n_sp, delta), ratio, s = mode_count_and_delta, 10.0**log_ratio, 10.0**log_s
+        params = normalized_params(ratio, n_sp)
+        expected, scale = correlator_quadpack_oracle(params, s, delta)
+        value, err = numeric_corr(CorrelationQuery(s=s, delta=delta, params=params))
+        assert abs(value - expected) <= 1e-9 * scale
         assert 1e-16 * scale <= err <= 1e-9 * scale
 
 

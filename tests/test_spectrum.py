@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kkbec.errors import DegenerateModeError, StabilityError
-from kkbec.model import ModelParams, derive_scales
+from kkbec.model import ModelParams, derive_scales, kk_label, normalized_params
 from kkbec.spectrum import (
     bogoliubov_amplitudes,
     continuum_mass_sq,
     dispersion,
+    energy_sq,
     kk_tower,
     nonrel_dispersion,
     p5,
@@ -282,3 +283,42 @@ class TestNonrelativisticDispersion:
                 full = dispersion(params, j, float(p))
                 closed = nonrel_dispersion(params, j, float(p))
                 assert abs(closed - full) / full < 1e-2
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+class TestArrayForms:
+    """An array call is the scalar calls, bit for bit, on every mode."""
+
+    FORMS = [rest_energy_sq, rest_energy_sq_mono, sound_speed_sq, p5, continuum_mass_sq,
+             validity_constraint]
+
+    @pytest.mark.parametrize("n_sp", [3, 9, 51, 101])
+    @pytest.mark.parametrize("mono", [True, False])
+    def test_array_equals_scalar_calls(self, n_sp, mono):
+        params = normalized_params(0.1, n_sp) if mono else ModelParams(n_sp, 1.3, 0.7, 1.1, 0.05, -0.2)
+        js = np.arange(n_sp)
+        for form in self.FORMS:
+            values = form(params, js)
+            scalars = [form(params, j) for j in range(n_sp)]
+            assert all(type(value) is float for value in scalars), form.__name__
+            assert np.array_equal(_bits(values), _bits(scalars)), form.__name__
+        momenta = np.logspace(-2, 1, 7)
+        for form in (energy_sq, dispersion):
+            table = form(params, js[:, np.newaxis], momenta)
+            assert table.shape == (n_sp, momenta.size)
+            scalars = [[form(params, j, float(p)) for p in momenta] for j in range(n_sp)]
+            assert np.array_equal(_bits(table), _bits(scalars)), form.__name__
+
+    @pytest.mark.parametrize("n_sp", [3, 9, 51, 101])
+    def test_one_fold(self, n_sp):
+        js = np.arange(n_sp)
+        assert np.array_equal(abs(kk_label(js, n_sp)), np.minimum(js, n_sp - js))
+        assert [kk_label(j, n_sp) for j in range(n_sp)] == kk_label(js, n_sp).tolist()
+
+    def test_tachyonic_array_names_the_first_mode(self):
+        flipped = ModelParams(9, 1.0, 1.0, 1.0, -0.1, 0.1)
+        with pytest.raises(StabilityError, match="at j=1, p=0"):
+            dispersion(flipped, np.arange(9)[:, np.newaxis], np.array([0.0, 1.0]))
