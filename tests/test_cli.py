@@ -253,6 +253,8 @@ class TestTotality:
 
     @pytest.mark.parametrize("argv", [
         ["tower", "--normalized-omega", "0"],
+        ["correlation", "--normalized-omega", "0.001", "--s-points", "2",
+         "--s-min", "5", "--s-max", "1"],
         ["oracle-check", "--cases", "0"],
         ["oracle-check", "--cases", "-1"],
         ["oracle-check", "--cases", "2", "--p-points", "0"],
