@@ -4,14 +4,18 @@ Exit codes: 0 success, 2 validation failure, 3 I/O failure, 4 quadrature
 failure in at least one output row, 5 oracle mismatch. stderr is for humans;
 files and stdout carry only machine-readable output. Floats are rendered with
 ``repr`` (shortest round-trip form), so identical inputs produce byte-identical
-outputs.
+outputs; each distinct table value is formatted once. s and eta grids include
+their bounds exactly. ``main(argv)`` is reentrant and cheap to call in-process:
+one parser per process, and ``cmd_*`` looked up at call time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -33,24 +37,24 @@ CONSTRAINT_REJECT = 1.0
 DEFAULT_SEED = 20240800
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        value = float(value)  # numpy scalars repr differently
-        if math.isnan(value):
-            return "nan"
-        return repr(value)
-    return str(value)
+def _write_table(path, columns: dict, fmt: str, take: dict | None = None) -> None:
+    """Write columns of one kind of value each (numbers of one type, or floats and None).
 
-
-def _write_table(path, header: list[str], rows: list[list], fmt: str) -> None:
+    A CSV cell is ``repr`` of a Python scalar of ``np.ravel(column).tolist()``, or
+    empty for None; with ``take[name]``, row i shows value ``take[name][i]``.
+    """
+    take = take or {}
+    cells = []
+    for name, column in columns.items():
+        values = np.ravel(column).tolist()
+        if fmt == "csv":
+            values = ["" if value is None else repr(value) for value in values]
+        cells.append(np.array(values, dtype=object)[take[name]].tolist() if name in take else values)
+    rows = zip(*cells)
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([",".join(columns), *map(",".join, rows)]) + "\n"
     else:
-        records = [dict(zip(header, row)) for row in rows]
+        records = [dict(zip(columns, row)) for row in rows]
         text = json.dumps(records, indent=2, allow_nan=True) + "\n"
     _write_text(path, text)
 
@@ -116,11 +120,15 @@ def _load_inputs(args) -> tuple[model.ModelParams, bool]:
     return model.params_from_document(doc)
 
 
-def _require_grid(low: float, high: float, points: int) -> None:
+def _log_grid(low: float, high: float, points: int) -> np.ndarray:
+    """``points`` log-spaced values from ``low`` to ``high``, both bounds exact."""
     if not (math.isfinite(low) and math.isfinite(high) and 0 < low <= high):
         raise ValueError(f"grid bounds must be finite and 0 < min <= max, got [{low}, {high}]")
     if points < 1 or (points == 1 and low != high):
         raise ValueError("grid needs at least one point (and min == max for a single point)")
+    grid = np.logspace(math.log10(low), math.log10(high), points)
+    grid[0], grid[-1] = low, high  # 10**log10(x) need not be x
+    return grid
 
 
 def _report(params: model.ModelParams, regime: str) -> model.ValidationReport:
@@ -145,15 +153,12 @@ def cmd_tower(args) -> int:
     params, _ = _load_inputs(args)
     _require_valid(params)
     entries = spectrum.kk_tower(params)
-    header = ["j", "n", "alpha", "Erj_sq_exact", "Erj_sq_continuum", "csj_sq",
-              "p5", "constraint_value", "degeneracy"]
-    rows = [
-        [e.mode.j, e.mode.kk_label, e.mode.alpha, e.rest_energy_sq,
-         e.continuum_mass_sq, e.sound_speed_sq, e.p5, e.constraint_value,
-         e.degeneracy]
-        for e in entries
-    ]
-    _write_table(args.out, header, rows, args.format)
+    fields = {"j": "mode.j", "n": "mode.kk_label", "alpha": "mode.alpha",
+              "Erj_sq_exact": "rest_energy_sq", "Erj_sq_continuum": "continuum_mass_sq",
+              "csj_sq": "sound_speed_sq", "p5": "p5", "constraint_value": "constraint_value",
+              "degeneracy": "degeneracy"}
+    _write_table(args.out, {name: list(map(operator.attrgetter(field), entries))
+                            for name, field in fields.items()}, args.format)
     _maybe_svg(args, {
         "exact": [(e.mode.j, e.rest_energy_sq) for e in entries],
         "continuum": [(e.mode.j, e.continuum_mass_sq) for e in entries],
@@ -164,24 +169,30 @@ def cmd_tower(args) -> int:
 def cmd_dispersion(args) -> int:
     params, mono = _load_inputs(args)
     _require_valid(params)
-    _require_grid(args.eta_min, args.eta_max, args.eta_points)
+    etas = _log_grid(args.eta_min, args.eta_max, args.eta_points)
     scales = model.derive_scales(params, mono_metric=mono)
-    etas = np.logspace(math.log10(args.eta_min), math.log10(args.eta_max), args.eta_points)
-    js = np.arange(params.species_count)[:, np.newaxis]  # one row of the grid per mode
+    n_sp, points = params.species_count, etas.size
+    # one row of the grid per level |n|: modes j and N - j share it bit for bit
+    levels = np.arange(n_sp // 2 + 1)[:, np.newaxis]
     # as in Python float arithmetic: overflow gives inf, a division by zero raises
     with np.errstate(over="ignore", invalid="ignore", divide="raise"):
         momenta = etas / scales.healing_length
-        cs_sq = spectrum.sound_speed_sq(params, js)
+        cs_sq = spectrum.sound_speed_sq(params, levels)
         has_cone = (cs_sq > 0) & (momenta > 0)
-        energies = spectrum.dispersion(params, js, momenta)
+        energies = spectrum.dispersion(params, levels, momenta)
         over_csp = np.divide(energies, np.sqrt(cs_sq) * momenta,
                              out=np.zeros_like(energies), where=has_cone)
-    columns = np.broadcast_arrays(js, etas, momenta, energies,
-                                  np.where(has_cone, over_csp, None))
-    rows = list(zip(*(column.ravel().tolist() for column in columns)))
-    _write_table(args.out, ["j", "eta", "p", "E", "E_over_csp"], rows, args.format)
-    _maybe_svg(args, {f"j={j}": list(zip(etas.tolist(), row))
-                      for j, row in enumerate(energies.tolist())})
+    js = np.arange(n_sp)
+    level_of_j = np.abs(model.kk_label(js, n_sp))
+    eta_rows = np.tile(np.arange(points), n_sp)
+    level_rows = np.repeat(level_of_j * points, points) + eta_rows
+    _write_table(args.out, {"j": js, "eta": etas, "p": momenta, "E": energies,
+                            "E_over_csp": np.where(has_cone, over_csp, None)}, args.format,
+                 take={"j": np.repeat(js, points), "eta": eta_rows, "p": eta_rows,
+                       "E": level_rows, "E_over_csp": level_rows})
+    by_level = energies.tolist()
+    _maybe_svg(args, {f"j={j}": list(zip(etas.tolist(), by_level[level]))
+                      for j, level in enumerate(level_of_j.tolist())})
     return EXIT_OK
 
 
@@ -190,10 +201,9 @@ def cmd_correlation(args) -> int:
     _require_valid(params)
     if not mono:
         raise ValueError("correlation requires mono_metric parameters")
-    _require_grid(args.s_min, args.s_max, args.s_points)
+    svals = _log_grid(args.s_min, args.s_max, args.s_points)
     # QuadConfig rejects a non-positive --quad-tol (exit 2 through main)
     cfg = correlation.QuadConfig(rel_tol=args.quad_tol, abs_tol=min(1e-15, args.quad_tol))
-    svals = np.logspace(math.log10(args.s_min), math.log10(args.s_max), args.s_points)
     header = ["s", "delta", "D_analytic", "D_numeric", "D_numeric_err", "D_truncated"]
     rows = []
     failed = False
@@ -207,7 +217,7 @@ def cmd_correlation(args) -> int:
             numeric, err = float("nan"), float("nan")
             failed = True
         rows.append([float(s), args.delta, analytic, numeric, err, truncated])
-    _write_table(args.out, header, rows, args.format)
+    _write_table(args.out, dict(zip(header, zip(*rows))), args.format)
     _maybe_svg(args, {
         "analytic": [(r[0], r[2]) for r in rows],
         "numeric": [(r[0], r[3]) for r in rows],
@@ -306,16 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--svg", action="store_true",
                        help="also write a minimal SVG plot next to --out")
 
-    tower = subs.add_parser("tower", parents=[inputs, out, table],
-                            help="mass tower table (exact vs continuum)")
-    tower.set_defaults(func=cmd_tower)
+    subs.add_parser("tower", parents=[inputs, out, table],
+                    help="mass tower table (exact vs continuum)")
 
     disp = subs.add_parser("dispersion", parents=[inputs, out, table],
                            help="dispersion curves over an eta grid")
     disp.add_argument("--eta-min", type=float, default=0.01)
     disp.add_argument("--eta-max", type=float, default=10.0)
     disp.add_argument("--eta-points", type=int, default=60)
-    disp.set_defaults(func=cmd_dispersion)
 
     corr = subs.add_parser("correlation", parents=[inputs, out, table],
                            help="analytic/numeric/truncated correlators")
@@ -327,30 +335,31 @@ def build_parser() -> argparse.ArgumentParser:
     corr.add_argument("--quad-tol", type=float, default=1e-10)
     corr.add_argument("--unweighted-truncation", action="store_true",
                       help="reproduce the unweighted printed truncated form")
-    corr.set_defaults(func=cmd_correlation)
 
     check = subs.add_parser("oracle-check", parents=[out],
                             help="closed forms vs brute-force BdG")
     check.add_argument("--seed", type=int, default=DEFAULT_SEED)
     check.add_argument("--cases", type=int, default=120)
     check.add_argument("--p-points", type=int, default=20)
-    check.set_defaults(func=cmd_oracle_check)
 
     val = subs.add_parser("validate", parents=[inputs, out], help="regime constraint report")
     val.add_argument("--regime", choices=model.REGIMES, default=model.RELATIVISTIC)
-    val.set_defaults(func=cmd_validate)
 
     return parser
 
 
+_parser = functools.cache(build_parser)  # the one parser of the process that main uses
+
+
 def main(argv=None) -> int:
     """Run one command; the only place that turns an outcome into an exit code."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "svg", False) and args.out is None:
         print("error: --svg requires --out", file=sys.stderr)
         return EXIT_IO
     try:
-        return args.func(args)
+        # looked up at call time, so a patched or wrapped cmd_* takes effect
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

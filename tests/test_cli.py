@@ -1,13 +1,16 @@
+import argparse
 import contextlib
 import io
 import json
 import math
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kkbec import cli, model, spectrum
 from kkbec.cli import build_parser, main
 from kkbec.model import REGIMES
 
@@ -337,6 +340,218 @@ class TestOptions:
             main(["oracle-check", "--normalized-omega", "0.1"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _captured(argv):
+    """(exit code or SystemExit code, stdout, stderr) of one in-process run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestGridBounds:
+    """The s and eta grids start and end at the requested bounds, bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(s=st.floats(1e-6, 1e6))
+    def test_single_point_row_prints_the_requested_s(self, s):
+        code, out, _ = _captured(["correlation", "--normalized-omega", "0.001",
+                                  f"--s-min={s!r}", f"--s-max={s!r}", "--s-points=1"])
+        assert code in (0, 4)
+        assert out.splitlines()[1].split(",")[0] == repr(s)
+
+    @settings(max_examples=25, deadline=None)
+    @given(low=st.floats(1e-4, 1e2), ratio=st.floats(1.0, 1e3), points=st.integers(1, 6))
+    def test_eta_grid_ends_exact_and_interior_logspaced(self, low, ratio, points):
+        high = low if points == 1 else low * ratio
+        code, out, _ = _captured(["dispersion", "--normalized-omega", "0.1", "--species", "3",
+                                  f"--eta-min={low!r}", f"--eta-max={high!r}",
+                                  f"--eta-points={points}"])
+        assert code == 0
+        etas = [line.split(",")[1] for line in out.splitlines()[1:points + 1]]
+        interior = np.logspace(math.log10(low), math.log10(high), points).tolist()[1:-1]
+        assert etas[0] == repr(low) and etas[-1] == repr(high)
+        assert etas[1:-1] == [repr(x) for x in interior]
+
+
+class TestParserReuse:
+    """main parses with one parser per process and dispatches at call time."""
+
+    VALID = ["dispersion", "--normalized-omega", "0.1", "--species", "5", "--eta-points", "4"]
+    REJECTED = [
+        ["dispersion", "--normalized-omega", "0.1", "--eta-points", "four"],
+        ["correlation", "--no-such-flag"],
+        ["no-such-command"],
+        [],
+    ]
+
+    @pytest.mark.parametrize("rejected", REJECTED)
+    def test_rejection_leaves_no_trace(self, rejected):
+        cli._parser.cache_clear()
+        first = _captured(self.VALID)
+        cli._parser.cache_clear()
+        code, _, err = _captured(rejected)
+        assert code == ("exit", 2) and "usage: kkbec" in err
+        assert _captured(self.VALID) == first
+        assert _captured(rejected) == (code, "", err)
+
+    def test_patched_command_after_first_call(self, monkeypatch):
+        argv = ["correlation", "--normalized-omega", "0.001", "--s-points", "1",
+                "--s-min", "3", "--s-max", "3"]
+        assert _captured(argv)[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_correlation", lambda args: seen.append(args.s_min) or 4)
+        assert main(argv) == 4
+        assert seen == [3.0]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_parser_built_at_most_once_per_process(self, monkeypatch):
+        """Gate: 20 calls over every subcommand add no more arguments than one build."""
+        calls = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        build_parser()
+        one_build = len(calls)
+        calls.clear()
+        cli._parser.cache_clear()
+        commands = [
+            ["tower", "--normalized-omega", "0.1", "--species", "3"],
+            ["dispersion", "--normalized-omega", "0.1", "--species", "3", "--eta-points", "2"],
+            ["correlation", "--normalized-omega", "0.001", "--s-points", "1",
+             "--s-min", "5", "--s-max", "5"],
+            ["oracle-check", "--cases", "1", "--p-points", "1"],
+            ["validate", "--normalized-omega", "0.1"],
+        ]
+        for argv in commands * 4:
+            assert _captured(argv)[0] == 0, argv
+        assert 0 < len(calls) <= one_build
+
+
+def _fmt(value) -> str:
+    """The per-cell CSV rule the column writer replaced, kept as the reference."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        value = float(value)  # numpy scalars repr differently
+        if math.isnan(value):
+            return "nan"
+        return repr(value)
+    return str(value)
+
+
+def _per_cell_table(header, rows, fmt):
+    if fmt == "csv":
+        lines = [",".join(header)]
+        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+        return "\n".join(lines) + "\n"
+    records = [dict(zip(header, row)) for row in rows]
+    # json rejects numpy ints and bools; the reference writes them as Python scalars
+    return json.dumps(records, indent=2, allow_nan=True, default=lambda v: v.item()) + "\n"
+
+
+def _column_table(tmp_path, columns, fmt, take=None):
+    path = tmp_path / f"table.{fmt}"
+    cli._write_table(path, columns, fmt, take)
+    return path.read_text(encoding="utf-8")
+
+
+def _assert_same_text(text, expected):
+    # a list compare names the first differing line; a long-string compare diffs for minutes
+    assert text.splitlines() == expected.splitlines()
+    assert text == expected
+
+
+class TestTableWriter:
+    """The column writer gives the bytes of the per-cell rule it replaced."""
+
+    FLOATS = [None, math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 0.1,
+              1e300, 2.2250738585072014e-308, 1 / 3]
+    INTS = [0, -1, 7, 2**62, -(2**63), 2**63 - 1, 3, 12, 5, -9, 1, 42]
+    BOOLS = [True, False] * 6
+
+    def columns(self):
+        floats = self.FLOATS[1:] + [12.5]
+        return {
+            "optional": self.FLOATS,
+            "py_float": floats,
+            "np_float": np.array(floats),
+            "np_float_scalars": [np.float64(x) for x in floats],
+            "py_int": self.INTS,
+            "np_int": np.array(self.INTS, dtype=np.int64),
+            "np_int_scalars": [np.int64(x) for x in self.INTS],
+            "bool": self.BOOLS,
+            "np_bool": np.array(self.BOOLS),
+        }
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_edge_values(self, tmp_path, fmt):
+        columns = self.columns()
+        rows = list(zip(*columns.values()))
+        assert _column_table(tmp_path, columns, fmt) == _per_cell_table(list(columns), rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_take_repeats_values(self, tmp_path, fmt):
+        columns = self.columns()
+        take = np.array([3, 0, 0, 11, 5, 3, 1])
+        rows = [[list(values)[i] for values in columns.values()] for i in take.tolist()]
+        assert (_column_table(tmp_path, columns, fmt, dict.fromkeys(columns, take))
+                == _per_cell_table(list(columns), rows, fmt))
+
+    @settings(max_examples=50, deadline=None)
+    @given(cells=st.lists(st.tuples(st.one_of(st.none(), st.floats()), st.floats(),
+                                    st.integers(-(2**63), 2**63 - 1), st.booleans()),
+                          min_size=1, max_size=8),
+           fmt=st.sampled_from(["csv", "json"]))
+    def test_property(self, tmp_path_factory, cells, fmt):
+        tmp_path = tmp_path_factory.mktemp("table")
+        header = ["optional", "float", "int", "bool"]
+        columns = dict(zip(header, map(list, zip(*cells))))
+        columns["float"] = np.array(columns["float"])
+        assert _column_table(tmp_path, columns, fmt) == _per_cell_table(header, cells, fmt)
+
+    @pytest.mark.parametrize("n_sp", [3, 101])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_tower_matches_per_cell_rendering(self, n_sp, fmt):
+        params = model.normalized_params(0.1, n_sp)
+        rows = [[e.mode.j, e.mode.kk_label, e.mode.alpha, e.rest_energy_sq,
+                 e.continuum_mass_sq, e.sound_speed_sq, e.p5, e.constraint_value,
+                 e.degeneracy] for e in spectrum.kk_tower(params)]
+        header = ["j", "n", "alpha", "Erj_sq_exact", "Erj_sq_continuum", "csj_sq",
+                  "p5", "constraint_value", "degeneracy"]
+        code, out, _ = _captured(["tower", "--normalized-omega", "0.1", "--species", str(n_sp),
+                                  "--format", fmt])
+        assert code == 0
+        _assert_same_text(out, _per_cell_table(header, rows, fmt))
+
+    @pytest.mark.parametrize("n_sp", [3, 101])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dispersion_matches_per_mode_rendering(self, n_sp, fmt):
+        """Every mode evaluated on its own, one cell at a time."""
+        params = model.normalized_params(0.1, n_sp)
+        etas = np.logspace(-2, 1, 60)
+        etas[0], etas[-1] = 0.01, 10.0
+        momenta = etas / model.derive_scales(params, mono_metric=True).healing_length
+        rows = []
+        for j in range(n_sp):
+            cs = math.sqrt(spectrum.sound_speed_sq(params, j))
+            for eta, p in zip(etas.tolist(), momenta.tolist()):
+                energy = spectrum.dispersion(params, j, p)
+                rows.append([j, eta, p, energy, energy / (cs * p)])
+        code, out, _ = _captured(["dispersion", "--normalized-omega", "0.1",
+                                  "--species", str(n_sp), "--format", fmt])
+        assert code == 0
+        _assert_same_text(out, _per_cell_table(["j", "eta", "p", "E", "E_over_csp"], rows, fmt))
 
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
