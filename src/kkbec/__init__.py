@@ -11,7 +11,6 @@ from .errors import (
 )
 from .model import (
     DerivedScales,
-    ModeIndex,
     ModelParams,
     ValidationReport,
     Violation,
@@ -25,7 +24,6 @@ from .model import (
 )
 from .spectrum import (
     BogoliubovAmplitudes,
-    TowerEntry,
     bogoliubov_amplitudes,
     continuum_mass_sq,
     dispersion,
@@ -49,7 +47,6 @@ from .oracle import (
 from .correlation import (
     CorrelationQuery,
     CorrelationSample,
-    QuadConfig,
     analytic_corr,
     bessel_k1,
     correlation_sample,

@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import sys
 
 import numpy as np
@@ -28,11 +27,6 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 EXIT_QUADRATURE = 4
 EXIT_ORACLE = 5
-
-# Per-mode validity constraint thresholds ("<< 1"); the library only reports
-# the number, the CLI applies these.
-CONSTRAINT_WARN = 0.25
-CONSTRAINT_REJECT = 1.0
 
 DEFAULT_SEED = 20240800
 
@@ -152,16 +146,12 @@ def _maybe_svg(args, curves, log_log=True):
 def cmd_tower(args) -> int:
     params, _ = _load_inputs(args)
     _require_valid(params)
-    entries = spectrum.kk_tower(params)
-    fields = {"j": "mode.j", "n": "mode.kk_label", "alpha": "mode.alpha",
-              "Erj_sq_exact": "rest_energy_sq", "Erj_sq_continuum": "continuum_mass_sq",
-              "csj_sq": "sound_speed_sq", "p5": "p5", "constraint_value": "constraint_value",
-              "degeneracy": "degeneracy"}
-    _write_table(args.out, {name: list(map(operator.attrgetter(field), entries))
-                            for name, field in fields.items()}, args.format)
+    tower = spectrum.kk_tower(params)
+    _write_table(args.out, tower, args.format)
+    js = tower["j"].tolist()
     _maybe_svg(args, {
-        "exact": [(e.mode.j, e.rest_energy_sq) for e in entries],
-        "continuum": [(e.mode.j, e.continuum_mass_sq) for e in entries],
+        "exact": list(zip(js, tower["Erj_sq_exact"].tolist())),
+        "continuum": list(zip(js, tower["Erj_sq_continuum"].tolist())),
     }, log_log=False)
     return EXIT_OK
 
@@ -202,8 +192,6 @@ def cmd_correlation(args) -> int:
     if not mono:
         raise ValueError("correlation requires mono_metric parameters")
     svals = _log_grid(args.s_min, args.s_max, args.s_points)
-    # QuadConfig rejects a non-positive --quad-tol (exit 2 through main)
-    cfg = correlation.QuadConfig(rel_tol=args.quad_tol, abs_tol=min(1e-15, args.quad_tol))
     header = ["s", "delta", "D_analytic", "D_numeric", "D_numeric_err", "D_truncated"]
     rows = []
     failed = False
@@ -212,7 +200,8 @@ def cmd_correlation(args) -> int:
         analytic = correlation.analytic_corr(query)
         truncated = correlation.truncated_corr(query, args.j_tr, not args.unweighted_truncation)
         try:
-            numeric, err = correlation.numeric_corr(query, cfg)
+            # a non-positive --quad-tol raises ValueError here (exit 2 through main)
+            numeric, err = correlation.numeric_corr(query, args.quad_tol)
         except QuadratureError:
             numeric, err = float("nan"), float("nan")
             failed = True
@@ -233,14 +222,12 @@ def cmd_oracle_check(args) -> int:
     cases = oracle.sample_parameter_sets(rng, args.cases)
     momenta = np.logspace(-2, 1, args.p_points)
     max_rel = 0.0
-    unstable = 0
-    mismatch = False
+    unstable = 0  # the sampled couplings are stable, so any unstable case fails the check
     for params in cases:
         worst, stable = oracle.compare_with_closed_forms(params, momenta)
         max_rel = max(max_rel, worst)
         if not stable:
             unstable += 1
-            mismatch = True  # stable couplings must not trip the flag
     # deterministic hand cases: the N=3 gap and an expected tachyonic set
     hand = model.ModelParams(3, 1.0, 1.0, 1.0, 0.1, -0.1)
     e_sq, stable = oracle.oracle_energies(oracle.build_bdg(hand, 0.0))
@@ -248,7 +235,7 @@ def cmd_oracle_check(args) -> int:
     tachyon = model.ModelParams(9, 1.0, 1.0, 1.0, -0.1, 0.1)
     _, tachyon_stable = oracle.oracle_energies(oracle.build_bdg(tachyon, 0.0))
     expected_unstable = not tachyon_stable
-    passed = (max_rel <= 1e-9) and not mismatch and hand_ok and expected_unstable
+    passed = (max_rel <= 1e-9) and unstable == 0 and hand_ok and expected_unstable
     report = {
         "cases": len(cases),
         "p_points": int(args.p_points),
@@ -269,8 +256,8 @@ def cmd_validate(args) -> int:
     constraints = []
     if report.ok:
         values = spectrum.validity_constraint(params, np.arange((params.species_count + 1) // 2))
-        notes = np.where(values >= CONSTRAINT_REJECT, "reject",
-                         np.where(values > CONSTRAINT_WARN, "warn", "ok"))
+        notes = np.where(values >= model.REJECT_RATIO, "reject",
+                         np.where(values > model.WARN_RATIO, "warn", "ok"))
         constraints = [{"j": j, "constraint_value": value, "note": note}
                        for j, (value, note) in enumerate(zip(values.tolist(), notes))]
     payload = {
@@ -288,7 +275,8 @@ def cmd_validate(args) -> int:
         if entry["note"] != "ok":
             print(
                 f"{entry['note']}: validity constraint at j={entry['j']} is "
-                f"{entry['constraint_value']:.6g} (warn>{CONSTRAINT_WARN}, reject>={CONSTRAINT_REJECT})",
+                f"{entry['constraint_value']:.6g} "
+                f"(warn>{model.WARN_RATIO}, reject>={model.REJECT_RATIO})",
                 file=sys.stderr,
             )
     _write_text(args.out, json.dumps(payload, indent=2) + "\n")

@@ -116,18 +116,6 @@ def bessel_k1(x: float) -> float:
 # Oscillatory quadrature: int_0^inf g(eta) sin(eta*s) d eta
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class QuadConfig:
-    """Tolerances of the oscillatory integrator."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-15
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError(f"need tolerances > 0: {self}")
-
-
 @functools.cache
 def _de_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes u_k, weights w_k of int_0^inf f(u) sin(u) du ~ sum_k w_k f(u_k).
@@ -164,18 +152,21 @@ def _de_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def fourier_sin_integral(g, s: float, cfg: QuadConfig | None = None) -> tuple[float, float]:
+def fourier_sin_integral(g, s: float, rel_tol: float = 1e-10) -> tuple[float, float]:
     """Integrate g(eta)*sin(eta*s) over [0, inf) for smooth, slowly decaying g.
 
     ``g`` must accept numpy arrays. The double-exponential rule runs at steps
-    0.1 * 2^-k, k = 0..6, until two successive sums agree within the tolerance;
-    their difference, at least the roundoff of the sum, is the error estimate.
+    0.1 * 2^-k, k = 0..6, until two successive sums agree within
+    max(min(1e-15, rel_tol), rel_tol * |sum|); their difference, at least the
+    roundoff of the sum, is the error estimate. ``rel_tol`` must be > 0.
     Raises :class:`QuadratureError` (carrying the last sum) if they never agree,
     agree only to a roundoff above the tolerance, or a sum is not finite.
     """
     if s <= 0:
         raise ValueError("oscillation frequency s must be positive")
-    cfg = cfg or QuadConfig()
+    if not rel_tol > 0:
+        raise ValueError(f"need a tolerance > 0, got {rel_tol}")
+    abs_tol = min(1e-15, rel_tol)
     value = math.inf  # the first step has no sum to agree with
     for level in range(7):
         nodes, weights = _de_rule(level)
@@ -186,7 +177,7 @@ def fourier_sin_integral(g, s: float, cfg: QuadConfig | None = None) -> tuple[fl
             # roundoff of the sum bounds the achievable accuracy
             roundoff = 1e-16 * float(np.sum(np.abs(terms))) / s
             err = max(abs(value - prev), roundoff)
-        if math.isfinite(value) and err <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+        if math.isfinite(value) and err <= max(abs_tol, rel_tol * abs(value)):
             return value, err
         if not math.isfinite(value) or err == roundoff:  # a finer step cannot help
             break
@@ -296,9 +287,7 @@ def mode_integrand(params: ModelParams, j: int, eta) -> float | np.ndarray:
     return float(value) if np.isscalar(eta) else value
 
 
-def numeric_corr(
-    query: CorrelationQuery, quad_config: QuadConfig | None = None
-) -> tuple[float, float]:
+def numeric_corr(query: CorrelationQuery, rel_tol: float = 1e-10) -> tuple[float, float]:
     """Exact mode-sum correlator, in 1/xi^3 units, with an error estimate."""
     n_sp = query.params.species_count
     modes = np.arange(n_sp)
@@ -311,7 +300,7 @@ def numeric_corr(
     def g(eta):
         return eta * (excess(eta) @ weights)
 
-    integral, err = fourier_sin_integral(g, query.s, quad_config)
+    integral, err = fourier_sin_integral(g, query.s, rel_tol)
     # roundoff of the pointwise weighted sum, ~1e-16 sum_j |w_j I_j| with each
     # mode integral I_j <~ min(pi/2, sqrt2/s)/N, is invisible to the quadrature
     mode_scale = min(0.5 * math.pi, math.sqrt(2.0) / query.s) / n_sp
@@ -346,11 +335,11 @@ def truncated_corr(query: CorrelationQuery, j_tr: int, weighted: bool = True) ->
 
 
 def correlation_sample(
-    query: CorrelationQuery, j_tr: int = 2, quad_config: QuadConfig | None = None,
+    query: CorrelationQuery, j_tr: int = 2, rel_tol: float = 1e-10,
     weighted_truncation: bool = True,
 ) -> CorrelationSample:
     """Evaluate all three correlators at one (s, Delta) point."""
-    numeric, err = numeric_corr(query, quad_config)
+    numeric, err = numeric_corr(query, rel_tol)
     return CorrelationSample(
         query=query,
         analytic=analytic_corr(query),

@@ -21,9 +21,11 @@ NONRELATIVISTIC = "nonrelativistic"
 UNRESTRICTED = "unrestricted"
 REGIMES = (RELATIVISTIC, NONRELATIVISTIC, UNRESTRICTED)
 
-# Soft-inequality thresholds for the "<<" constraints: warn when a ratio that
-# should be small exceeds WARN_RATIO, treat as an error when it reaches 1.
+# Soft-inequality thresholds for the "<<" constraints (the regime ratios here and
+# the CLI's per-mode validity constraint): warn when a ratio that should be
+# small exceeds WARN_RATIO, treat as an error when it reaches REJECT_RATIO.
 WARN_RATIO = 0.25
+REJECT_RATIO = 1.0
 
 # Guards for relative comparisons against exact zeros (normalized units).
 EPS_FLOOR = 1e-300
@@ -80,22 +82,6 @@ class DerivedScales:
     synthetic_radius: float
     cutoff_energy: float
     chemical_potential: float
-
-
-@dataclass(frozen=True, slots=True)
-class ModeIndex:
-    """Internal Fourier mode j with its angle and signed KK label."""
-
-    j: int
-    alpha: float
-    kk_label: int
-
-    @classmethod
-    def from_j(cls, j: int, species_count: int) -> "ModeIndex":
-        if not 0 <= j < species_count:
-            raise ValueError(f"mode index {j} outside 0..{species_count - 1}")
-        return cls(j=j, alpha=2.0 * math.pi * j / species_count,
-                   kk_label=kk_label(j, species_count))
 
 
 def kk_label(j: int | np.ndarray, species_count: int) -> int | np.ndarray:
@@ -188,7 +174,7 @@ def validate(params: ModelParams, regime: str = RELATIVISTIC) -> ValidationRepor
         else:
             # n*U underflows to 0 for tiny positive n and U
             ratio = abs(om) / nU if nU > 0 else math.inf
-            if ratio >= 1.0:
+            if ratio >= REJECT_RATIO:
                 err("rabi_small", f"|Omega| must stay below nU, got |Omega|/nU = {ratio:.6g}")
             elif ratio > WARN_RATIO:
                 warn("rabi_small", f"|Omega|/nU = {ratio:.6g} strains |Omega| << nU")
@@ -205,7 +191,7 @@ def validate(params: ModelParams, regime: str = RELATIVISTIC) -> ValidationRepor
             if scale <= 0:
                 continue
             ratio = scale / abs(om)
-            if ratio >= 1.0:
+            if ratio >= REJECT_RATIO:
                 err("rabi_large", f"|Omega| must exceed {label}, got {label}/|Omega| = {ratio:.6g}")
             elif ratio > WARN_RATIO:
                 warn("rabi_large", f"{label}/|Omega| = {ratio:.6g} strains |Omega| >> {label}")

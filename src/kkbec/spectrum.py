@@ -17,14 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModeError, StabilityError
-from .model import ModeIndex, ModelParams, kk_label
+from .model import ModelParams, kk_label
 
 ModeIndices = int | np.ndarray
 Momenta = float | np.ndarray
 
 __all__ = [
     "BogoliubovAmplitudes",
-    "TowerEntry",
     "bogoliubov_amplitudes",
     "continuum_mass_sq",
     "dispersion",
@@ -45,19 +44,6 @@ class BogoliubovAmplitudes:
 
     u: float
     v: float
-
-
-@dataclass(frozen=True, slots=True)
-class TowerEntry:
-    """One rung of the mass tower: exact and continuum-limit squared gaps."""
-
-    mode: ModeIndex
-    rest_energy_sq: float
-    continuum_mass_sq: float
-    p5: float
-    sound_speed_sq: float
-    degeneracy: int
-    constraint_value: float
 
 
 def _cos_alpha(params: ModelParams, j: ModeIndices) -> float | np.ndarray:
@@ -152,20 +138,25 @@ def validity_constraint(params: ModelParams, j: ModeIndices) -> float | np.ndarr
     return 2.0 * math.pi * n_abs / params.species_count * math.sqrt(om / (params.nU + 2.0 * om))
 
 
-def kk_tower(params: ModelParams) -> list[TowerEntry]:
-    """All N tower entries sorted by |n| (massless first, +n before -n)."""
+def kk_tower(params: ModelParams) -> dict[str, np.ndarray]:
+    """The mass tower as columns, in rows sorted by |n| (massless first, +n before -n).
+
+    Keys: j, n, alpha, Erj_sq_exact, Erj_sq_continuum, csj_sq, p5,
+    constraint_value, degeneracy (1 for the massless mode, 2 for each pair).
+    """
     n_sp = params.species_count
     if n_sp % 2 == 0:
         raise ValueError("the mass tower pairing j <-> N-j requires odd N")
+    labels = kk_label(np.arange(n_sp), n_sp)
+    j = np.lexsort((labels < 0, abs(labels)))
     # as in Python float arithmetic: overflow gives inf, a division by zero raises
     with np.errstate(over="ignore", invalid="ignore", divide="raise"):
-        columns = [f(params, np.arange(n_sp)).tolist() for f in (
-            rest_energy_sq, continuum_mass_sq, p5, sound_speed_sq, validity_constraint)]
-    entries = [TowerEntry(ModeIndex.from_j(j, n_sp), gap_sq, cont_sq, momentum, cs_sq,
-                          degeneracy=1 if j == 0 else 2, constraint_value=constraint)
-               for j, (gap_sq, cont_sq, momentum, cs_sq, constraint) in enumerate(zip(*columns))]
-    entries.sort(key=lambda e: (abs(e.mode.kk_label), e.mode.kk_label < 0))
-    return entries
+        return {"j": j, "n": labels[j], "alpha": params.alphas[j],
+                "Erj_sq_exact": rest_energy_sq(params, j),
+                "Erj_sq_continuum": continuum_mass_sq(params, j),
+                "csj_sq": sound_speed_sq(params, j), "p5": p5(params, j),
+                "constraint_value": validity_constraint(params, j),
+                "degeneracy": np.where(j == 0, 1, 2)}
 
 
 def nonrel_dispersion(params: ModelParams, j: ModeIndices, p: Momenta) -> float | np.ndarray:

@@ -523,10 +523,13 @@ class TestTableWriter:
     @pytest.mark.parametrize("n_sp", [3, 101])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_tower_matches_per_cell_rendering(self, n_sp, fmt):
+        """Every mode evaluated on its own, in tower order: |n| up, +n before -n."""
         params = model.normalized_params(0.1, n_sp)
-        rows = [[e.mode.j, e.mode.kk_label, e.mode.alpha, e.rest_energy_sq,
-                 e.continuum_mass_sq, e.sound_speed_sq, e.p5, e.constraint_value,
-                 e.degeneracy] for e in spectrum.kk_tower(params)]
+        order = [0] + [j for n in range(1, (n_sp + 1) // 2) for j in (n, n_sp - n)]
+        rows = [[j, model.kk_label(j, n_sp), 2.0 * math.pi * j / n_sp,
+                 spectrum.rest_energy_sq(params, j), spectrum.continuum_mass_sq(params, j),
+                 spectrum.sound_speed_sq(params, j), spectrum.p5(params, j),
+                 spectrum.validity_constraint(params, j), 1 if j == 0 else 2] for j in order]
         header = ["j", "n", "alpha", "Erj_sq_exact", "Erj_sq_continuum", "csj_sq",
                   "p5", "constraint_value", "degeneracy"]
         code, out, _ = _captured(["tower", "--normalized-omega", "0.1", "--species", str(n_sp),

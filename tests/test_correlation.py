@@ -11,7 +11,6 @@ from kkbec.errors import DomainError, QuadratureError, StabilityError, ValidityE
 from kkbec.model import ModelParams, derive_scales, normalized_params
 from kkbec.correlation import (
     CorrelationQuery,
-    QuadConfig,
     _amplitude_excess,
     _gap_ratios,
     analytic_corr,
@@ -88,9 +87,8 @@ class TestFourierSinIntegral:
         assert value == pytest.approx(2.0 * s / (1.0 + s * s) ** 2, rel=1e-9)
 
     def test_budget_exhaustion_carries_partial(self):
-        cfg = QuadConfig(rel_tol=1e-16, abs_tol=1e-30)
         with pytest.raises(QuadratureError) as excinfo:
-            fourier_sin_integral(lambda eta: eta / (eta**2 + 1.0), 3.0, cfg)
+            fourier_sin_integral(lambda eta: eta / (eta**2 + 1.0), 3.0, rel_tol=1e-30)
         assert excinfo.value.partial_value is not None
         assert excinfo.value.error_estimate is not None
 
@@ -105,7 +103,7 @@ class TestFourierSinIntegral:
             return eta / (eta**2 + 1.0)
 
         with pytest.raises(QuadratureError) as excinfo:
-            fourier_sin_integral(g, 3.0, QuadConfig(rel_tol=1e-16, abs_tol=1e-30))
+            fourier_sin_integral(g, 3.0, rel_tol=1e-30)
         assert evaluations <= 1000
         expected = 0.5 * math.pi * math.exp(-3.0)
         assert excinfo.value.partial_value == pytest.approx(expected, rel=1e-13)
@@ -130,14 +128,16 @@ class TestFourierSinIntegral:
 
 
 class TestQuadConfig:
+    """The quadrature's one setting, rel_tol; its absolute floor is min(1e-15, rel_tol)."""
+
     @pytest.mark.parametrize("kwargs", [
         {"rel_tol": 0.0},
-        {"abs_tol": -1e-15},
+        {"rel_tol": -1e-10},
         {"rel_tol": float("nan")},
     ])
     def test_rejects_invalid_settings(self, kwargs):
         with pytest.raises(ValueError):
-            QuadConfig(**kwargs)
+            fourier_sin_integral(lambda eta: eta, 3.0, **kwargs)
 
 
 class TestQueryValidation:
@@ -262,10 +262,10 @@ class TestNumericCorrelator:
 
     def test_tolerance_refinement_within_estimate(self, figure_params):
         query = CorrelationQuery(s=17.0, delta=1, params=figure_params)
-        coarse, err = numeric_corr(query, QuadConfig(rel_tol=1e-8))
-        fine, _ = numeric_corr(query, QuadConfig(rel_tol=1e-9))
+        coarse, err = numeric_corr(query, rel_tol=1e-8)
+        fine, _ = numeric_corr(query, rel_tol=1e-9)
         assert abs(coarse - fine) <= max(err, 1e-16 * abs(fine))
-        finer, _ = numeric_corr(query, QuadConfig(rel_tol=1e-11))
+        finer, _ = numeric_corr(query, rel_tol=1e-11)
         assert abs(fine - finer) / abs(finer) <= 1e-6
 
     def test_imaginary_part_cancels(self, figure_params):
@@ -341,9 +341,8 @@ class TestNumericCorrelator:
 
     def test_quadrature_error_propagates(self, figure_params):
         query = CorrelationQuery(s=20.0, delta=1, params=figure_params)
-        cfg = QuadConfig(rel_tol=1e-16, abs_tol=1e-30)
         with pytest.raises(QuadratureError) as excinfo:
-            numeric_corr(query, cfg)
+            numeric_corr(query, rel_tol=1e-30)
         assert excinfo.value.partial_value is not None
 
 

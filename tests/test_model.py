@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 from kkbec.errors import StabilityError
 from kkbec.model import (
-    ModeIndex,
     ModelParams,
     NONRELATIVISTIC,
     RELATIVISTIC,
     UNRESTRICTED,
     check_mono_metricity,
     derive_scales,
+    kk_label,
     normalized_params,
     params_from_document,
     params_to_document,
@@ -197,21 +197,17 @@ class TestValidate:
 
 
 class TestModeIndex:
+    """Mode j's signed label n (kk_label) and its angle alpha_j (ModelParams.alphas)."""
+
     def test_mapping(self):
-        assert ModeIndex.from_j(0, 9).kk_label == 0
-        assert ModeIndex.from_j(4, 9).kk_label == 4
-        assert ModeIndex.from_j(5, 9).kk_label == -4
-        assert ModeIndex.from_j(8, 9).kk_label == -1
+        assert kk_label(0, 9) == 0
+        assert kk_label(4, 9) == 4
+        assert kk_label(5, 9) == -4
+        assert kk_label(8, 9) == -1
 
     def test_alpha(self):
-        mode = ModeIndex.from_j(3, 9)
-        assert mode.alpha == pytest.approx(2.0 * math.pi / 3.0, rel=1e-15)
-
-    def test_range(self):
-        with pytest.raises(ValueError):
-            ModeIndex.from_j(9, 9)
-        with pytest.raises(ValueError):
-            ModeIndex.from_j(-1, 9)
+        params = ModelParams(9, 1.0, 1.0, 1.0, 0.1, -0.1)
+        assert params.alphas[3] == pytest.approx(2.0 * math.pi / 3.0, rel=1e-15)
 
 
 class TestParameterDocument:

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kkbec import spectrum
 from kkbec.errors import DegenerateModeError, StabilityError
 from kkbec.model import ModelParams, derive_scales, kk_label, normalized_params
 from kkbec.spectrum import (
@@ -228,29 +230,53 @@ class TestValidityConstraint:
 
 
 class TestTower:
+    COLUMNS = ["j", "n", "alpha", "Erj_sq_exact", "Erj_sq_continuum", "csj_sq", "p5",
+               "constraint_value", "degeneracy"]
+    FORMS = [rest_energy_sq, continuum_mass_sq, sound_speed_sq, p5, validity_constraint]
+
     def test_structure(self, standard_params):
-        entries = kk_tower(standard_params)
-        assert len(entries) == 9
-        assert entries[0].mode.kk_label == 0
-        assert entries[0].degeneracy == 1
-        assert entries[0].rest_energy_sq == 0.0
-        labels = [e.mode.kk_label for e in entries]
-        assert labels == [0, 1, -1, 2, -2, 3, -3, 4, -4]
-        assert all(e.degeneracy == 2 for e in entries[1:])
+        tower = kk_tower(standard_params)
+        assert list(tower) == self.COLUMNS
+        assert all(np.shape(column) == (9,) for column in tower.values())
+        assert tower["n"].tolist() == [0, 1, -1, 2, -2, 3, -3, 4, -4]
+        assert tower["j"].tolist() == [0, 1, 8, 2, 7, 3, 6, 4, 5]
+        assert tower["Erj_sq_exact"][0] == 0.0
+        assert tower["degeneracy"].tolist() == [1] + [2] * 8
 
     def test_pairs_share_gap(self, standard_params):
-        entries = kk_tower(standard_params)
-        by_label = {e.mode.kk_label: e for e in entries}
-        for n in range(1, 5):
-            assert by_label[n].rest_energy_sq == by_label[-n].rest_energy_sq
-            assert by_label[n].p5 == -by_label[-n].p5
+        tower = kk_tower(standard_params)
+        # rows 2k - 1 and 2k hold the pair +k, -k
+        gap, momentum = tower["Erj_sq_exact"], tower["p5"]
+        assert np.array_equal(_bits(gap[1::2]), _bits(gap[2::2]))
+        assert np.array_equal(momentum[1::2], -momentum[2::2])
 
     def test_n3(self, n3_params):
-        entries = kk_tower(n3_params)
-        assert len(entries) == 3
-        assert entries[0].rest_energy_sq == 0.0
-        assert entries[1].rest_energy_sq == pytest.approx(0.63, abs=1e-15)
-        assert entries[2].rest_energy_sq == pytest.approx(0.63, abs=1e-15)
+        gap = kk_tower(n3_params)["Erj_sq_exact"]
+        assert gap.shape == (3,)
+        assert gap[0] == 0.0
+        assert gap[1] == pytest.approx(0.63, abs=1e-15)
+        assert gap[2] == pytest.approx(0.63, abs=1e-15)
+
+    def test_even_species_rejected(self):
+        with pytest.raises(ValueError, match="odd N"):
+            kk_tower(normalized_params(0.1, 8))
+
+    @pytest.mark.parametrize("n_sp", [3, 1001])
+    def test_one_call_per_closed_form(self, monkeypatch, n_sp):
+        """The tower is one array evaluation of each closed form, whatever N."""
+        calls = []
+        for form in self.FORMS:
+            def counted(params, j, form=form):
+                calls.append((form.__name__, sys._getframe(1).f_code.co_name, np.shape(j)))
+                return form(params, j)
+            monkeypatch.setattr(spectrum, form.__name__, counted)
+        kk_tower(normalized_params(0.1, n_sp))
+        direct = [name for name, caller, _ in calls if caller == "kk_tower"]
+        assert sorted(direct) == sorted(form.__name__ for form in self.FORMS)
+        # continuum_mass_sq evaluates p5 once more, over the same modes
+        assert [(name, caller) for name, caller, _ in calls if caller != "kk_tower"] == [
+            ("p5", "continuum_mass_sq")]
+        assert all(shape == (n_sp,) for *_, shape in calls)
 
 
 class TestNonrelativisticDispersion:
