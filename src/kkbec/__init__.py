@@ -46,10 +46,9 @@ from .oracle import (
 )
 from .correlation import (
     CorrelationQuery,
-    CorrelationSample,
     analytic_corr,
     bessel_k1,
-    correlation_sample,
+    correlation_table,
     fourier_sin_integral,
     mode_integrand,
     numeric_corr,

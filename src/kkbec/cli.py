@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import correlation, model, oracle, spectrum
-from .errors import KkbecError, QuadratureError
+from .errors import KkbecError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -107,8 +107,6 @@ def _svg_polylines(path, curves: dict[str, list[tuple[float, float]]], log_log: 
 def _load_inputs(args) -> tuple[model.ModelParams, bool]:
     if args.normalized_omega is not None:
         return model.normalized_params(args.normalized_omega, args.species), True
-    if args.config is None:
-        raise ValueError("either --config or --normalized-omega is required")
     with open(args.config, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     return model.params_from_document(doc)
@@ -138,9 +136,12 @@ def _require_valid(params: model.ModelParams) -> None:
         raise ValueError("parameters violate the model constraints")
 
 
-def _maybe_svg(args, curves, log_log=True):
+def _maybe_svg(args, x: np.ndarray, curves: dict[str, np.ndarray], log_log=True):
+    """With --svg, plot each of ``curves`` against ``x``; build nothing without it."""
     if args.svg:
-        _svg_polylines(str(args.out) + ".svg", curves, log_log)
+        xs = x.tolist()
+        _svg_polylines(str(args.out) + ".svg",
+                       {name: list(zip(xs, y.tolist())) for name, y in curves.items()}, log_log)
 
 
 def cmd_tower(args) -> int:
@@ -148,11 +149,8 @@ def cmd_tower(args) -> int:
     _require_valid(params)
     tower = spectrum.kk_tower(params)
     _write_table(args.out, tower, args.format)
-    js = tower["j"].tolist()
-    _maybe_svg(args, {
-        "exact": list(zip(js, tower["Erj_sq_exact"].tolist())),
-        "continuum": list(zip(js, tower["Erj_sq_continuum"].tolist())),
-    }, log_log=False)
+    _maybe_svg(args, tower["j"], {"exact": tower["Erj_sq_exact"],
+                                  "continuum": tower["Erj_sq_continuum"]}, log_log=False)
     return EXIT_OK
 
 
@@ -180,9 +178,8 @@ def cmd_dispersion(args) -> int:
                             "E_over_csp": np.where(has_cone, over_csp, None)}, args.format,
                  take={"j": np.repeat(js, points), "eta": eta_rows, "p": eta_rows,
                        "E": level_rows, "E_over_csp": level_rows})
-    by_level = energies.tolist()
-    _maybe_svg(args, {f"j={j}": list(zip(etas.tolist(), by_level[level]))
-                      for j, level in enumerate(level_of_j.tolist())})
+    _maybe_svg(args, etas, {f"j={j}": energies[level]
+                            for j, level in enumerate(level_of_j.tolist())})
     return EXIT_OK
 
 
@@ -192,27 +189,14 @@ def cmd_correlation(args) -> int:
     if not mono:
         raise ValueError("correlation requires mono_metric parameters")
     svals = _log_grid(args.s_min, args.s_max, args.s_points)
-    header = ["s", "delta", "D_analytic", "D_numeric", "D_numeric_err", "D_truncated"]
-    rows = []
-    failed = False
-    for s in svals:
-        query = correlation.CorrelationQuery(s=float(s), delta=args.delta, params=params)
-        analytic = correlation.analytic_corr(query)
-        truncated = correlation.truncated_corr(query, args.j_tr, not args.unweighted_truncation)
-        try:
-            # a non-positive --quad-tol raises ValueError here (exit 2 through main)
-            numeric, err = correlation.numeric_corr(query, args.quad_tol)
-        except QuadratureError:
-            numeric, err = float("nan"), float("nan")
-            failed = True
-        rows.append([float(s), args.delta, analytic, numeric, err, truncated])
-    _write_table(args.out, dict(zip(header, zip(*rows))), args.format)
-    _maybe_svg(args, {
-        "analytic": [(r[0], r[2]) for r in rows],
-        "numeric": [(r[0], r[3]) for r in rows],
-        "truncated": [(r[0], r[5]) for r in rows],
-    })
-    return EXIT_QUADRATURE if failed else EXIT_OK
+    # a non-positive --quad-tol raises ValueError in the first row (exit 2 through main)
+    table = correlation.correlation_table(params, svals, args.delta, args.j_tr, args.quad_tol,
+                                          not args.unweighted_truncation)
+    _write_table(args.out, table, args.format)
+    _maybe_svg(args, table["s"], {name: table["D_" + name]
+                                  for name in ("analytic", "numeric", "truncated")})
+    # a Python scan: np.isnan(...).any() added about 2% to a one-row request
+    return EXIT_QUADRATURE if any(map(math.isnan, table["D_numeric"].tolist())) else EXIT_OK
 
 
 def cmd_oracle_check(args) -> int:
@@ -294,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="output path (default stdout)")
     inputs = argparse.ArgumentParser(add_help=False)
-    inputs.add_argument("--config", help="JSON parameter document")
-    inputs.add_argument("--normalized-omega", type=float, default=None, metavar="RATIO",
+    source = inputs.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="JSON parameter document")
+    source.add_argument("--normalized-omega", type=float, default=None, metavar="RATIO",
                         help="normalized mono-metric mode: m=n=U=1, |Omega|/nU=RATIO")
     inputs.add_argument("--species", type=int, default=9,
                         help="N for --normalized-omega (default 9)")

@@ -19,6 +19,9 @@ The radial reduction of the 3D Fourier integral is analytic; the remaining
 oscillatory 1D integral, whose subtracted integrand decays only like 1/eta,
 goes to the Ooura-Mori double-exponential rule for Fourier integrals, whose
 nodes approach the zeros of sin(eta*s).
+
+``correlation_table`` evaluates all three over an s grid at one Delta and
+returns the columns that the ``correlation`` command writes.
 """
 
 from __future__ import annotations
@@ -162,7 +165,7 @@ def fourier_sin_integral(g, s: float, rel_tol: float = 1e-10) -> tuple[float, fl
     Raises :class:`QuadratureError` (carrying the last sum) if they never agree,
     agree only to a roundoff above the tolerance, or a sum is not finite.
     """
-    if s <= 0:
+    if not s > 0:
         raise ValueError("oscillation frequency s must be positive")
     if not rel_tol > 0:
         raise ValueError(f"need a tolerance > 0, got {rel_tol}")
@@ -204,15 +207,6 @@ class CorrelationQuery:
             raise ValueError(
                 f"delta must lie in 0..{self.params.species_count - 1}, got {self.delta}"
             )
-
-
-@dataclass(frozen=True, slots=True)
-class CorrelationSample:
-    query: CorrelationQuery
-    analytic: float
-    numeric: float
-    truncated: float
-    quadrature_error_estimate: float
 
 
 def analytic_corr(query: CorrelationQuery) -> float:
@@ -334,16 +328,25 @@ def truncated_corr(query: CorrelationQuery, j_tr: int, weighted: bool = True) ->
     return total / (n_sp * math.sqrt(2.0) * math.pi**2 * s)
 
 
-def correlation_sample(
-    query: CorrelationQuery, j_tr: int = 2, rel_tol: float = 1e-10,
-    weighted_truncation: bool = True,
-) -> CorrelationSample:
-    """Evaluate all three correlators at one (s, Delta) point."""
-    numeric, err = numeric_corr(query, rel_tol)
-    return CorrelationSample(
-        query=query,
-        analytic=analytic_corr(query),
-        numeric=numeric,
-        truncated=truncated_corr(query, j_tr, weighted_truncation),
-        quadrature_error_estimate=err,
-    )
+def correlation_table(params: ModelParams, s, delta: int, j_tr: int = 2, rel_tol: float = 1e-10,
+                      weighted: bool = True) -> dict[str, np.ndarray]:
+    """All three correlators at one Delta over a sequence of separations ``s``, as columns.
+
+    Keys, in the CLI's order: ``s, delta, D_analytic, D_numeric, D_numeric_err,
+    D_truncated``, one row per s in the order given. A row whose quadrature
+    fails reads NaN in ``D_numeric`` and ``D_numeric_err``; any other error
+    raises.
+    """
+    s = np.array(s, dtype=float)
+    rows = []
+    for s_row in s.tolist():
+        query = CorrelationQuery(s=s_row, delta=delta, params=params)
+        analytic, truncated = analytic_corr(query), truncated_corr(query, j_tr, weighted)
+        try:
+            numeric, err = numeric_corr(query, rel_tol)
+        except QuadratureError:
+            numeric = err = math.nan
+        rows.append((analytic, numeric, err, truncated))
+    analytic, numeric, err, truncated = np.array(rows, dtype=float).reshape(-1, 4).T
+    return {"s": s, "delta": np.full(s.size, delta), "D_analytic": analytic,
+            "D_numeric": numeric, "D_numeric_err": err, "D_truncated": truncated}

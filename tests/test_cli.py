@@ -161,8 +161,9 @@ class TestCorrelation:
         assert row[3] == "nan"
 
     def test_overflowing_integrand_exit_code(self, tmp_path):
-        # eta^2 overflows past ~1e154, so at s = 1e-160 the integrand is NaN on
-        # almost every panel; the row must fail fast instead of refining them
+        # at s = 1e-160 most double-exponential nodes u/s lie past eta ~ 1e154,
+        # where eta^2 overflows; the first sum is not finite and the row must
+        # fail there instead of refining the step
         code, out = run_to_file(
             tmp_path, "corr.csv",
             ["correlation", "--normalized-omega", "0.1", "--s-points", "1",
@@ -240,8 +241,12 @@ class TestConfigHandling:
     def test_missing_file(self, tmp_path):
         assert main(["tower", "--config", str(tmp_path / "absent.json")]) == 3
 
-    def test_config_or_normalized_required(self):
-        assert main(["tower"]) == 2
+    def test_config_or_normalized_required(self, config):
+        # exactly one input source: neither, or both, is a usage error
+        for inputs in ([], ["--config", config, "--normalized-omega", "0.001"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["tower", *inputs])
+            assert excinfo.value.code == 2
 
     def test_bad_grids_rejected(self, config):
         assert main(["dispersion", "--config", config, "--eta-min", "-1"]) == 2

@@ -15,7 +15,7 @@ from kkbec.correlation import (
     _gap_ratios,
     analytic_corr,
     bessel_k1,
-    correlation_sample,
+    correlation_table,
     fourier_sin_integral,
     mode_integrand,
     numeric_corr,
@@ -125,6 +125,8 @@ class TestFourierSinIntegral:
     def test_invalid_frequency(self):
         with pytest.raises(ValueError):
             fourier_sin_integral(lambda eta: eta, 0.0)
+        with pytest.raises(ValueError):
+            fourier_sin_integral(lambda eta: eta, math.nan)
 
 
 class TestQuadConfig:
@@ -294,7 +296,7 @@ class TestNumericCorrelator:
 
     def test_flat_at_vanishing_separation(self):
         # for Delta != 0 the synthetic distance dominates: D(s) - D(0) = O(s^2),
-        # so a first panel [0, pi/s] of width 3e6 must still resolve eta ~ 1
+        # so at s = 1e-6 the nodes clustered near u = 0 must resolve eta = u/s ~ 1
         params = normalized_params(0.1, 101)
         tiny, err = numeric_corr(CorrelationQuery(s=1e-6, delta=3, params=params))
         small, _ = numeric_corr(CorrelationQuery(s=1e-4, delta=3, params=params))
@@ -356,8 +358,8 @@ class TestQuadpackOracle:
             for delta in (n_sp // 3, n_sp // 2)]
     EASY = [(1e-3, 9, 1.5, 0), (1e-3, 9, 20.0, 1), (0.1, 9, 5.0, 3), (0.1, 51, 200.0, 2),
             (0.1, 101, 1e-3, 3)]
-    # rows that cancel to 1e-9 of their per-mode scale; a mesh of the first
-    # panel that stops at eta = 1 misses the gaps and returns -1e-17 here
+    # rows that cancel to 1e-9 of their per-mode scale, with the mode gaps at
+    # eta ~ mu_j = 1e-4..1e-2, which the double-exponential nodes must resolve
     WEAK = [(1e-5, 101, 1.0, 33), (1e-6, 101, 1.0, 33)]
 
     @pytest.mark.parametrize("ratio, n_sp, s, delta", HARD + EASY + WEAK)
@@ -491,10 +493,19 @@ class TestCrossChecks:
             tower /= n_sp * math.sqrt(2.0) * math.pi**2 * s
             assert tower == pytest.approx(numeric, rel=2e-2)
 
-    def test_sample_bundle(self, figure_params):
-        query = CorrelationQuery(s=20.0, delta=1, params=figure_params)
-        sample = correlation_sample(query, j_tr=2)
-        assert sample.analytic == analytic_corr(query)
-        assert sample.truncated == truncated_corr(query, 2)
-        assert sample.quadrature_error_estimate >= 0.0
-        assert sample.numeric == pytest.approx(numeric_corr(query)[0], rel=1e-12)
+    def test_table_rows_match_scalar_calls(self, figure_params):
+        s = [2.0, 15.0, 40.0]
+        table = correlation_table(figure_params, s, 1, j_tr=3, rel_tol=1e-8, weighted=False)
+        assert list(table) == ["s", "delta", "D_analytic", "D_numeric", "D_numeric_err",
+                               "D_truncated"]
+        assert table["s"].tolist() == s and table["delta"].tolist() == [1, 1, 1]
+        for row, s_row in enumerate(s):
+            query = CorrelationQuery(s=s_row, delta=1, params=figure_params)
+            numeric, err = numeric_corr(query, 1e-8)
+            assert table["D_analytic"][row] == analytic_corr(query)
+            assert table["D_truncated"][row] == truncated_corr(query, 3, False)
+            assert (table["D_numeric"][row], table["D_numeric_err"][row]) == (numeric, err)
+        # a row whose quadrature fails keeps its closed-form columns
+        failed = correlation_table(figure_params, [20.0], 1, rel_tol=1e-30)
+        assert np.isnan(failed["D_numeric"]).all() and np.isnan(failed["D_numeric_err"]).all()
+        assert np.isfinite(failed["D_analytic"]).all() and np.isfinite(failed["D_truncated"]).all()
