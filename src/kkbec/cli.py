@@ -62,7 +62,7 @@ def _write_text(path, text: str) -> None:
 
 
 def _svg_polylines(path, curves: dict[str, list[tuple[float, float]]], log_log: bool) -> None:
-    """Minimal inspection plot: one polyline per curve, 640x480 viewport."""
+    """Minimal inspection plot: one polyline per curve, 640x480 viewport, blank with no points."""
     width, height, pad = 640.0, 480.0, 40.0
 
     def transform(pts):
@@ -71,10 +71,7 @@ def _svg_polylines(path, curves: dict[str, list[tuple[float, float]]], log_log: 
         return list(pts)
 
     track = [transform(pts) for pts in curves.values()]
-    flat = [pt for pts in track for pt in pts]
-    if not flat:
-        raise ValueError("nothing to plot")
-    xs, ys = zip(*flat)
+    xs, ys = zip(*([pt for pts in track for pt in pts] or [(0.0, 0.0)]))
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     x_span = (x1 - x0) or 1.0
@@ -106,7 +103,10 @@ def _svg_polylines(path, curves: dict[str, list[tuple[float, float]]], log_log: 
 
 def _load_inputs(args) -> tuple[model.ModelParams, bool]:
     if args.normalized_omega is not None:
-        return model.normalized_params(args.normalized_omega, args.species), True
+        return model.normalized_params(args.normalized_omega,
+                                       9 if args.species is None else args.species), True
+    if args.species is not None:
+        raise ValueError("--species goes with --normalized-omega; --config sets N")
     with open(args.config, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     return model.params_from_document(doc)
@@ -247,7 +247,7 @@ def cmd_validate(args) -> int:
     payload = {
         "regime": args.regime,
         "mono_metric": bool(mono),
-        "mono_metricity_holds": model.check_mono_metricity(params, 1e-9),
+        "mono_metricity_holds": model.check_mono_metricity(params),
         "violations": [
             {"constraint": v.constraint, "message": v.message, "severity": v.severity}
             for v in report.violations
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--config", help="JSON parameter document")
     source.add_argument("--normalized-omega", type=float, default=None, metavar="RATIO",
                         help="normalized mono-metric mode: m=n=U=1, |Omega|/nU=RATIO")
-    inputs.add_argument("--species", type=int, default=9,
+    inputs.add_argument("--species", type=int, default=None,
                         help="N for --normalized-omega (default 9)")
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--format", choices=("csv", "json"), default="csv")

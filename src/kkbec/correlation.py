@@ -9,11 +9,13 @@ inverse cubed healing length (the 1/xi^3 prefactor divided out):
   eta sin(eta s) sum_j cos(2 pi j Delta / N) [f_j(eta) - 1/N] d eta, with
   f_j = (u_j - v_j)^2 at eta = p*xi; the 1/N asymptote, removed in exact
   cancellation-free form, cancels for Delta != 0 mod N and is a pure contact
-  term otherwise, so the value for s > 0 is unchanged. Modes j and N - j share
-  f_j, so the sum runs over the (N+1)/2 levels |n| with their summed weights;
+  term otherwise, so the value for s > 0 is unchanged;
 * ``truncated_corr`` -- the low-mode relativistic sum
   (1/N) sum_{|j| <= j_tr} R_m(j) K1(R_m(j) s) / (sqrt2 pi^2 s) with
   R_m(j) = alpha_j / R_l, cosine-weighted by default for Delta != 0.
+
+Modes j and N - j share a gap, so both sums run over the Kaluza-Klein levels
+|n| with the same weights, the summed cosines of their modes (``_level_weights``).
 
 The radial reduction of the 3D Fourier integral is analytic; the remaining
 oscillatory 1D integral, whose subtracted integrand decays only like 1/eta,
@@ -223,13 +225,13 @@ def analytic_corr(query: CorrelationQuery) -> float:
 
 
 def _gap_ratios(params: ModelParams) -> np.ndarray:
-    """mu_j = E_rj / (m c_s^2) for every mode, with the mono-metric cutoff."""
+    """mu_n = E_rn / (m c_s^2) for every level |n| = 0..N//2, with the mono-metric cutoff."""
     cutoff = params.nU - 2.0 * params.rabi  # m c_s^2 under mono-metricity
     if cutoff <= 0:
         raise StabilityError(f"no stable sound cone: m c_s^2 = {cutoff:.6g} <= 0")
     # as in Python float arithmetic, an overflowing gap is inf and fails below
     with np.errstate(over="ignore", invalid="ignore"):
-        gap_sq = rest_energy_sq(params, np.arange(params.species_count))
+        gap_sq = rest_energy_sq(params, np.arange(params.species_count // 2 + 1))
     # the gapless mode evaluates to 0 only up to cancellation noise
     tachyonic = gap_sq < -1e-12 * cutoff * cutoff
     if np.any(tachyonic):
@@ -237,12 +239,21 @@ def _gap_ratios(params: ModelParams) -> np.ndarray:
     mus = np.sqrt(np.maximum(gap_sq, 0.0)) / cutoff
     if np.any(mus > 1.0):
         raise ValidityError("a mode gap exceeds the cutoff energy m c_s^2")
-    if not check_mono_metricity(params, 1e-9):
+    if not check_mono_metricity(params):
         raise ValueError(
             "mode amplitudes use the single mono-metric sound speed; "
             f"n*U' = {params.nUprime:.6g} does not match -Omega = {-params.rabi:.6g}"
         )
     return mus
+
+
+def _level_weights(n_sp: int, delta: int) -> np.ndarray:
+    """Weights sum_{j = +-n} cos(2 pi j Delta/N) of the levels |n| = 0..N//2 in both mode sums."""
+    # folding by kk_label keeps each angle exact; modes n, N - n share its cosine bit for bit
+    levels = np.arange(n_sp // 2 + 1)
+    weights = np.cos(2.0 * np.pi * abs(kk_label(levels * delta, n_sp)) / n_sp)
+    weights[1:(n_sp + 1) // 2] *= 2.0
+    return weights
 
 
 def _amplitude_excess(mus: np.ndarray, n_sp: int):
@@ -274,7 +285,7 @@ def mode_integrand(params: ModelParams, j: int, eta) -> float | np.ndarray:
     (j, eta) != (0, 0).
     """
     n_sp = params.species_count
-    mus = _gap_ratios(params)[[j % n_sp]]
+    mus = _gap_ratios(params)[[abs(kk_label(j, n_sp))]]
     if mus[0] == 0.0 and np.any(np.asarray(eta) == 0.0):
         raise ValueError("the massless mode has no amplitude at eta = 0")
     value = 1.0 / n_sp + _amplitude_excess(mus, n_sp)(eta)[..., 0]
@@ -284,12 +295,8 @@ def mode_integrand(params: ModelParams, j: int, eta) -> float | np.ndarray:
 def numeric_corr(query: CorrelationQuery, rel_tol: float = 1e-10) -> tuple[float, float]:
     """Exact mode-sum correlator, in 1/xi^3 units, with an error estimate."""
     n_sp = query.params.species_count
-    modes = np.arange(n_sp)
-    # level |n| sums the weights cos(2 pi j Delta/N) of its modes j = +-n; folding
-    # j*Delta keeps each angle exact and the weights symmetric bit for bit
-    angles = 2.0 * np.pi * abs(kk_label(modes * query.delta, n_sp)) / n_sp
-    weights = np.bincount(abs(kk_label(modes, n_sp)), np.cos(angles))
-    excess = _amplitude_excess(_gap_ratios(query.params)[:weights.size], n_sp)
+    weights = _level_weights(n_sp, query.delta)
+    excess = _amplitude_excess(_gap_ratios(query.params), n_sp)
 
     def g(eta):
         return eta * (excess(eta) @ weights)
@@ -306,26 +313,21 @@ def numeric_corr(query: CorrelationQuery, rel_tol: float = 1e-10) -> tuple[float
 def truncated_corr(query: CorrelationQuery, j_tr: int, weighted: bool = True) -> float:
     """Low-mode relativistic correlator, in 1/xi^3 units.
 
-    The j = 0 term uses the massless limit m K1(m s) -> 1/s. ``weighted``
-    applies the same cosine weights as the numeric mode sum (default);
-    ``weighted=False`` gives the phase-free variant of the sum.
+    Sums the levels |n| = 0..j_tr with the level weights of the numeric mode
+    sum; level 0 uses the massless limit m K1(m s) -> 1/s. ``weighted=False``
+    takes the weights at Delta = 0, the phase-free variant of the sum.
     """
     n_sp = query.params.species_count
     if not 0 <= j_tr <= (n_sp - 1) // 2:
         raise ValueError(f"j_tr must lie in 0..{(n_sp - 1) // 2}, got {j_tr}")
     ratio = derive_scales(query.params, mono_metric=True).length_ratio
-    s = query.s
-    delta = abs(kk_label(query.delta, n_sp))
+    weights = _level_weights(n_sp, query.delta if weighted else 0).tolist()
+    masses = [(2.0 * math.pi * n / n_sp) / ratio for n in range(1, j_tr + 1)]
+    terms = [1.0 / query.s] + [mass * bessel_k1(mass * query.s) for mass in masses]
     total = 0.0
-    for j in range(-j_tr, j_tr + 1):
-        weight = math.cos(2.0 * math.pi * j * delta / n_sp) if weighted else 1.0
-        if j == 0:
-            term = 1.0 / s
-        else:
-            mass = (2.0 * math.pi * abs(j) / n_sp) / ratio
-            term = mass * bessel_k1(mass * s)
-        total += weight * term
-    return total / (n_sp * math.sqrt(2.0) * math.pi**2 * s)
+    for n in range(j_tr, -1, -1):  # m K1(m s) falls with m: smallest first, as the sum can cancel
+        total += weights[n] * terms[n]
+    return total / (n_sp * math.sqrt(2.0) * math.pi**2 * query.s)
 
 
 def correlation_table(params: ModelParams, s, delta: int, j_tr: int = 2, rel_tol: float = 1e-10,

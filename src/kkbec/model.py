@@ -31,6 +31,8 @@ REJECT_RATIO = 1.0
 EPS_FLOOR = 1e-300
 ABS_ZERO_TOL = 1e-14
 
+MONO_METRIC_TOL = 1e-9  # relative tolerance of n*U' = -Omega in check_mono_metricity
+
 _DOCUMENT_KEYS = {"N", "m", "n", "U", "Uprime", "Omega", "L", "mono_metric"}
 
 
@@ -179,7 +181,8 @@ def validate(params: ModelParams, regime: str = RELATIVISTIC) -> ValidationRepor
             elif ratio > WARN_RATIO:
                 warn("rabi_small", f"|Omega|/nU = {ratio:.6g} strains |Omega| << nU")
             if params.system_length is not None:
-                ir_scale = 2.0 * params.atom_mass * params.system_length**2
+                # L*L overflows to inf where L**2 would raise
+                ir_scale = 2.0 * params.atom_mass * (params.system_length * params.system_length)
                 ir_bound = 1.0 / ir_scale if ir_scale > 0 else math.inf
                 if ir_bound >= abs(om):
                     err(
@@ -199,19 +202,17 @@ def validate(params: ModelParams, regime: str = RELATIVISTIC) -> ValidationRepor
     return ValidationReport(tuple(out))
 
 
-def check_mono_metricity(params: ModelParams, tolerance: float = 1e-12) -> bool:
-    """True iff n*U' = -Omega within the given relative tolerance.
+def check_mono_metricity(params: ModelParams) -> bool:
+    """True iff n*U' = -Omega within the relative tolerance MONO_METRIC_TOL.
 
     Couplings that are both zero to within ABS_ZERO_TOL satisfy the relation
     trivially; otherwise the comparison is relative with an underflow guard.
     """
-    if tolerance < 0:
-        raise ValueError("tolerance must be >= 0")
     if max(abs(params.nUprime), abs(params.rabi)) <= ABS_ZERO_TOL:
         return True
     residual = abs(params.nUprime + params.rabi)
     scale = max(abs(params.nUprime), abs(params.rabi), EPS_FLOOR)
-    return residual <= tolerance * scale
+    return residual <= MONO_METRIC_TOL * scale
 
 
 def derive_scales(params: ModelParams, mono_metric: bool = False) -> DerivedScales:
@@ -219,14 +220,14 @@ def derive_scales(params: ModelParams, mono_metric: bool = False) -> DerivedScal
 
     With ``mono_metric`` the sound speed is the common mono-metric value
     sqrt((nU - 2*Omega)/m) and the parameters must satisfy n*U' = -Omega; the
-    caller is expected to have checked that (a loose 1e-9 gate is applied
-    here). Otherwise the reported sound speed is the j = 0 mode value
+    caller is expected to have checked that (:func:`check_mono_metricity`
+    gates it here). Otherwise the reported sound speed is the j = 0 mode value
     sqrt((nU + 2nU')/m).
     """
     m = params.atom_mass
     if params.rabi == 0:
         raise StabilityError("lattice spacing diverges: Omega must be nonzero")
-    if mono_metric and not check_mono_metricity(params, 1e-9):
+    if mono_metric and not check_mono_metricity(params):
         raise ValueError(
             "mono_metric scales requested but n*U' != -Omega "
             f"(nU'={params.nUprime:.6g}, Omega={params.rabi:.6g})"
@@ -304,21 +305,18 @@ def params_to_document(params: ModelParams, mono_metric: bool = False) -> dict:
     }
 
 
-def normalized_params(
-    omega_ratio: float, species_count: int = 9, mono_metric: bool = True
-) -> ModelParams:
-    """Figure-style normalized parameter set: m = n = U = 1, Omega = -|ratio|.
+def normalized_params(omega_ratio: float, species_count: int = 9) -> ModelParams:
+    """Figure-style normalized mono-metric set: m = n = U = 1, Omega = -|ratio|, U' = -Omega.
 
     ``omega_ratio`` is the dimensionless |Omega|/nU used throughout the
-    figures; the mono-metric partner U' = -Omega/n is filled in by default.
+    figures.
     """
     om = -abs(omega_ratio)
-    up = -om if mono_metric else 0.0
     return ModelParams(
         species_count=species_count,
         atom_mass=1.0,
         density=1.0,
         self_interaction=1.0,
-        cross_interaction=up,
+        cross_interaction=-om,
         rabi=om,
     )

@@ -30,7 +30,6 @@ class BdGSystem:
     momentum: float
     block_a: np.ndarray
     block_b: np.ndarray
-    coupling_matrix: np.ndarray
 
 
 def ring_coupling_matrix(species_count: int) -> np.ndarray:
@@ -49,7 +48,7 @@ def build_bdg(params: ModelParams, p: float) -> BdGSystem:
         params.nUprime + params.rabi
     ) * coupling
     block_b = params.nU * ident + params.nUprime * coupling
-    return BdGSystem(momentum=p, block_a=block_a, block_b=block_b, coupling_matrix=coupling)
+    return BdGSystem(momentum=p, block_a=block_a, block_b=block_b)
 
 
 def oracle_energies(system: BdGSystem) -> tuple[np.ndarray, bool]:

@@ -248,6 +248,18 @@ class TestConfigHandling:
                 main(["tower", *inputs])
             assert excinfo.value.code == 2
 
+    def test_species_only_with_normalized_omega(self, tmp_path, capsys, config):
+        # --config sets N, so an explicit --species beside it is refused, even the default 9
+        for species in ("51", "9"):
+            code, out = run_to_file(tmp_path, "out", ["tower", "--config", config,
+                                                      "--species", species])
+            assert code == 2 and not out.exists()
+            assert main(["tower", "--config", config, "--species", species]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--species" in captured.err
+        # --species 0 is a value, not the default
+        assert main(["tower", "--normalized-omega", "0.1", "--species", "0"]) == 2
+
     def test_bad_grids_rejected(self, config):
         assert main(["dispersion", "--config", config, "--eta-min", "-1"]) == 2
         assert main(["dispersion", "--config", config, "--eta-min", "5",
@@ -266,8 +278,15 @@ class TestTotality:
         ["oracle-check", "--cases", "0"],
         ["oracle-check", "--cases", "-1"],
         ["oracle-check", "--cases", "2", "--p-points", "0"],
+        # at m = 5e-324 a derived scale divides by zero
+        ["tower", "--config", "{tiny_mass}"],
+        ["dispersion", "--config", "{tiny_mass}"],
+        ["correlation", "--config", "{tiny_mass}"],
     ])
     def test_validation_exit(self, tmp_path, capsys, argv):
+        tiny_mass = tmp_path / "tiny_mass.json"
+        tiny_mass.write_text(json.dumps({**STANDARD_DOC, "m": 5e-324}))
+        argv = [arg.format(tiny_mass=tiny_mass) for arg in argv]
         code, out = run_to_file(tmp_path, "out", argv)
         assert code == 2
         assert not out.exists()
@@ -310,6 +329,16 @@ class TestDeterminismAndSvg:
         svg = out.with_name("tower.csv.svg")
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
+
+    def test_svg_with_nothing_to_plot(self, tmp_path):
+        # every correlator underflows to 0 at s = 1e200, leaving no point on log axes
+        code, out = run_to_file(tmp_path, "c.csv", [
+            "correlation", "--normalized-omega", "0.001", "--s-min", "1e200",
+            "--s-max", "1e200", "--s-points", "1", "--svg"])
+        assert code == 0
+        assert out.read_text().splitlines()[1] == "1e+200,1,0.0,0.0,0.0,0.0"
+        svg = out.with_name("c.csv.svg").read_text()
+        assert svg.startswith("<svg") and "<rect" in svg and "polyline" not in svg
 
     def test_svg_requires_out(self, config):
         assert main(["tower", "--config", config, "--svg"]) == 3

@@ -8,11 +8,12 @@ from scipy import special
 
 from kkbec import correlation
 from kkbec.errors import DomainError, QuadratureError, StabilityError, ValidityError
-from kkbec.model import ModelParams, derive_scales, normalized_params
+from kkbec.model import ModelParams, derive_scales, kk_label, normalized_params
 from kkbec.correlation import (
     CorrelationQuery,
     _amplitude_excess,
     _gap_ratios,
+    _level_weights,
     analytic_corr,
     bessel_k1,
     correlation_table,
@@ -272,8 +273,8 @@ class TestNumericCorrelator:
 
     def test_imaginary_part_cancels(self, figure_params):
         # the sine-weighted companion of the cosine mode sum must vanish
-        mus = _gap_ratios(figure_params)
         n_sp = figure_params.species_count
+        mus = _gap_ratios(figure_params)[abs(kk_label(np.arange(n_sp), n_sp))]
         angles = 2.0 * math.pi * np.arange(n_sp) / n_sp
         excess = _amplitude_excess(mus, n_sp)
 
@@ -466,6 +467,46 @@ class TestTruncatedCorrelator:
         with pytest.raises(ValueError):
             truncated_corr(query, -1)
 
+    @pytest.mark.parametrize("j_tr", [0, 2, 4])
+    def test_one_k1_call_per_level(self, monkeypatch, figure_params, j_tr):
+        # modes n and N - n share a level, so a level costs one K1, not two
+        calls, k1 = [], correlation.bessel_k1
+        monkeypatch.setattr(correlation, "bessel_k1", lambda x: calls.append(x) or k1(x))
+        truncated_corr(CorrelationQuery(s=15.0, delta=1, params=figure_params), j_tr)
+        assert len(calls) == j_tr
+
+    @pytest.mark.parametrize("delta", [24, 25, 26, 27])
+    def test_cancelling_full_tower_against_mpmath(self, delta):
+        # near Delta = N/2 the level weights alternate in sign and the terms
+        # m K1(m s) ~ 1/s nearly cancel; what is left must carry only the
+        # roundoff of the weights and the sum
+        mpmath = pytest.importorskip("mpmath")
+        n_sp, s, j_tr = 51, 0.5, 25
+        params = normalized_params(1e-3, n_sp)
+        value = truncated_corr(CorrelationQuery(s=s, delta=delta, params=params), j_tr)
+        with mpmath.workdps(30):
+            ratio = mpmath.mpf(derive_scales(params, mono_metric=True).length_ratio)
+            terms = [1 / mpmath.mpf(s)]
+            for n in range(1, j_tr + 1):
+                mass = 2 * mpmath.pi * n / n_sp / ratio
+                weight = 2 * mpmath.cos(2 * mpmath.pi * n * delta / n_sp)
+                terms.append(weight * mass * mpmath.besselk(1, mass * s))
+            norm = n_sp * mpmath.sqrt(2) * mpmath.pi**2 * s
+            expected, scale = mpmath.fsum(terms) / norm, mpmath.fsum(map(abs, terms)) / norm
+            assert abs(value - expected) <= 2e-16 * scale
+
+
+@pytest.mark.parametrize("n_sp", [3, 8, 9, 51, 1001])
+def test_level_weights_sum_the_mode_weights(n_sp):
+    # reference: the cosine of every mode j, summed onto its level |n(j)|; at
+    # even N the level N/2 holds one mode
+    modes = np.arange(n_sp)
+    levels = abs(kk_label(modes, n_sp))
+    for delta in range(n_sp):
+        mode_weights = np.cos(2.0 * np.pi * abs(kk_label(modes * delta, n_sp)) / n_sp)
+        expected = np.bincount(levels, mode_weights)
+        assert _level_weights(n_sp, delta).tobytes() == expected.tobytes(), delta
+
 
 class TestCrossChecks:
     def test_exact_mass_tower_tracks_numeric(self, figure_params):
@@ -476,8 +517,8 @@ class TestCrossChecks:
         weighted tower built from exact gaps must track the numeric correlator
         to a couple of percent in the figure window.
         """
-        mus = _gap_ratios(figure_params)
         n_sp = figure_params.species_count
+        mus = _gap_ratios(figure_params)[abs(kk_label(np.arange(n_sp), n_sp))]
         for s in (20.0, 30.0, 40.0):
             query = CorrelationQuery(s=s, delta=1, params=figure_params)
             numeric, _ = numeric_corr(query)

@@ -105,17 +105,13 @@ class TestDerivedScales:
 
 class TestMonoMetricity:
     def test_exact_relation(self):
-        assert check_mono_metricity(ModelParams(9, 1, 1, 1, 0.1, -0.1), 1e-12)
+        assert check_mono_metricity(ModelParams(9, 1, 1, 1, 0.1, -0.1))
 
     def test_violated_relation(self):
-        assert not check_mono_metricity(ModelParams(9, 1, 1, 1, 0.1, -0.2), 1e-12)
+        assert not check_mono_metricity(ModelParams(9, 1, 1, 1, 0.1, -0.2))
 
     def test_density_weighting(self):
-        assert check_mono_metricity(ModelParams(9, 1, 2, 1, 0.05, -0.1), 1e-12)
-
-    def test_negative_tolerance(self):
-        with pytest.raises(ValueError):
-            check_mono_metricity(ModelParams(9, 1, 1, 1, 0.1, -0.1), -1.0)
+        assert check_mono_metricity(ModelParams(9, 1, 2, 1, 0.05, -0.1))
 
 
 class TestValidate:
@@ -149,18 +145,27 @@ class TestValidate:
         report = validate(mono_params(length=1.0), RELATIVISTIC)
         assert any(v.constraint == "system_length_bound" for v in report.errors())
         assert validate(mono_params(length=100.0), RELATIVISTIC).ok
+        # L^2 overflows past L ~ 1.3e154; the bound (2mL^2)^-1 is then 0
+        assert validate(mono_params(length=1.3407807929942597e154), RELATIVISTIC).empty
 
     def test_nonrelativistic_regime(self):
         good = ModelParams(9, 1.0, 1.0, 0.01, 0.01, 10.0)
         assert validate(good, NONRELATIVISTIC).empty
         bad = ModelParams(9, 1.0, 1.0, 1.0, 0.1, -0.5)
         assert not validate(bad, NONRELATIVISTIC).ok
+        # nU/|Omega| = 0.5 strains |Omega| >> nU; U' = 0 sets no scale to compare
+        strained = validate(ModelParams(9, 1.0, 1.0, 1.0, 0.0, 2.0), NONRELATIVISTIC)
+        assert [(v.constraint, v.severity) for v in strained.violations] == [
+            ("rabi_large", "warning")]
+        assert "nU/|Omega| = 0.5 " in strained.violations[0].message
 
     def test_never_raises_on_nonfinite(self):
         report = validate(ModelParams(9, float("nan"), 1.0, 1.0, 0.1, -0.1), RELATIVISTIC)
         assert not report.ok
         report = validate(ModelParams(9, 1.0, 1.0, float("inf"), 0.1, -0.1), UNRESTRICTED)
         assert not report.ok
+        report = validate(ModelParams(9, 1.0, 1.0, 1.0, 0.1, -0.1, math.inf), RELATIVISTIC)
+        assert [v.constraint for v in report.errors()] == ["system_length_finite"]
 
     def test_nonpositive_couplings(self):
         report = validate(ModelParams(9, -1.0, 0.0, 1.0, 0.1, -0.1), UNRESTRICTED)
@@ -234,6 +239,10 @@ class TestParameterDocument:
             params_from_document(doc)
 
     def test_type_checks(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            params_from_document([9, 1.0])
+        with pytest.raises(ValueError, match="L must be"):
+            params_from_document({**self.DOC, "L": "long"})
         with pytest.raises(ValueError):
             params_from_document({**self.DOC, "N": 9.0})
         with pytest.raises(ValueError):
@@ -251,5 +260,5 @@ def test_normalized_params():
     params = normalized_params(0.1)
     assert params.rabi == -0.1
     assert params.cross_interaction == 0.1
-    assert check_mono_metricity(params, 1e-15)
+    assert params.nUprime == -params.rabi
     assert validate(params, RELATIVISTIC).empty
