@@ -209,7 +209,8 @@ def cmd_oracle_check(args) -> int:
     unstable = 0  # the sampled couplings are stable, so any unstable case fails the check
     for params in cases:
         worst, stable = oracle.compare_with_closed_forms(params, momenta)
-        max_rel = max(max_rel, worst)
+        # a NaN stays: max(nan, x) is nan, but max(x, nan) would drop it
+        max_rel = max(max_rel, worst) if math.isfinite(worst) else math.nan
         if not stable:
             unstable += 1
     # deterministic hand cases: the N=3 gap and an expected tachyonic set

@@ -201,6 +201,24 @@ class TestOracleCheck:
         assert code == 5
         assert json.loads(out.read_text())["pass"] is False
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_non_finite_error_fails(self, tmp_path, monkeypatch, bad, position):
+        import kkbec.oracle
+
+        errors = iter([1e-12] * position + [bad] + [1e-12] * (2 - position))
+        monkeypatch.setattr(
+            kkbec.oracle, "compare_with_closed_forms", lambda params, momenta: (next(errors), True)
+        )
+        code, out = run_to_file(
+            tmp_path, "oracle.json",
+            ["oracle-check", "--cases", "3", "--p-points", "3"],
+        )
+        assert code == 5
+        report = json.loads(out.read_text())
+        assert math.isnan(report["max_rel_err"])
+        assert report["pass"] is False
+
 
 class TestValidate:
     def test_pass_with_notes(self, tmp_path, config, capsys):

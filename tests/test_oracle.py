@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from kkbec.errors import DegenerateModeError
-from kkbec.model import ModelParams
+from kkbec import oracle
+from kkbec.errors import DegenerateModeError, OracleError
+from kkbec.model import ModelParams, normalized_params
 from kkbec.oracle import (
     build_bdg,
     compare_with_closed_forms,
@@ -29,6 +30,14 @@ class TestCouplingMatrix:
         assert np.array_equal(c, c.T)
         assert np.all(np.diag(c) == 0.0)
 
+    def test_built_once_per_n_and_read_only(self):
+        c = ring_coupling_matrix(7)
+        assert c is ring_coupling_matrix(7)
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0, 1] = 5.0
+        assert c[0, 1] == 1.0
+
 
 class TestBuildBdG:
     def test_n3_mono_blocks(self, n3_params):
@@ -48,6 +57,19 @@ class TestBuildBdG:
         system = build_bdg(standard_params, 0.7)
         comm = system.block_a @ system.block_b - system.block_b @ system.block_a
         assert np.max(np.abs(comm)) <= 1e-12
+
+    def test_blocks_are_fresh_and_writeable(self, standard_params):
+        system = build_bdg(standard_params, 0.7)
+        tables = oracle._ring_tables(9)  # the cached identity and coupling matrix
+        for block in (system.block_a, system.block_b):
+            assert block.flags.writeable
+            assert not any(np.shares_memory(block, table) for table in tables)
+        expected_a, expected_b = system.block_a.copy(), system.block_b.copy()
+        system.block_a[:] = 1e6
+        system.block_b[:] = 1e6
+        rebuilt = build_bdg(standard_params, 0.7)
+        assert np.array_equal(rebuilt.block_a, expected_a)
+        assert np.array_equal(rebuilt.block_b, expected_b)
 
 
 class TestOracleEnergies:
@@ -74,6 +96,27 @@ class TestOracleEnergies:
             expected = closed_form_e_sq(standard_params, p)
             assert np.allclose(np.sort(e_sq), np.sort(expected), rtol=1e-10, atol=1e-12)
 
+    def test_bitwise_equal_to_diagonal_matrix_route(self):
+        # the square root of A - B as V @ diag(sqrt(clip(lambda))) @ V.T, the
+        # form that scaling the columns of V replaced; every bit must agree
+        def transcription(system):
+            a, b = system.block_a, system.block_b
+            lam, vecs = np.linalg.eigh(a - b)
+            assert lam.min() >= -1e-10  # every set here takes the symmetrized route
+            root = vecs @ np.diag(np.sqrt(np.clip(lam, 0, None))) @ vecs.T
+            sym = root @ (a + b) @ root
+            return np.linalg.eigvalsh(0.5 * (sym + sym.T))
+
+        cases = sample_parameter_sets(np.random.Generator(np.random.Philox(2024)), 30)
+        cases += [normalized_params(0.1, n_sp) for n_sp in (51, 101)]
+        momenta = np.concatenate([[0.0], np.logspace(-2, 1, 20)])
+        for params in cases:
+            for p in momenta:
+                system = build_bdg(params, float(p))
+                e_sq, stable = oracle_energies(system)
+                assert stable
+                assert np.array_equal(e_sq, transcription(system)), (params, p)
+
     def test_stability_flag_flips_with_rabi_sign(self):
         stable_params = ModelParams(9, 1.0, 1.0, 1.0, 0.1, -0.1)
         tachyonic = ModelParams(9, 1.0, 1.0, 1.0, -0.1, 0.1)
@@ -82,6 +125,50 @@ class TestOracleEnergies:
         e_sq, flag = oracle_energies(build_bdg(tachyonic, 0.0))
         assert not flag
         assert np.min(e_sq) < -1e-6
+
+
+class TestCompareWithClosedForms:
+    def test_one_module_level_solve_per_momentum_in_grid_order(self, standard_params,
+                                                               monkeypatch):
+        # the benchmark's BdG check wraps oracle.oracle_energies the same way
+        momenta = np.logspace(-2, 1, 7)
+        solve = oracle.oracle_energies
+        seen = []
+
+        def recorded(system):
+            e_sq, stable = solve(system)
+            seen.append(system.momentum)
+            if len(seen) == 4:  # a 1e-3 error at one momentum must be the one reported
+                e_sq = e_sq * (1.0 + 1e-3)
+            return e_sq[::-1], stable and len(seen) != 6
+
+        monkeypatch.setattr(oracle, "oracle_energies", recorded)
+        worst, stable = compare_with_closed_forms(standard_params, momenta)
+        assert seen == momenta.tolist()
+        assert abs(worst - 1e-3) <= 1e-9
+        assert stable is False
+
+    def test_nan_spectrum_makes_the_error_nan(self, standard_params, monkeypatch):
+        solve = oracle.oracle_energies
+
+        def poisoned(system):
+            e_sq, stable = solve(system)
+            return np.where(np.arange(e_sq.size) == 2, np.nan, e_sq), stable
+
+        monkeypatch.setattr(oracle, "oracle_energies", poisoned)
+        worst, _ = compare_with_closed_forms(standard_params, [0.1, 1.0])
+        assert np.isnan(worst)
+
+    def test_empty_grid_is_refused(self, standard_params):
+        with pytest.raises(ValueError, match="at least one momentum"):
+            compare_with_closed_forms(standard_params, [])
+
+    @pytest.mark.parametrize("p", [1e200, np.inf, -np.inf, np.nan, 1e150])
+    def test_non_finite_kinetic_term_is_an_oracle_error(self, p):
+        # overflow is the point here, so its floating-point warnings are silenced
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OracleError):
+                compare_with_closed_forms(normalized_params(0.1, 9), [p])
 
 
 class TestOracleAmplitudes:
