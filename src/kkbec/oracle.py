@@ -2,16 +2,20 @@
 
 Builds the quadratic fluctuation form of the full Hamiltonian around the
 uniform mean field (chemical potential mu = nU + 2nU' + 2*Omega, the value
-that keeps the j = 0 mode gapless) and extracts squared eigenenergies with a
-dense symmetric eigensolver. Only :func:`compare_with_closed_forms` touches
-the closed forms in :mod:`kkbec.spectrum`, to hold them against these spectra;
-that agreement is what the test suite and the `oracle-check` CLI command
+that keeps the j = 0 mode gapless) and extracts the squared eigenenergies,
+the spectrum of (A+B)(A-B), by the symmetric-definite reduction: A + B is
+factored as L L^T by Cholesky, and the congruence L^T (A-B) L, which has the
+same spectrum, goes to a dense symmetric eigensolver. Only when A + B is not
+positive definite, so that the factorization fails, is the product itself
+handed to a general eigensolver. The closed forms in :mod:`kkbec.spectrum` are
+touched only by :func:`compare_with_closed_forms`, to hold them against these
+spectra; that agreement is what the test suite and the `oracle-check` CLI command
 certify.
 
 The identity and ring-coupling tables depend only on N, so they are built
 once per N and kept, read-only, in a small bounded cache. Every momentum is
-still assembled into fresh blocks and solved densely on its own: nothing of
-one eigendecomposition is reused for another.
+still assembled into fresh blocks and factored and solved densely on its own:
+nothing of one momentum's factorization is reused for another.
 """
 
 from __future__ import annotations
@@ -69,34 +73,32 @@ def build_bdg(params: ModelParams, p: float) -> BdGSystem:
 def oracle_energies(system: BdGSystem) -> tuple[np.ndarray, bool]:
     """Squared eigenenergies of (A+B)(A-B), unsorted, plus a stability flag.
 
-    When A - B is positive semidefinite the symmetrized form
-    sqrt(A-B) (A+B) sqrt(A-B) is diagonalized (same spectrum, symmetric);
-    otherwise the plain product is handed to a general eigensolver and
-    near-real eigenvalues are truncated to their real parts.
+    When A + B is positive definite it is factored as L L^T, and the
+    congruence L^T (A-B) L, similar to (A+B)(A-B), is diagonalized
+    symmetrically; a negative eigenvalue there marks an instability of A - B.
+    Only when the Cholesky factorization fails (A + B not positive definite)
+    is the plain product handed to a general eigensolver, whose near-real
+    eigenvalues are truncated to their real parts.
     """
     a, b = system.block_a, system.block_b
-    diff = a - b
     try:
-        diff_eigs, diff_vecs = np.linalg.eigh(diff)
-    except np.linalg.LinAlgError as exc:  # a non-finite kinetic term, e.g. p = 1e200
-        raise OracleError("eigendecomposition of A - B failed") from exc
-    if diff_eigs.min() >= -STABILITY_TOL:
-        # scaling the columns of V is V @ diag(sqrt(lambda)) bit for bit, without the gemm
-        root = (diff_vecs * np.sqrt(np.maximum(diff_eigs, 0.0))) @ diff_vecs.T
-        sym = root @ (a + b) @ root
-        sym = 0.5 * (sym + sym.T)
+        chol = np.linalg.cholesky(a + b)
+    except np.linalg.LinAlgError:  # A + B not positive definite, e.g. U' = -1, Omega = -0.1
         try:
-            e_sq = np.linalg.eigvalsh(sym)
-        except np.linalg.LinAlgError as exc:  # the product overflows, e.g. p = 1e150
-            raise OracleError("symmetrized eigenproblem failed") from exc
-    else:
-        try:
-            raw = np.linalg.eigvals((a + b) @ diff)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raw = np.linalg.eigvals((a + b) @ (a - b))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - no known input: non-finite
+            # blocks pass the Cholesky step and fail below
             raise OracleError("general eigenproblem failed") from exc
         if np.any(np.abs(raw.imag) > STABILITY_TOL * np.maximum(1.0, np.abs(raw.real))):
             raise OracleError("E^2 spectrum came out complex beyond tolerance")
         e_sq = raw.real
+    else:
+        sym = chol.T @ (a - b) @ chol
+        try:
+            e_sq = np.linalg.eigvalsh(0.5 * (sym + sym.T))
+        except np.linalg.LinAlgError as exc:  # p = 1e200, +-inf, NaN: inf or NaN in L;
+            # p = 1e150: the congruence overflows
+            raise OracleError("symmetrized eigenproblem failed") from exc
     stable = bool(e_sq.min() >= -STABILITY_TOL)
     return e_sq, stable
 

@@ -188,6 +188,18 @@ class TestOracleCheck:
         assert report["hand_case_n3_ok"] is True
         assert report["tachyon_case_flagged"] is True
 
+    def test_seed_with_small_energies_passes(self, tmp_path):
+        # its worst case (N = 11, U' = -0.485, Omega = -0.473) divides the solver's
+        # roundoff by a small E^2; the Cholesky congruence keeps it under 5e-10
+        code, out = run_to_file(
+            tmp_path, "oracle.json",
+            ["oracle-check", "--cases", "8", "--seed", "2186642200"],
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["pass"] is True
+        assert report["max_rel_err"] < 5e-10
+
     def test_mismatch_exit_code(self, tmp_path, config, monkeypatch):
         import kkbec.oracle
 

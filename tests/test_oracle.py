@@ -96,13 +96,15 @@ class TestOracleEnergies:
             expected = closed_form_e_sq(standard_params, p)
             assert np.allclose(np.sort(e_sq), np.sort(expected), rtol=1e-10, atol=1e-12)
 
-    def test_bitwise_equal_to_diagonal_matrix_route(self):
-        # the square root of A - B as V @ diag(sqrt(clip(lambda))) @ V.T, the
-        # form that scaling the columns of V replaced; every bit must agree
+    def test_matches_square_root_route_to_roundoff(self):
+        # the route the Cholesky congruence replaced: sqrt(A - B) (A + B) sqrt(A - B)
+        # with the square root as V @ diag(sqrt(clip(lambda))) @ V.T; the sorted E^2
+        # agree to 100 eps ||A+B||_2 ||A-B||_2, and the wrong congruence L (A-B) L^T
+        # must miss that bound, so it is not vacuous
         def transcription(system):
             a, b = system.block_a, system.block_b
             lam, vecs = np.linalg.eigh(a - b)
-            assert lam.min() >= -1e-10  # every set here takes the symmetrized route
+            assert lam.min() >= -1e-10  # every set here has A - B positive semidefinite
             root = vecs @ np.diag(np.sqrt(np.clip(lam, 0, None))) @ vecs.T
             sym = root @ (a + b) @ root
             return np.linalg.eigvalsh(0.5 * (sym + sym.T))
@@ -110,12 +112,54 @@ class TestOracleEnergies:
         cases = sample_parameter_sets(np.random.Generator(np.random.Philox(2024)), 30)
         cases += [normalized_params(0.1, n_sp) for n_sp in (51, 101)]
         momenta = np.concatenate([[0.0], np.logspace(-2, 1, 20)])
+        eps = np.finfo(float).eps
+        worst_wrong = 0.0
         for params in cases:
             for p in momenta:
                 system = build_bdg(params, float(p))
+                a, b = system.block_a, system.block_b
+                bound = 100 * eps * np.linalg.norm(a + b, 2) * np.linalg.norm(a - b, 2)
+                reference = transcription(system)
                 e_sq, stable = oracle_energies(system)
                 assert stable
-                assert np.array_equal(e_sq, transcription(system)), (params, p)
+                assert np.max(np.abs(np.sort(e_sq) - reference)) <= bound, (params, p)
+                chol = np.linalg.cholesky(a + b)
+                wrong = np.linalg.eigvalsh(chol @ (a - b) @ chol.T)
+                worst_wrong = max(worst_wrong, np.max(np.abs(wrong - reference)) / bound)
+        assert worst_wrong > 1.0
+
+    def test_indefinite_a_plus_b_takes_the_general_solver(self, monkeypatch):
+        params = ModelParams(9, 1.0, 1.0, 1.0, -1.0, -0.1)
+        system = build_bdg(params, 0.3)
+        assert np.linalg.eigvalsh(system.block_a + system.block_b).min() < -1.9
+        calls = []
+        general = np.linalg.eigvals
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return general(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        worst, stable = compare_with_closed_forms(params, [0.3])
+        assert calls == [(9, 9)]
+        assert worst <= 1e-12
+        assert stable is False
+
+    def test_tachyonic_set_stays_on_the_symmetric_route(self, monkeypatch):
+        # A + B is positive definite and A - B indefinite: the congruence carries
+        # the negative E^2 without the general solver
+        def refused(matrix):
+            raise AssertionError("the general eigensolver was called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refused)
+        tachyonic = ModelParams(9, 1.0, 1.0, 1.0, -0.1, 0.1)
+        for p in (0.0, 0.1, 0.5):
+            system = build_bdg(tachyonic, p)
+            assert np.linalg.eigvalsh(system.block_a - system.block_b).min() < 0.0
+            e_sq, stable = oracle_energies(system)
+            assert not stable
+            assert np.allclose(np.sort(e_sq), np.sort(closed_form_e_sq(tachyonic, p)),
+                               rtol=1e-10, atol=1e-12)
 
     def test_stability_flag_flips_with_rabi_sign(self):
         stable_params = ModelParams(9, 1.0, 1.0, 1.0, 0.1, -0.1)
@@ -163,11 +207,25 @@ class TestCompareWithClosedForms:
         with pytest.raises(ValueError, match="at least one momentum"):
             compare_with_closed_forms(standard_params, [])
 
+    def test_one_cholesky_and_one_eigvalsh_per_momentum(self, standard_params, monkeypatch):
+        # a work gate that does not depend on the machine: no eigenvector solve
+        momenta = np.logspace(-2, 1, 7)
+        counts = {}
+        for name in ("cholesky", "eigvalsh", "eigh", "eigvals"):
+            def counted(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        worst, stable = compare_with_closed_forms(standard_params, momenta)
+        assert stable and worst <= 1e-9
+        assert counts == {"cholesky": momenta.size, "eigvalsh": momenta.size}
+
     @pytest.mark.parametrize("p", [1e200, np.inf, -np.inf, np.nan, 1e150])
     def test_non_finite_kinetic_term_is_an_oracle_error(self, p):
         # overflow is the point here, so its floating-point warnings are silenced
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(OracleError):
+            with pytest.raises(OracleError, match="symmetrized eigenproblem failed"):
                 compare_with_closed_forms(normalized_params(0.1, 9), [p])
 
 
