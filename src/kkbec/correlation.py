@@ -160,12 +160,15 @@ def _de_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
 def fourier_sin_integral(g, s: float, rel_tol: float = 1e-10) -> tuple[float, float]:
     """Integrate g(eta)*sin(eta*s) over [0, inf) for smooth, slowly decaying g.
 
-    ``g`` must accept numpy arrays. The double-exponential rule runs at steps
-    0.1 * 2^-k, k = 0..6, until two successive sums agree within
-    max(min(1e-15, rel_tol), rel_tol * |sum|); their difference, at least the
-    roundoff of the sum, is the error estimate. ``rel_tol`` must be > 0.
-    Raises :class:`QuadratureError` (carrying the last sum) if they never agree,
-    agree only to a roundoff above the tolerance, or a sum is not finite.
+    ``g`` must accept numpy arrays and return the values, or a pair (values,
+    sizes) with each value's size before it cancelled (a plain array is its own
+    sizes). The double-exponential rule runs at steps 0.1 * 2^-k, k = 0..6,
+    until two successive sums agree within max(min(1e-15, rel_tol), rel_tol *
+    |sum|); their difference, at least the sum's roundoff eps * sum_k |W_k
+    sizes_k| / s (W_k the rule's weights, eps the machine epsilon), is the error
+    estimate. ``rel_tol`` must be > 0. Raises :class:`QuadratureError` (with the
+    last sum, and why) if they never agree, agree only to a roundoff above the
+    tolerance, or a sum is not finite.
     """
     if not s > 0:
         raise ValueError("oscillation frequency s must be positive")
@@ -177,17 +180,21 @@ def fourier_sin_integral(g, s: float, rel_tol: float = 1e-10) -> tuple[float, fl
         nodes, weights = _de_rule(level)
         # an overflow in g leaves inf or NaN in the sum, which fails below
         with np.errstate(all="ignore"):
-            terms = weights * g(nodes / s)
-            prev, value = value, float(np.sum(terms)) / s
-            # roundoff of the sum bounds the achievable accuracy
-            roundoff = 1e-16 * float(np.sum(np.abs(terms))) / s
+            out = g(nodes / s)
+            values, sizes = out if isinstance(out, tuple) else (out, out)
+            prev, value = value, float((weights * values).sum()) / s
+            # a sum rounds in proportion to the magnitudes it adds (Higham, ASNA 4.2)
+            roundoff = math.ulp(1.0) * float(np.abs(weights * sizes).sum()) / s
             err = max(abs(value - prev), roundoff)
-        if math.isfinite(value) and err <= max(abs_tol, rel_tol * abs(value)):
+        tol = max(abs_tol, rel_tol * abs(value))
+        if math.isfinite(value) and err <= tol:
             return value, err
         if not math.isfinite(value) or err == roundoff:  # a finer step cannot help
             break
-    raise QuadratureError(f"no convergence by quadrature step {level + 1} of 7 (err={err:.3g})",
-                          partial_value=value, error_estimate=err)
+    why = ("got a non-finite sum" if not math.isfinite(value) else
+           "reached its roundoff floor" if err == roundoff else "ran out of steps")
+    raise QuadratureError(f"quadrature {why} at step {level + 1} of 7: error {err:.3g}, requested "
+                          f"{tol:.3g}", partial_value=value, error_estimate=err)
 
 
 # ---------------------------------------------------------------------------
@@ -293,19 +300,17 @@ def mode_integrand(params: ModelParams, j: int, eta) -> float | np.ndarray:
 
 
 def numeric_corr(query: CorrelationQuery, rel_tol: float = 1e-10) -> tuple[float, float]:
-    """Exact mode-sum correlator, in 1/xi^3 units, with an error estimate."""
+    """Exact mode-sum correlator in 1/xi^3 units, with an error estimate bounding its roundoff."""
     n_sp = query.params.species_count
     weights = _level_weights(n_sp, query.delta)
     excess = _amplitude_excess(_gap_ratios(query.params), n_sp)
+    sizes = np.abs(weights)  # the excesses e_l are positive: levels @ sizes is sum_l |w_l e_l|
 
     def g(eta):
-        return eta * (excess(eta) @ weights)
+        levels = excess(eta)
+        return eta * (levels @ weights), eta * (levels @ sizes)
 
     integral, err = fourier_sin_integral(g, query.s, rel_tol)
-    # roundoff of the pointwise weighted sum, ~1e-16 sum_j |w_j I_j| with each
-    # mode integral I_j <~ min(pi/2, sqrt2/s)/N, is invisible to the quadrature
-    mode_scale = min(0.5 * math.pi, math.sqrt(2.0) / query.s) / n_sp
-    err = max(err, 1e-16 * float(np.sum(np.abs(weights))) * mode_scale)
     norm = 2.0 * math.pi**2 * query.s
     return integral / norm, err / norm
 

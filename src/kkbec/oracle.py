@@ -53,11 +53,6 @@ def _ring_tables(species_count: int) -> tuple[np.ndarray, np.ndarray]:
     return ident, coupling
 
 
-def ring_coupling_matrix(species_count: int) -> np.ndarray:
-    """C_ij = delta_{i,j+1} + delta_{i+1,j} with indices mod N (shared, read-only)."""
-    return _ring_tables(species_count)[1]
-
-
 def build_bdg(params: ModelParams, p: float) -> BdGSystem:
     """Assemble the A and B blocks of the linearized Hamiltonian at momentum p."""
     n_sp = params.species_count

@@ -8,6 +8,7 @@ import pytest
 from scipy import integrate
 from scipy.integrate import IntegrationWarning
 
+from kkbec import correlation
 from kkbec.model import ModelParams
 
 
@@ -138,3 +139,36 @@ def correlator_quadpack_oracle(params: ModelParams, s: float, delta: int) -> tup
     terms = np.cos(2.0 * math.pi * np.arange(n_sp) * delta / n_sp) * values
     norm = 2.0 * math.pi**2 * s
     return float(terms.sum()) / norm, float(np.abs(terms).sum()) / norm
+
+
+def long_double_level_sum(params: ModelParams, s: float, delta: int,
+                          rel_tol: float = 1e-10) -> tuple[float, float, float]:
+    """numeric_corr's (value, error) and its level sum redone in long double.
+
+    The reference takes the package's gap ratios and level weights, the same
+    ``_de_rule`` nodes and weights at the step where the quadrature stopped, and
+    forms the amplitude excesses, the level sum and the quadrature sum in
+    ``np.longdouble``. It differs from the value only by the double-precision
+    roundoff, which the error estimate has to bound.
+    """
+    steps = []
+    rule = correlation._de_rule
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(correlation, "_de_rule", lambda level: steps.append(level) or rule(level))
+        value, err = correlation.numeric_corr(correlation.CorrelationQuery(s, delta, params),
+                                              rel_tol)
+    ld = np.longdouble
+    n_sp = params.species_count
+    nodes, weights = (array.astype(ld) for array in rule(steps[-1]))
+    mus = correlation._gap_ratios(params).astype(ld)
+    level_weights = correlation._level_weights(n_sp, delta).astype(ld)
+    c = np.sqrt(1 - mus * mus)
+    pi = 4 * np.arctan(ld(1))
+    total = ld(0)
+    for start in range(0, nodes.size, 512):  # blocks keep N = 1001 small in memory
+        eta = (nodes[start:start + 512] / ld(s))[:, np.newaxis]
+        a = 1 + c + eta * eta
+        r = np.sqrt(mus * mus + eta * eta * (2 + eta * eta))
+        excess = (2 * c / n_sp) * (a / r) / (a + r)
+        total += np.sum(weights[start:start + 512] * eta[:, 0] * (excess @ level_weights))
+    return value, err, float(total / ld(s) / (2 * pi * pi * ld(s)))

@@ -24,7 +24,7 @@ from kkbec.correlation import (
 )
 from kkbec.spectrum import bogoliubov_amplitudes, rest_energy_sq
 
-from conftest import correlator_quadpack_oracle, k1_integral_oracle
+from conftest import correlator_quadpack_oracle, k1_integral_oracle, long_double_level_sum
 
 
 class TestBesselK1:
@@ -93,6 +93,28 @@ class TestFourierSinIntegral:
         assert excinfo.value.partial_value is not None
         assert excinfo.value.error_estimate is not None
 
+    def test_sizes_of_the_magnitudes_change_nothing(self):
+        # a pair (values, |values|) is what a plain array means, bit for bit
+        def g(eta):
+            return eta / np.sqrt(eta**2 + 0.04) - 1.0
+
+        for s in (5.0, 12.0):
+            plain = fourier_sin_integral(g, s)
+            paired = fourier_sin_integral(lambda eta: (g(eta), np.abs(g(eta))), s)
+            assert paired == plain
+
+    def test_sizes_set_the_roundoff_floor(self):
+        # sizes 1e12 times the values put the floor near 2e-4 of the sum, so the
+        # second step stops there with the sum the plain integrand returns
+        def g(eta):
+            return eta / (eta**2 + 1.0)
+
+        value, _ = fourier_sin_integral(g, 3.0)
+        with pytest.raises(QuadratureError, match="reached its roundoff floor at step 2 of 7: "
+                                                  r"error \S+, requested 7\.82e-12") as excinfo:
+            fourier_sin_integral(lambda eta: (g(eta), 1e12 * np.abs(g(eta))), 3.0)
+        assert excinfo.value.partial_value == value
+
     def test_unreachable_tolerance_fails_at_the_roundoff(self):
         # once two sums agree to within their roundoff, no finer step can meet
         # a tolerance below it, so the row fails after the second step
@@ -103,7 +125,8 @@ class TestFourierSinIntegral:
             evaluations += eta.size
             return eta / (eta**2 + 1.0)
 
-        with pytest.raises(QuadratureError) as excinfo:
+        with pytest.raises(QuadratureError, match="reached its roundoff floor at step 2 of 7: "
+                                                  r"error \S+, requested 1e-30") as excinfo:
             fourier_sin_integral(g, 3.0, rel_tol=1e-30)
         assert evaluations <= 1000
         expected = 0.5 * math.pi * math.exp(-3.0)
@@ -119,7 +142,8 @@ class TestFourierSinIntegral:
             evaluations += eta.size
             return eta / np.sqrt(eta**2 + 1.0) - 1.0
 
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError, match="ran out of steps at step 7 of 7: "
+                                                  r"error \S+, requested 1e-15"):
             fourier_sin_integral(g, 1e-6)
         assert evaluations <= 20_000
 
@@ -386,6 +410,35 @@ class TestQuadpackOracle:
         value, err = numeric_corr(CorrelationQuery(s=s, delta=delta, params=params))
         assert abs(value - expected) <= 1e-9 * scale
         assert 1e-16 * scale <= err <= 1e-9 * scale
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18, reason="long double is not wider than double")
+class TestLevelSumRoundoff:
+    """D_numeric_err bounds the roundoff of the level sum.
+
+    The reference redoes the sum in long double on the same nodes, so the
+    difference is double-precision roundoff alone. The rows cancel deeply at
+    large s: there the pointwise roundoff of the sum, which does not oscillate
+    away, is far above the size of the mode integrals, and a floor scaled to
+    that size came out up to 8.7 times too small.
+    """
+
+    ROWS = [(1e-6, 51, 25, 100.0), (1e-6, 9, 3, 300.0), (1e-6, 1001, 500, 100.0),
+            (1e-3, 51, 25, 100.0), (1e-6, 101, 50, 100.0), (1e-6, 51, 25, 30.0),
+            (0.1, 51, 1, 10.0), (1e-3, 9, 0, 300.0)]
+
+    @pytest.mark.parametrize("ratio, n_sp, delta, s", ROWS)
+    def test_bounds_the_long_double_sum(self, ratio, n_sp, delta, s):
+        value, err, reference = long_double_level_sum(normalized_params(ratio, n_sp), s, delta)
+        assert abs(value - reference) <= err
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 50).flatmap(lambda k: st.tuples(st.just(2 * k + 1), st.integers(0, 2 * k))),
+           st.floats(-6.0, math.log10(0.24)), st.floats(-3.0, 5.0))
+    def test_property_bounds_the_long_double_sum(self, mode_count_and_delta, log_ratio, log_s):
+        (n_sp, delta), ratio, s = mode_count_and_delta, 10.0**log_ratio, 10.0**log_s
+        value, err, reference = long_double_level_sum(normalized_params(ratio, n_sp), s, delta)
+        assert abs(value - reference) <= err
 
 
 def _count_evaluations(monkeypatch) -> list[int]:

@@ -9,7 +9,6 @@ from kkbec.oracle import (
     compare_with_closed_forms,
     oracle_amplitudes,
     oracle_energies,
-    ring_coupling_matrix,
     sample_parameter_sets,
 )
 from kkbec.spectrum import bogoliubov_amplitudes, dispersion
@@ -20,19 +19,19 @@ from conftest import closed_form_e_sq
 class TestCouplingMatrix:
     def test_matches_cyclic_shift_construction(self):
         for n_sp in (3, 5, 9):
-            c = ring_coupling_matrix(n_sp)
+            c = oracle._ring_tables(n_sp)[1]
             shift = np.roll(np.eye(n_sp), 1, axis=1)
             assert np.array_equal(c, shift + shift.T)
 
     def test_two_neighbours_each(self):
-        c = ring_coupling_matrix(7)
+        c = oracle._ring_tables(7)[1]
         assert np.array_equal(c.sum(axis=0), np.full(7, 2.0))
         assert np.array_equal(c, c.T)
         assert np.all(np.diag(c) == 0.0)
 
     def test_built_once_per_n_and_read_only(self):
-        c = ring_coupling_matrix(7)
-        assert c is ring_coupling_matrix(7)
+        c = oracle._ring_tables(7)[1]
+        assert c is oracle._ring_tables(7)[1]
         assert not c.flags.writeable
         with pytest.raises(ValueError):
             c[0, 1] = 5.0
@@ -42,7 +41,7 @@ class TestCouplingMatrix:
 class TestBuildBdG:
     def test_n3_mono_blocks(self, n3_params):
         system = build_bdg(n3_params, 0.0)
-        c = ring_coupling_matrix(3)
+        c = oracle._ring_tables(3)[1]
         assert np.allclose(system.block_a, 1.2 * np.eye(3), atol=1e-15)
         assert np.allclose(system.block_b, np.eye(3) + 0.1 * c, atol=1e-15)
 
