@@ -31,25 +31,36 @@ EXIT_ORACLE = 5
 DEFAULT_SEED = 20240800
 
 
+# json's spelling of the reprs that are not JSON; every other repr of an int or float is
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null",
+                  "True": "true", "False": "false"}
+
+
 def _write_table(path, columns: dict, fmt: str, take: dict | None = None) -> None:
     """Write columns of one kind of value each (numbers of one type, or floats and None).
 
-    A CSV cell is ``repr`` of a Python scalar of ``np.ravel(column).tolist()``, or
-    empty for None; with ``take[name]``, row i shows value ``take[name][i]``.
+    A cell is ``repr`` of a Python scalar of ``np.ravel(column).tolist()``: empty
+    for None in CSV, and in JSON spelled as ``json.dumps(records, indent=2)``
+    does. With ``take[name]``, row i shows value ``take[name][i]``.
     """
     take = take or {}
     cells = []
     for name, column in columns.items():
-        values = np.ravel(column).tolist()
+        values = map(repr, np.ravel(column).tolist())
         if fmt == "csv":
-            values = ["" if value is None else repr(value) for value in values]
+            values = ["" if value == "None" else value for value in values]
+        else:
+            values = [_JSON_SPELLING.get(value, value) for value in values]
         cells.append(np.array(values, dtype=object)[take[name]].tolist() if name in take else values)
     rows = zip(*cells)
     if fmt == "csv":
         text = "\n".join([",".join(columns), *map(",".join, rows)]) + "\n"
     else:
-        records = [dict(zip(columns, row)) for row in rows]
-        text = json.dumps(records, indent=2, allow_nan=True) + "\n"
+        # the layout of json.dumps(records, indent=2), without its pure-Python encoder
+        keys = [json.dumps(name).replace("%", "%%") for name in columns]
+        record = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
+        records = ",\n".join([record % row for row in rows])
+        text = f"[\n{records}\n]\n" if records else "[]\n"
     _write_text(path, text)
 
 

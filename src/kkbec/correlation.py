@@ -24,12 +24,18 @@ nodes approach the zeros of sin(eta*s).
 
 ``correlation_table`` evaluates all three over an s grid at one Delta and
 returns the columns that the ``correlation`` command writes.
+
+The level basis is memoized: the gap ratios and a/xi, pure functions of the
+frozen ``ModelParams``, and the level weights, of (N, Delta), are built once
+into bounded caches of read-only values. Errors are not cached.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,15 +230,42 @@ def analytic_corr(query: CorrelationQuery) -> float:
     Delta is the ring-site separation, so the synthetic distance uses the
     nearest image min(Delta, N - Delta).
     """
-    ratio = derive_scales(query.params, mono_metric=True).length_ratio
+    ratio = _length_ratio(query.params)
     delta = abs(kk_label(query.delta, query.params.species_count))
     # R_l/rho^3 as (R_l/rho)/rho^2 stays finite where rho^3 overflows
     rho = math.hypot(query.s, ratio * delta)
     return ratio / rho / (rho * rho) / (2.0 * math.sqrt(2.0) * math.pi**2)
 
 
+_FIELDS = operator.attrgetter(*(field.name for field in dataclasses.fields(ModelParams)))
+
+
+def _memo(maxsize: int):
+    """A bounded ``functools.lru_cache`` of a ModelParams builder, keyed on every field's type too.
+
+    Equal sets can build different values: an int density 2**600, squared,
+    overflows a conversion to float where the equal float gives inf.
+    """
+    def memoize(build):
+        cached = functools.lru_cache(maxsize, typed=True)(lambda params, *fields: build(params))
+        memo = functools.wraps(build)(lambda params: cached(params, *_FIELDS(params)))
+        memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
+        return memo
+
+    return memoize
+
+
+# a bound on the parameter sets kept, one float and one ModelParams key each
+@_memo(maxsize=32)
+def _length_ratio(params: ModelParams) -> float:
+    """a/xi under mono-metricity, the length ratio R_l of the closed form and the tower."""
+    return derive_scales(params, mono_metric=True).length_ratio
+
+
+# a bound on the N//2 + 1 floats kept per parameter set: 32 arrays, 128 kB at N = 1001
+@_memo(maxsize=32)
 def _gap_ratios(params: ModelParams) -> np.ndarray:
-    """mu_n = E_rn / (m c_s^2) for every level |n| = 0..N//2, with the mono-metric cutoff."""
+    """Read-only mu_n = E_rn / (m c_s^2) of the levels |n| = 0..N//2, mono-metric cutoff."""
     cutoff = params.nU - 2.0 * params.rabi  # m c_s^2 under mono-metricity
     if cutoff <= 0:
         raise StabilityError(f"no stable sound cone: m c_s^2 = {cutoff:.6g} <= 0")
@@ -251,15 +284,19 @@ def _gap_ratios(params: ModelParams) -> np.ndarray:
             "mode amplitudes use the single mono-metric sound speed; "
             f"n*U' = {params.nUprime:.6g} does not match -Omega = {-params.rabi:.6g}"
         )
+    mus.flags.writeable = False
     return mus
 
 
+# a bound on the N//2 + 1 floats kept per (N, Delta): 128 arrays, 512 kB at N = 1001
+@functools.lru_cache(maxsize=128, typed=True)
 def _level_weights(n_sp: int, delta: int) -> np.ndarray:
-    """Weights sum_{j = +-n} cos(2 pi j Delta/N) of the levels |n| = 0..N//2 in both mode sums."""
+    """Read-only weights sum_{j = +-n} cos(2 pi j Delta/N) of the levels |n| = 0..N//2."""
     # folding by kk_label keeps each angle exact; modes n, N - n share its cosine bit for bit
     levels = np.arange(n_sp // 2 + 1)
     weights = np.cos(2.0 * np.pi * abs(kk_label(levels * delta, n_sp)) / n_sp)
     weights[1:(n_sp + 1) // 2] *= 2.0
+    weights.flags.writeable = False
     return weights
 
 
@@ -325,8 +362,8 @@ def truncated_corr(query: CorrelationQuery, j_tr: int, weighted: bool = True) ->
     n_sp = query.params.species_count
     if not 0 <= j_tr <= (n_sp - 1) // 2:
         raise ValueError(f"j_tr must lie in 0..{(n_sp - 1) // 2}, got {j_tr}")
-    ratio = derive_scales(query.params, mono_metric=True).length_ratio
-    weights = _level_weights(n_sp, query.delta if weighted else 0).tolist()
+    ratio = _length_ratio(query.params)
+    weights = _level_weights(n_sp, query.delta if weighted else 0)[:j_tr + 1].tolist()
     masses = [(2.0 * math.pi * n / n_sp) / ratio for n in range(1, j_tr + 1)]
     terms = [1.0 / query.s] + [mass * bessel_k1(mass * query.s) for mass in masses]
     total = 0.0

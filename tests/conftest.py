@@ -50,6 +50,20 @@ def n3_params():
     )
 
 
+@pytest.fixture
+def cold_memos():
+    """Every memo of ``kkbec.correlation``, emptied before and after the test.
+
+    Counts of what a test builds then do not depend on the order tests run in.
+    """
+    memos = [value for value in vars(correlation).values() if hasattr(value, "cache_clear")]
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
 def k1_integral_oracle(x: float) -> float:
     """K1 via its integral representation, int_0^inf exp(-x cosh t) cosh t dt.
 

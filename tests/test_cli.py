@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kkbec import cli, model, spectrum
@@ -583,6 +583,21 @@ class TestTableWriter:
         columns = dict(zip(header, map(list, zip(*cells))))
         columns["float"] = np.array(columns["float"])
         assert _column_table(tmp_path, columns, fmt) == _per_cell_table(header, cells, fmt)
+
+    @settings(max_examples=100, deadline=None)
+    @example(cells=[])
+    @given(cells=st.lists(st.tuples(
+        st.one_of(st.none(), st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf,
+                                                           -math.inf])),
+        st.floats(), st.integers(), st.booleans()), max_size=6))
+    def test_json_is_json_dumps(self, tmp_path_factory, cells):
+        # the joined text against the encoder it replaced, with the names json has to escape
+        header = ["optional", 'float "%s"', "int \\ é", "bool"]
+        columns = dict(zip(header, map(list, zip(*cells)))) or dict.fromkeys(header, [])
+        columns['float "%s"'] = np.array(columns['float "%s"'], dtype=float)
+        records = [dict(zip(header, row)) for row in cells]
+        expected = json.dumps(records, indent=2, allow_nan=True) + "\n"
+        assert _column_table(tmp_path_factory.mktemp("table"), columns, "json") == expected
 
     @pytest.mark.parametrize("n_sp", [3, 101])
     @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -460,11 +460,13 @@ def _count_evaluations(monkeypatch) -> list[int]:
 
 
 @pytest.mark.parametrize("n_sp, s, delta", [(9, 0.1, 1), (51, 0.05, 17)])
-def test_evaluation_count_gate(monkeypatch, n_sp, s, delta):
+def test_evaluation_count_gate(monkeypatch, cold_memos, n_sp, s, delta):
     # machine-independent work bound; an integrand that loses its digits to
     # cancellation at large eta drives the first point to millions of evaluations
+    query = CorrelationQuery(s=s, delta=delta, params=normalized_params(1e-3, n_sp))
+    numeric_corr(query)  # a warm memo must not hide the evaluations from the count
     evaluations = _count_evaluations(monkeypatch)
-    numeric_corr(CorrelationQuery(s=s, delta=delta, params=normalized_params(1e-3, n_sp)))
+    numeric_corr(query)
     assert 0 < evaluations[0] <= 2000
 
 
@@ -559,6 +561,135 @@ def test_level_weights_sum_the_mode_weights(n_sp):
         mode_weights = np.cos(2.0 * np.pi * abs(kk_label(modes * delta, n_sp)) / n_sp)
         expected = np.bincount(levels, mode_weights)
         assert _level_weights(n_sp, delta).tobytes() == expected.tobytes(), delta
+
+
+def _counted(monkeypatch, name) -> list[int]:
+    calls, function = [0], getattr(correlation, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(correlation, name, counted)
+    return calls
+
+
+class TestLevelBasisMemo:
+    """Gap ratios, level weights and a/xi are built once per parameter set, read-only."""
+
+    PARAMS = ModelParams(9, 1.0, 1.0, 1.0, 1e-3, -1e-3)
+    TACHYONIC = ModelParams(9, 1.0, 1.0, 1.0, -0.1, 0.1)
+    NON_MONO = ModelParams(9, 1.0, 1.0, 1.0, 0.0, -0.1)
+    # pairs that compare equal but differ in a field's type or in the sign of a zero
+    EQUAL_SETS = [
+        (PARAMS, ModelParams(9, 1, 1, 1, 1e-3, -1e-3)),
+        (PARAMS, ModelParams(np.int64(9), np.float64(1.0), 1.0, 1.0, 1e-3, np.float64(-1e-3))),
+        (ModelParams(9, 1.0, 1.0, 1.0, 1e-3, -1e-3, 0.0),
+         ModelParams(9, 1.0, 1.0, 1.0, 1e-3, -1e-3, -0.0)),
+        (ModelParams(9, 1.0, 1.0, 1.0, 0.0, -1e-15), ModelParams(9, 1.0, 1.0, 1.0, -0.0, -1e-15)),
+        (ModelParams(9, 1.0, 1.0, 1.0, 0.0, 0.0), ModelParams(9, 1.0, 1.0, 1.0, -0.0, -0.0)),
+        (ModelParams(9, 1.0, 0.0, 1.0, 1.0, -1e-15), ModelParams(9, 1.0, -0.0, 1, 1.0, -1e-15)),
+    ]
+    EQUAL_DELTAS = [(3, np.int64(3)), (3, 3.0), (0, -0.0), (0.0, -0.0), (1, True)]
+
+    @staticmethod
+    def _outcome(build, *args):
+        """The bytes built, or the type of the error raised."""
+        try:
+            value = build(*args)
+        except Exception as error:  # the type of any error is the outcome compared
+            return type(error)
+        return np.float64(value).tobytes() if isinstance(value, float) else value.tobytes()
+
+    def test_built_once_and_read_only(self, cold_memos):
+        for memo, args in ((_gap_ratios, (self.PARAMS,)), (_level_weights, (9, 3))):
+            array = memo(*args)
+            assert array is memo(*args)
+            assert not array.flags.writeable
+            before = array.tobytes()
+            with pytest.raises(ValueError):
+                array[1] = 5.0
+            assert array.tobytes() == before
+        ratio = correlation._length_ratio(self.PARAMS)
+        assert ratio == derive_scales(self.PARAMS, mono_metric=True).length_ratio
+        assert correlation._length_ratio(self.PARAMS) is ratio
+        assert all(memo.cache_info().hits == 1 for memo in
+                   (_gap_ratios, _level_weights, correlation._length_ratio))
+
+    def test_bounded(self):
+        for memo in (_gap_ratios, _level_weights, correlation._length_ratio):
+            assert memo.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("first, second", EQUAL_SETS)
+    def test_equal_sets_get_the_bytes_of_a_fresh_build(self, cold_memos, first, second):
+        assert first == second
+        for memo in (_gap_ratios, correlation._length_ratio):
+            self._outcome(memo, first)
+            assert self._outcome(memo, second) == self._outcome(memo.__wrapped__, second)
+            assert self._outcome(memo, first) == self._outcome(memo.__wrapped__, first)
+
+    @pytest.mark.parametrize("first, second", EQUAL_DELTAS)
+    def test_equal_deltas_get_the_bytes_of_a_fresh_build(self, cold_memos, first, second):
+        assert first == second
+        _level_weights(9, first)
+        assert (self._outcome(_level_weights, 9, second)
+                == self._outcome(_level_weights.__wrapped__, 9, second))
+
+    def test_an_int_set_too_large_for_float_still_raises(self, cold_memos):
+        # equal sets: the float products overflow to inf, the exact int product
+        # cannot be converted to float; the float set's value must not answer for it
+        floats = ModelParams(9, 2.0**-600, 2.0**600, 2.0**600, 2.0**600, -2.0**600)
+        ints = ModelParams(9, 2**-600, 2**600, 2**600, 2**600, -2**600)
+        assert floats == ints
+        with np.errstate(invalid="ignore"):  # the float set is memoized, so a hit could answer
+            assert np.isnan(_gap_ratios(floats)).all()
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                _gap_ratios(ints)
+            with pytest.raises(OverflowError):
+                correlation._length_ratio(ints)
+
+    @pytest.mark.parametrize("params, error", [(TACHYONIC, StabilityError),
+                                               (NON_MONO, ValueError)])
+    def test_errors_raise_on_every_call(self, cold_memos, params, error):
+        query = CorrelationQuery(s=5.0, delta=1, params=params)
+        for _ in range(3):
+            with pytest.raises(error):
+                _gap_ratios(params)
+            with pytest.raises(error):
+                numeric_corr(query)
+        assert _gap_ratios.cache_info().currsize == 0
+
+    def test_analytic_corr_needs_no_gap_ratios(self, monkeypatch, cold_memos):
+        def refused(params):
+            raise AssertionError("analytic_corr built the gap ratios")
+
+        monkeypatch.setattr(correlation, "_gap_ratios", refused)
+        # a tachyonic but mono-metric set has the closed form of its scales
+        ratio = derive_scales(self.TACHYONIC, mono_metric=True).length_ratio
+        rho = math.hypot(5.0, ratio)
+        expected = ratio / rho / (rho * rho) / (2.0 * math.sqrt(2.0) * math.pi**2)
+        for _ in range(2):
+            assert analytic_corr(CorrelationQuery(5.0, 1, self.TACHYONIC)) == expected
+            with pytest.raises(ValueError, match="mono_metric"):
+                analytic_corr(CorrelationQuery(5.0, 1, self.NON_MONO))
+        assert correlation._length_ratio.cache_info().currsize == 1
+
+    def test_work_gate(self, monkeypatch, cold_memos):
+        # machine-independent: one table and ten calls of each correlator at one
+        # parameter set build its gap ratios and its scales once
+        gap_builds = _counted(monkeypatch, "rest_energy_sq")
+        scale_builds = _counted(monkeypatch, "derive_scales")
+        params, delta = normalized_params(1e-3, 51), 3
+        table = correlation_table(params, np.logspace(math.log10(4.0), math.log10(400.0), 25),
+                                  delta)
+        assert not np.isnan(table["D_numeric"]).any()
+        for s in np.linspace(5.0, 50.0, 10).tolist():
+            query = CorrelationQuery(s=s, delta=delta, params=normalized_params(1e-3, 51))
+            numeric_corr(query)
+            truncated_corr(query, 2)
+            analytic_corr(query)
+        assert (gap_builds[0], scale_builds[0]) == (1, 1)
 
 
 class TestCrossChecks:
