@@ -39,14 +39,17 @@ _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": 
 def _write_table(path, columns: dict, fmt: str, take: dict | None = None) -> None:
     """Write columns of one kind of value each (numbers of one type, or floats and None).
 
-    A cell is ``repr`` of a Python scalar of ``np.ravel(column).tolist()``: empty
+    A cell is ``repr`` of a Python scalar: an array's ``tolist()`` item, or a
+    list's item as it is, a NumPy scalar unwrapped by ``item()``. It is empty
     for None in CSV, and in JSON spelled as ``json.dumps(records, indent=2)``
     does. With ``take[name]``, row i shows value ``take[name][i]``.
     """
     take = take or {}
     cells = []
     for name, column in columns.items():
-        values = map(repr, np.ravel(column).tolist())
+        # np.ravel would turn a list of ints past int64 into floats
+        values = map(repr, column.ravel().tolist() if isinstance(column, np.ndarray) else
+                     [value.item() if isinstance(value, np.generic) else value for value in column])
         if fmt == "csv":
             values = ["" if value == "None" else value for value in values]
         else:
@@ -129,7 +132,9 @@ def _log_grid(low: float, high: float, points: int) -> np.ndarray:
         raise ValueError(f"grid bounds must be finite and 0 < min <= max, got [{low}, {high}]")
     if points < 1 or (points == 1 and low != high):
         raise ValueError("grid needs at least one point (and min == max for a single point)")
-    grid = np.logspace(math.log10(low), math.log10(high), points)
+    grid = np.empty(points)
+    if points > 2:  # one point or two are the bounds alone
+        grid[1:-1] = np.logspace(math.log10(low), math.log10(high), points)[1:-1]
     grid[0], grid[-1] = low, high  # 10**log10(x) need not be x
     return grid
 

@@ -20,7 +20,11 @@ Modes j and N - j share a gap, so both sums run over the Kaluza-Klein levels
 The radial reduction of the 3D Fourier integral is analytic; the remaining
 oscillatory 1D integral, whose subtracted integrand decays only like 1/eta,
 goes to the Ooura-Mori double-exponential rule for Fourier integrals, whose
-nodes approach the zeros of sin(eta*s).
+nodes approach the zeros of sin(eta*s). Its first two steps, which the stop
+test always needs, share one integrand call. The integrand forms f_j - 1/N
+from r^2 = mu^2 + 2 eta^2 + eta^4 = a b (``_amplitude_excess``), with a hypot
+only where eta^2 underflows, and one product with the columns [w, |w|] of the
+level weights gives the level sum and the size that bounds its roundoff.
 
 ``correlation_table`` evaluates all three over an s grid at one Delta and
 returns the columns that the ``correlation`` command writes.
@@ -45,6 +49,7 @@ from .model import ModelParams, check_mono_metricity, derive_scales, kk_label
 from .spectrum import rest_energy_sq
 
 _EULER_GAMMA = 0.5772156649015328606
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 # ---------------------------------------------------------------------------
@@ -163,18 +168,57 @@ def _de_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+_DE_CALLS = 6  # integrand calls of the seven steps: steps 1 and 2 share the first
+
+
+@functools.cache
+def _de_call(call: int) -> tuple[np.ndarray, tuple]:
+    """Nodes of integrand call ``call`` of the rule, and its steps (part, weights, |weights|).
+
+    Call 0 evaluates steps 1 and 2, which the stop test always needs, and call
+    k > 0 step k + 2; part is the slice of the call's nodes that are the
+    step's own ``_de_rule`` nodes. Each call is built on first use.
+    """
+    rules = [_de_rule(level) for level in ((0, 1) if call == 0 else (call + 1,))]
+    nodes = np.concatenate([rule_nodes for rule_nodes, _ in rules])
+    nodes.flags.writeable = False
+    steps, start = [], 0
+    for rule_nodes, weights in rules:
+        magnitudes = np.abs(weights)
+        magnitudes.flags.writeable = False
+        steps.append((slice(start, start + rule_nodes.size), weights, magnitudes))
+        start += rule_nodes.size
+    return nodes, tuple(steps)
+
+
+def _step_sums(g, s: float):
+    """Each step's (sum_k W_k values_k, sum_k |W_k| sizes_k) in turn, g called once per call."""
+    for call in range(_DE_CALLS):
+        nodes, steps = _de_call(call)
+        # an overflow in g leaves inf or NaN in the sum, which fails the stop test
+        with np.errstate(all="ignore"):
+            out = g(nodes / s)
+            values, sizes = out if isinstance(out, tuple) else (out, np.abs(out))
+            # each step sums only its own nodes: a NaN at a later step's node leaves it finite
+            sums = [(float(weights @ values[part]), float(magnitudes @ sizes[part]))
+                    for part, weights, magnitudes in steps]
+        yield from sums
+
+
 def fourier_sin_integral(g, s: float, rel_tol: float = 1e-10) -> tuple[float, float]:
     """Integrate g(eta)*sin(eta*s) over [0, inf) for smooth, slowly decaying g.
 
     ``g`` must accept numpy arrays and return the values, or a pair (values,
-    sizes) with each value's size before it cancelled (a plain array is its own
-    sizes). The double-exponential rule runs at steps 0.1 * 2^-k, k = 0..6,
-    until two successive sums agree within max(min(1e-15, rel_tol), rel_tol *
-    |sum|); their difference, at least the sum's roundoff eps * sum_k |W_k
-    sizes_k| / s (W_k the rule's weights, eps the machine epsilon), is the error
-    estimate. ``rel_tol`` must be > 0. Raises :class:`QuadratureError` (with the
-    last sum, and why) if they never agree, agree only to a roundoff above the
-    tolerance, or a sum is not finite.
+    sizes) with each value's size, >= 0, before it cancelled (a plain array
+    has the sizes |values|). The double-exponential rule runs at steps 0.1 *
+    2^-k, k = 0..6, until two successive sums agree within max(min(1e-15,
+    rel_tol), rel_tol * |sum|); their difference, at least the sum's roundoff
+    eps * sum_k |W_k| sizes_k / s (W_k the rule's weights, eps the machine
+    epsilon), is the error estimate. The first two steps, which the stop test
+    always needs, go to ``g`` in one call of their joined nodes; every later
+    step is a call of its own. ``rel_tol`` must be > 0. Raises
+    :class:`QuadratureError` (with the last sum, and why) if they never agree,
+    agree only to a roundoff above the tolerance, or a sum is not finite.
     """
     if not s > 0:
         raise ValueError("oscillation frequency s must be positive")
@@ -182,16 +226,11 @@ def fourier_sin_integral(g, s: float, rel_tol: float = 1e-10) -> tuple[float, fl
         raise ValueError(f"need a tolerance > 0, got {rel_tol}")
     abs_tol = min(1e-15, rel_tol)
     value = math.inf  # the first step has no sum to agree with
-    for level in range(7):
-        nodes, weights = _de_rule(level)
-        # an overflow in g leaves inf or NaN in the sum, which fails below
-        with np.errstate(all="ignore"):
-            out = g(nodes / s)
-            values, sizes = out if isinstance(out, tuple) else (out, out)
-            prev, value = value, float((weights * values).sum()) / s
-            # a sum rounds in proportion to the magnitudes it adds (Higham, ASNA 4.2)
-            roundoff = math.ulp(1.0) * float(np.abs(weights * sizes).sum()) / s
-            err = max(abs(value - prev), roundoff)
+    for step, (total, magnitude) in enumerate(_step_sums(g, s), 1):
+        prev, value = value, total / s
+        # a sum rounds in proportion to the magnitudes it adds (Higham, ASNA 4.2)
+        roundoff = math.ulp(1.0) * magnitude / s
+        err = max(abs(value - prev), roundoff)
         tol = max(abs_tol, rel_tol * abs(value))
         if math.isfinite(value) and err <= tol:
             return value, err
@@ -199,7 +238,7 @@ def fourier_sin_integral(g, s: float, rel_tol: float = 1e-10) -> tuple[float, fl
             break
     why = ("got a non-finite sum" if not math.isfinite(value) else
            "reached its roundoff floor" if err == roundoff else "ran out of steps")
-    raise QuadratureError(f"quadrature {why} at step {level + 1} of 7: error {err:.3g}, requested "
+    raise QuadratureError(f"quadrature {why} at step {step} of 7: error {err:.3g}, requested "
                           f"{tol:.3g}", partial_value=value, error_estimate=err)
 
 
@@ -269,16 +308,18 @@ def _gap_ratios(params: ModelParams) -> np.ndarray:
     cutoff = params.nU - 2.0 * params.rabi  # m c_s^2 under mono-metricity
     if cutoff <= 0:
         raise StabilityError(f"no stable sound cone: m c_s^2 = {cutoff:.6g} <= 0")
-    # as in Python float arithmetic, an overflowing gap is inf and fails below
+    # as in Python float arithmetic, an overflowing gap or cutoff is inf, and
+    # the NaN ratios it leads to fail below
     with np.errstate(over="ignore", invalid="ignore"):
         gap_sq = rest_energy_sq(params, np.arange(params.species_count // 2 + 1))
-    # the gapless mode evaluates to 0 only up to cancellation noise
-    tachyonic = gap_sq < -1e-12 * cutoff * cutoff
-    if np.any(tachyonic):
-        raise StabilityError(f"tachyonic gap at j={np.argmax(tachyonic)}; correlators undefined")
-    mus = np.sqrt(np.maximum(gap_sq, 0.0)) / cutoff
-    if np.any(mus > 1.0):
-        raise ValidityError("a mode gap exceeds the cutoff energy m c_s^2")
+        # the gapless mode evaluates to 0 only up to cancellation noise
+        tachyonic = gap_sq < -1e-12 * cutoff * cutoff
+        if np.any(tachyonic):
+            raise StabilityError(f"tachyonic gap at j={np.argmax(tachyonic)}; "
+                                 "correlators undefined")
+        mus = np.sqrt(np.maximum(gap_sq, 0.0)) / cutoff
+    if not np.all(mus <= 1.0):
+        raise ValidityError("a mode gap exceeds the cutoff energy m c_s^2, or overflows to NaN")
     if not check_mono_metricity(params):
         raise ValueError(
             "mode amplitudes use the single mono-metric sound speed; "
@@ -300,23 +341,43 @@ def _level_weights(n_sp: int, delta: int) -> np.ndarray:
     return weights
 
 
+# a bound on the (N//2 + 1, 2) floats kept per (N, Delta): 128 stacks, 1 MB at N = 1001
+@functools.lru_cache(maxsize=128, typed=True)
+def _weight_stack(n_sp: int, delta: int) -> np.ndarray:
+    """Read-only columns [w, |w|] of the level weights: a level sum and its size in one product."""
+    weights = _level_weights(n_sp, delta)
+    stack = np.stack([weights, np.abs(weights)], axis=1)
+    stack.flags.writeable = False
+    return stack
+
+
 def _amplitude_excess(mus: np.ndarray, n_sp: int):
     """eta -> f_j(eta) - 1/N for every gap ratio mu_j, shape eta.shape + mus.shape.
 
-    (a - r)/(N r) = 2 c a / (N r (a + r)) with c = sqrt(1 - mu^2), a = 1 + c +
-    eta^2, r = sqrt(mu^2 + 2 eta^2 + eta^4); a - r cancels at large eta. r
-    and a/r are formed without eta^4, so nothing overflows before eta^2 does.
+    With c = sqrt(1 - mu^2), a = 1 + c + eta^2 and b = mu^2/(1 + c) + eta^2,
+    r^2 = mu^2 + 2 eta^2 + eta^4 = a b, so (a - r)/(N r), which cancels at
+    large eta, equals (2 c/N)/(r + b) with r = a sqrt(b/a): no eta^4, so
+    nothing overflows before eta^2 does, and there b/a is NaN. Where b is not
+    a normal float, mu^2/(1 + c) and eta^2 lost their digits to underflow; r
+    is then sqrt(a) hypot(mu/sqrt(1 + c), eta), which a massless level needs
+    once eta^2 underflows.
     """
-    mu_sq = mus * mus
-    c = np.sqrt(1.0 - mu_sq)
+    c = np.sqrt((1.0 - mus) * (1.0 + mus))  # 1 - mu is exact where mu^2 would round near 1
+    head = 1.0 + c  # a - eta^2
+    foot = mus * mus / head  # b - eta^2
     scale = 2.0 * c / n_sp
 
     def excess(eta):
         eta = np.asarray(eta, dtype=float)[..., np.newaxis]
         eta_sq = eta * eta
-        a = (1.0 + c) + eta_sq
-        r = np.hypot(mus, eta * np.sqrt(2.0 + eta_sq))
-        return scale * (a / r) / (a + r)
+        a = head + eta_sq
+        b = foot + eta_sq
+        r = np.sqrt(b / a)
+        r *= a
+        if eta_sq.size and eta_sq.min() < _TINY:  # b is normal wherever eta^2 is
+            r = np.where(b < _TINY, np.sqrt(a) * np.hypot(mus / np.sqrt(head), eta), r)
+        r += b
+        return np.divide(scale, r, out=r)
 
     return excess
 
@@ -339,13 +400,14 @@ def mode_integrand(params: ModelParams, j: int, eta) -> float | np.ndarray:
 def numeric_corr(query: CorrelationQuery, rel_tol: float = 1e-10) -> tuple[float, float]:
     """Exact mode-sum correlator in 1/xi^3 units, with an error estimate bounding its roundoff."""
     n_sp = query.params.species_count
-    weights = _level_weights(n_sp, query.delta)
+    stack = _weight_stack(n_sp, query.delta)
     excess = _amplitude_excess(_gap_ratios(query.params), n_sp)
-    sizes = np.abs(weights)  # the excesses e_l are positive: levels @ sizes is sum_l |w_l e_l|
 
     def g(eta):
-        levels = excess(eta)
-        return eta * (levels @ weights), eta * (levels @ sizes)
+        # the excesses e_l are positive, so the second column is sum_l |w_l e_l|
+        sums = excess(eta) @ stack
+        sums *= eta[:, np.newaxis]
+        return sums[:, 0], sums[:, 1]
 
     integral, err = fourier_sin_integral(g, query.s, rel_tol)
     norm = 2.0 * math.pi**2 * query.s

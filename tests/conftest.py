@@ -163,17 +163,21 @@ def long_double_level_sum(params: ModelParams, s: float, delta: int,
     ``_de_rule`` nodes and weights at the step where the quadrature stopped, and
     forms the amplitude excesses, the level sum and the quadrature sum in
     ``np.longdouble``. It differs from the value only by the double-precision
-    roundoff, which the error estimate has to bound.
+    roundoff, which the error estimate has to bound. The stop is found from the
+    integrand calls of the rule (``_de_call``) that ran: the first step never
+    stops, so the quadrature stopped at the last step of the last call.
     """
-    steps = []
-    rule = correlation._de_rule
+    calls = []
+    de_call = correlation._de_call
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(correlation, "_de_rule", lambda level: steps.append(level) or rule(level))
+        patch.setattr(correlation, "_de_call", lambda call: calls.append(call) or de_call(call))
         value, err = correlation.numeric_corr(correlation.CorrelationQuery(s, delta, params),
                                               rel_tol)
+    call_nodes, steps = de_call(calls[-1])
+    part, step_weights, _ = steps[-1]
     ld = np.longdouble
     n_sp = params.species_count
-    nodes, weights = (array.astype(ld) for array in rule(steps[-1]))
+    nodes, weights = call_nodes[part].astype(ld), step_weights.astype(ld)
     mus = correlation._gap_ratios(params).astype(ld)
     level_weights = correlation._level_weights(n_sp, delta).astype(ld)
     c = np.sqrt(1 - mus * mus)

@@ -441,6 +441,19 @@ class TestGridBounds:
         assert etas[0] == repr(low) and etas[-1] == repr(high)
         assert etas[1:-1] == [repr(x) for x in interior]
 
+    @settings(max_examples=50, deadline=None)
+    @given(low=st.floats(1e-300, 1e300), log_ratio=st.floats(0.0, 10.0), points=st.integers(1, 40))
+    def test_grid_is_the_logspace_with_its_bounds_set(self, low, log_ratio, points):
+        high = low if points == 1 else min(low * 10.0**log_ratio, 1e300)
+        expected = np.logspace(math.log10(low), math.log10(high), points)
+        expected[0], expected[-1] = low, high
+        assert cli._log_grid(low, high, points).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("low, high, points", [(3.0, 3.0, 1), (0.5, 2.0, 2)])
+    def test_bounds_alone_need_no_logspace(self, monkeypatch, low, high, points):
+        monkeypatch.setattr(np, "logspace", None)  # a call would raise TypeError
+        assert cli._log_grid(low, high, points).tolist() == [low, high][:points]
+
 
 class TestParserReuse:
     """main parses with one parser per process and dispatches at call time."""
@@ -586,6 +599,7 @@ class TestTableWriter:
 
     @settings(max_examples=100, deadline=None)
     @example(cells=[])
+    @example(cells=[(None, 0.0, 0, False), (None, 0.0, 2**63, False)])
     @given(cells=st.lists(st.tuples(
         st.one_of(st.none(), st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf,
                                                            -math.inf])),
@@ -598,6 +612,16 @@ class TestTableWriter:
         records = [dict(zip(header, row)) for row in cells]
         expected = json.dumps(records, indent=2, allow_nan=True) + "\n"
         assert _column_table(tmp_path_factory.mktemp("table"), columns, "json") == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_list_cells_are_taken_as_they_are(self, tmp_path, fmt):
+        # a list through np.ravel made [0, 2**63] a float64 column: 0.0, 9.223372036854776e+18
+        ints = [0, 2**63, -(2**64), 7]
+        optional = [None, 2.5, np.float64(0.1), -0.0]
+        columns = {"int": ints, "optional": optional, "float": np.array(ints, dtype=float)}
+        rows = list(zip(ints, [None, 2.5, 0.1, -0.0], [float(value) for value in ints]))
+        assert _column_table(tmp_path, columns, fmt) == _per_cell_table(list(columns), rows, fmt)
+        assert str(2**63) in _column_table(tmp_path, columns, fmt)
 
     @pytest.mark.parametrize("n_sp", [3, 101])
     @pytest.mark.parametrize("fmt", ["csv", "json"])

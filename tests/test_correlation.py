@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -221,6 +221,52 @@ class TestModeIntegrand:
                     root = mpmath.sqrt(mu * mu + 2 * e2 + e2 * e2)
                     exact = ((1 + e2 + mpmath.sqrt(1 - mu * mu)) / root - 1) / n_sp
                     assert abs(values[i, k] - exact) <= 1e-14 * exact
+
+    @staticmethod
+    def _exact_excess(mu: float, eta: float, n_sp: int):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(650):  # (a - r)/r is 1e-300 of a at eta = 1e150
+            mu, e2 = mpmath.mpf(mu), mpmath.mpf(eta) ** 2
+            root = mpmath.sqrt(mu * mu + 2 * e2 + e2 * e2)
+            return ((1 + e2 + mpmath.sqrt(1 - mu * mu)) / root - 1) / n_sp
+
+    @settings(max_examples=200, deadline=None)
+    @example(mu=0.0, eta=1e-160)
+    @example(mu=5e-324, eta=1e-160)
+    @example(mu=1e-155, eta=1e-155)
+    @example(mu=1.0 - 2.0**-53, eta=1e150)
+    @given(mu=st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                        st.floats(-323.0, 0.0).map(lambda x: 10.0**x).filter(lambda mu: mu < 1.0)),
+           eta=st.floats(-160.0, 150.0).map(lambda x: 10.0**x))
+    def test_property_amplitude_excess_against_mpmath(self, mu, eta):
+        # mu near 1 needs 1 - mu^2 without rounding mu^2; mu and eta both under
+        # 1e-154 leave b = mu^2/(1 + c) + eta^2 below the normal floats
+        value = _amplitude_excess(np.array([mu]), 9)(eta)[0]
+        exact = self._exact_excess(mu, eta, 9)
+        assert abs(value - exact) <= 1e-14 * exact
+
+    @settings(max_examples=50, deadline=None)
+    @given(eta=st.floats(-300.0, -155.0).map(lambda x: 10.0**x))
+    def test_massless_level_where_eta_squared_underflows(self, eta):
+        # eta^2 is subnormal or 0, so b = eta^2 has lost its digits; at s = 1e200
+        # the quadrature's every node lies here
+        value = _amplitude_excess(np.array([0.0]), 9)(eta)[0]
+        assert math.isfinite(value) and math.isfinite(eta * value)
+        assert abs(value - self._exact_excess(0.0, eta, 9)) <= 1e-14 * value
+
+    @settings(max_examples=50, deadline=None)
+    @given(mu=st.floats(0.0, 1.0, exclude_max=True),
+           eta=st.floats(1.4e154, 1.7976931348623157e308))
+    def test_nan_where_eta_squared_overflows(self, mu, eta):
+        # a NaN ends the quadrature at the first step (test_overflowing_integrand_fails_fast)
+        with np.errstate(all="ignore"):
+            assert np.isnan(_amplitude_excess(np.array([mu]), 9)(eta)[0])
+
+    def test_nan_gap_ratios_refused(self):
+        # n U overflows to inf, and with it the cutoff, so every gap ratio is NaN
+        params = ModelParams(9, 2.0**-600, 2.0**600, 2.0**600, 2.0**600, -2.0**600)
+        with pytest.raises(ValidityError):
+            mode_integrand(params, 1, 0.5)
 
     def test_free_asymptote(self, standard_params):
         value = mode_integrand(standard_params, 3, 1e4)
@@ -441,22 +487,22 @@ class TestLevelSumRoundoff:
         assert abs(value - reference) <= err
 
 
-def _count_evaluations(monkeypatch) -> list[int]:
-    """Count every eta at which numeric_corr's mode integrand is evaluated."""
-    evaluations = [0]
+def _integrand_calls(monkeypatch) -> list[int]:
+    """The number of eta of every call of numeric_corr's mode integrand, in order."""
+    calls = []
     make_excess = correlation._amplitude_excess
 
     def counted(mus, n_sp):
         excess = make_excess(mus, n_sp)
 
         def evaluate(eta):
-            evaluations[0] += np.size(eta)
+            calls.append(np.size(eta))
             return excess(eta)
 
         return evaluate
 
     monkeypatch.setattr(correlation, "_amplitude_excess", counted)
-    return evaluations
+    return calls
 
 
 @pytest.mark.parametrize("n_sp, s, delta", [(9, 0.1, 1), (51, 0.05, 17)])
@@ -465,18 +511,57 @@ def test_evaluation_count_gate(monkeypatch, cold_memos, n_sp, s, delta):
     # cancellation at large eta drives the first point to millions of evaluations
     query = CorrelationQuery(s=s, delta=delta, params=normalized_params(1e-3, n_sp))
     numeric_corr(query)  # a warm memo must not hide the evaluations from the count
-    evaluations = _count_evaluations(monkeypatch)
+    calls = _integrand_calls(monkeypatch)
     numeric_corr(query)
-    assert 0 < evaluations[0] <= 2000
+    assert 0 < sum(calls) <= 2000
 
 
 def test_overflowing_integrand_fails_fast(monkeypatch):
     # eta^2 overflows past ~1e154, so at s = 1e-160 the integrand is NaN at
     # almost every node; the first step's non-finite sum must end the row
-    evaluations = _count_evaluations(monkeypatch)
-    with pytest.raises(QuadratureError):
+    calls = _integrand_calls(monkeypatch)
+    with pytest.raises(QuadratureError, match="non-finite sum at step 1 of 7"):
         numeric_corr(CorrelationQuery(s=1e-160, delta=1, params=normalized_params(0.1, 9)))
-    assert evaluations[0] <= 1000
+    assert sum(calls) <= 1000
+
+
+class TestStepCalls:
+    """Steps 1 and 2 of the rule share one integrand call; every later step has its own."""
+
+    def test_tables_are_the_rule_steps(self):
+        calls = [correlation._de_call(call) for call in range(correlation._DE_CALLS)]
+        assert correlation._de_call(0) is calls[0]
+        assert [len(steps) for _, steps in calls] == [2, 1, 1, 1, 1, 1]
+        step_tables = [(nodes[part], weights, magnitudes)
+                       for nodes, steps in calls for part, weights, magnitudes in steps]
+        for level, (nodes, weights, magnitudes) in enumerate(step_tables):
+            rule_nodes, rule_weights = correlation._de_rule(level)
+            assert nodes.tobytes() == rule_nodes.tobytes()
+            assert weights is rule_weights
+            assert magnitudes.tobytes() == np.abs(rule_weights).tobytes()
+        for nodes, steps in calls:
+            assert not nodes.flags.writeable
+            assert all(not magnitudes.flags.writeable for _, _, magnitudes in steps)
+
+    @pytest.mark.parametrize("s, expected", [(40.0, [351]), (0.01, [351, 489])])
+    def test_calls_of_a_row(self, monkeypatch, s, expected):
+        # 114 + 237 nodes for steps 1 and 2, then the 489 of step 3
+        calls = _integrand_calls(monkeypatch)
+        numeric_corr(CorrelationQuery(s=s, delta=1, params=normalized_params(1e-3, 9)))
+        assert calls == expected
+
+    def test_a_nan_at_a_step_two_node_leaves_step_one_finite(self):
+        # each step sums its own nodes: a zero weight on a NaN would make step 1 NaN
+        first = correlation._de_rule(0)[0].size
+
+        def g(eta):
+            values = eta / (eta**2 + 1.0)
+            if eta.size > first:
+                values[first:] = math.nan
+            return values
+
+        with pytest.raises(QuadratureError, match="non-finite sum at step 2 of 7"):
+            fourier_sin_integral(g, 3.0)
 
 
 class TestTruncatedCorrelator:
@@ -616,8 +701,17 @@ class TestLevelBasisMemo:
         assert all(memo.cache_info().hits == 1 for memo in
                    (_gap_ratios, _level_weights, correlation._length_ratio))
 
+    def test_weight_stack_is_built_once_and_read_only(self, cold_memos):
+        stack = correlation._weight_stack(9, 3)
+        assert correlation._weight_stack(9, 3) is stack
+        assert not stack.flags.writeable
+        weights = _level_weights(9, 3)
+        assert stack[:, 0].tobytes() == weights.tobytes()
+        assert stack[:, 1].tobytes() == np.abs(weights).tobytes()
+
     def test_bounded(self):
-        for memo in (_gap_ratios, _level_weights, correlation._length_ratio):
+        for memo in (_gap_ratios, _level_weights, correlation._length_ratio,
+                     correlation._weight_stack):
             assert memo.cache_info().maxsize is not None
 
     @pytest.mark.parametrize("first, second", EQUAL_SETS)
@@ -631,19 +725,19 @@ class TestLevelBasisMemo:
     @pytest.mark.parametrize("first, second", EQUAL_DELTAS)
     def test_equal_deltas_get_the_bytes_of_a_fresh_build(self, cold_memos, first, second):
         assert first == second
-        _level_weights(9, first)
-        assert (self._outcome(_level_weights, 9, second)
-                == self._outcome(_level_weights.__wrapped__, 9, second))
+        for memo in (_level_weights, correlation._weight_stack):
+            memo(9, first)
+            assert self._outcome(memo, 9, second) == self._outcome(memo.__wrapped__, 9, second)
 
     def test_an_int_set_too_large_for_float_still_raises(self, cold_memos):
         # equal sets: the float products overflow to inf, the exact int product
-        # cannot be converted to float; the float set's value must not answer for it
+        # cannot be converted to float; neither set's outcome may answer for the other
         floats = ModelParams(9, 2.0**-600, 2.0**600, 2.0**600, 2.0**600, -2.0**600)
         ints = ModelParams(9, 2**-600, 2**600, 2**600, 2**600, -2**600)
         assert floats == ints
-        with np.errstate(invalid="ignore"):  # the float set is memoized, so a hit could answer
-            assert np.isnan(_gap_ratios(floats)).all()
         for _ in range(2):
+            with pytest.raises(ValidityError):
+                _gap_ratios(floats)  # its gap ratios are NaN
             with pytest.raises(OverflowError):
                 _gap_ratios(ints)
             with pytest.raises(OverflowError):
