@@ -23,15 +23,15 @@ goes to the Ooura-Mori double-exponential rule for Fourier integrals, whose
 nodes approach the zeros of sin(eta*s). Its first two steps, which the stop
 test always needs, share one integrand call. The integrand forms f_j - 1/N
 from r^2 = mu^2 + 2 eta^2 + eta^4 = a b (``_amplitude_excess``), with a hypot
-only where eta^2 underflows, and one product with the columns [w, |w|] of the
-level weights gives the level sum and the size that bounds its roundoff.
+only where eta^2 underflows, and one product with the level table [w, |w|]
+gives the level sum and the size that bounds its roundoff.
 
 ``correlation_table`` evaluates all three over an s grid at one Delta and
 returns the columns that the ``correlation`` command writes.
 
-The level basis is memoized: the gap ratios and a/xi, pure functions of the
-frozen ``ModelParams``, and the level weights, of (N, Delta), are built once
-into bounded caches of read-only values. Errors are not cached.
+Each table is built once, into one bounded cache of read-only values: the
+rule's steps per integrand call, the gap ratios and a/xi per ``ModelParams``,
+and the level table per (N, Delta). Errors are not cached.
 """
 
 from __future__ import annotations
@@ -83,6 +83,9 @@ def _k1_series(x: float) -> float:
 def _k1_continued_fraction(x: float) -> float:
     # Steed/Thompson-Barnett CF2 at order nu = 0 (x >= 2), which yields K0 and
     # the ladder factor for K1 = K0 * (x + 1/2 - h)/x in one sweep.
+    decay = math.exp(-x)
+    if decay == 0.0:  # K1 < e^-x underflows too (x > 745.13), where CF2 need not converge
+        return 0.0
     a1 = 0.25
     b = 2.0 * (1.0 + x)
     d = 1.0 / b
@@ -107,10 +110,10 @@ def _k1_continued_fraction(x: float) -> float:
         s += dels
         if abs(dels / s) <= 1e-17:
             break
-    else:  # pragma: no cover - CF2 converges in O(10) iterations for x >= 2
+    else:  # pragma: no cover - CF2 converges in under 100 iterations for 2 < x <= 745.13
         raise DomainError(f"K1 continued fraction failed to converge at x={x}")
     h = a1 * h
-    k0 = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
+    k0 = math.sqrt(math.pi / (2.0 * x)) * decay / s
     return k0 * (x + 0.5 - h) / x
 
 
@@ -119,7 +122,8 @@ def bessel_k1(x: float) -> float:
 
     Series for x <= 2, continued fraction beyond; relative error below 1e-10
     over [1e-3, 30] (validated against the integral representation
-    int_0^inf exp(-x cosh t) cosh t dt in the test suite).
+    int_0^inf exp(-x cosh t) cosh t dt in the test suite). Past underflow,
+    where e^-x is 0.0 (x > 745.13, inf included), it returns 0.0.
     """
     if not x > 0:
         raise DomainError(f"K1 requires x > 0, got {x!r}")
@@ -132,7 +136,6 @@ def bessel_k1(x: float) -> float:
 # Oscillatory quadrature: int_0^inf g(eta) sin(eta*s) d eta
 # ---------------------------------------------------------------------------
 
-@functools.cache
 def _de_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes u_k, weights w_k of int_0^inf f(u) sin(u) du ~ sum_k w_k f(u_k).
 
@@ -141,6 +144,7 @@ def _de_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
     M = pi/h, phi = t/(1 - E), E = exp(-2t - alpha (1 - e^-t) - beta (e^t - 1)),
     beta = 1/4 and alpha = beta/sqrt(1 + M ln(1 + M)/(4 pi)). The nodes approach
     the zeros pi*k of sin as t -> inf; weights under 1e-30 at the ends are cut.
+    Built afresh on every call: ``_de_call`` keeps the tables.
     """
     h = 0.1 * 0.5**level
     m = math.pi / h
@@ -163,9 +167,7 @@ def _de_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
     sine[k == 0] = math.sin(m / c)
     weights = h * m * dphi * sine
     lo, hi = np.flatnonzero(np.abs(weights) > 1e-30)[[0, -1]]
-    nodes, weights = m * phi[lo:hi + 1], weights[lo:hi + 1]
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+    return m * phi[lo:hi + 1], weights[lo:hi + 1]
 
 
 _DE_CALLS = 6  # integrand calls of the seven steps: steps 1 and 2 share the first
@@ -177,7 +179,7 @@ def _de_call(call: int) -> tuple[np.ndarray, tuple]:
 
     Call 0 evaluates steps 1 and 2, which the stop test always needs, and call
     k > 0 step k + 2; part is the slice of the call's nodes that are the
-    step's own ``_de_rule`` nodes. Each call is built on first use.
+    step's own ``_de_rule`` nodes. Each call is built once, read-only.
     """
     rules = [_de_rule(level) for level in ((0, 1) if call == 0 else (call + 1,))]
     nodes = np.concatenate([rule_nodes for rule_nodes, _ in rules])
@@ -185,7 +187,7 @@ def _de_call(call: int) -> tuple[np.ndarray, tuple]:
     steps, start = [], 0
     for rule_nodes, weights in rules:
         magnitudes = np.abs(weights)
-        magnitudes.flags.writeable = False
+        weights.flags.writeable = magnitudes.flags.writeable = False
         steps.append((slice(start, start + rule_nodes.size), weights, magnitudes))
         start += rule_nodes.size
     return nodes, tuple(steps)
@@ -216,7 +218,8 @@ def fourier_sin_integral(g, s: float, rel_tol: float = 1e-10) -> tuple[float, fl
     eps * sum_k |W_k| sizes_k / s (W_k the rule's weights, eps the machine
     epsilon), is the error estimate. The first two steps, which the stop test
     always needs, go to ``g`` in one call of their joined nodes; every later
-    step is a call of its own. ``rel_tol`` must be > 0. Raises
+    step is a call of its own. ``rel_tol`` must be > 0; even an infinite one
+    needs two steps that agree to a finite error. Raises
     :class:`QuadratureError` (with the last sum, and why) if they never agree,
     agree only to a roundoff above the tolerance, or a sum is not finite.
     """
@@ -232,7 +235,7 @@ def fourier_sin_integral(g, s: float, rel_tol: float = 1e-10) -> tuple[float, fl
         roundoff = math.ulp(1.0) * magnitude / s
         err = max(abs(value - prev), roundoff)
         tol = max(abs_tol, rel_tol * abs(value))
-        if math.isfinite(value) and err <= tol:
+        if math.isfinite(err) and err <= tol:  # finite: two finite steps agree
             return value, err
         if not math.isfinite(value) or err == roundoff:  # a finer step cannot help
             break
@@ -329,26 +332,17 @@ def _gap_ratios(params: ModelParams) -> np.ndarray:
     return mus
 
 
-# a bound on the N//2 + 1 floats kept per (N, Delta): 128 arrays, 512 kB at N = 1001
+# a bound on the (N//2 + 1, 2) floats kept per (N, Delta): 128 tables, 1 MB at N = 1001
 @functools.lru_cache(maxsize=128, typed=True)
 def _level_weights(n_sp: int, delta: int) -> np.ndarray:
-    """Read-only weights sum_{j = +-n} cos(2 pi j Delta/N) of the levels |n| = 0..N//2."""
+    """Read-only [w, |w|] of the levels |n| = 0..N//2, w = sum_{j = +-n} cos(2 pi j Delta/N)."""
     # folding by kk_label keeps each angle exact; modes n, N - n share its cosine bit for bit
     levels = np.arange(n_sp // 2 + 1)
     weights = np.cos(2.0 * np.pi * abs(kk_label(levels * delta, n_sp)) / n_sp)
     weights[1:(n_sp + 1) // 2] *= 2.0
-    weights.flags.writeable = False
-    return weights
-
-
-# a bound on the (N//2 + 1, 2) floats kept per (N, Delta): 128 stacks, 1 MB at N = 1001
-@functools.lru_cache(maxsize=128, typed=True)
-def _weight_stack(n_sp: int, delta: int) -> np.ndarray:
-    """Read-only columns [w, |w|] of the level weights: a level sum and its size in one product."""
-    weights = _level_weights(n_sp, delta)
-    stack = np.stack([weights, np.abs(weights)], axis=1)
-    stack.flags.writeable = False
-    return stack
+    table = np.stack([weights, np.abs(weights)], axis=1)
+    table.flags.writeable = False
+    return table
 
 
 def _amplitude_excess(mus: np.ndarray, n_sp: int):
@@ -400,13 +394,15 @@ def mode_integrand(params: ModelParams, j: int, eta) -> float | np.ndarray:
 def numeric_corr(query: CorrelationQuery, rel_tol: float = 1e-10) -> tuple[float, float]:
     """Exact mode-sum correlator in 1/xi^3 units, with an error estimate bounding its roundoff."""
     n_sp = query.params.species_count
-    stack = _weight_stack(n_sp, query.delta)
-    excess = _amplitude_excess(_gap_ratios(query.params), n_sp)
+    massive = _level_weights(n_sp, query.delta)[1:]
+    excess = _amplitude_excess(_gap_ratios(query.params)[1:], n_sp)
 
     def g(eta):
         # the excesses e_l are positive, so the second column is sum_l |w_l e_l|
-        sums = excess(eta) @ stack
+        sums = excess(eta) @ massive
         sums *= eta[:, np.newaxis]
+        # the massless level (w = 1) as eta e_0, which stays finite where e_0 overflows
+        sums += ((2.0 / n_sp) / (np.sqrt(2.0 + eta * eta) + eta))[:, np.newaxis]
         return sums[:, 0], sums[:, 1]
 
     integral, err = fourier_sin_integral(g, query.s, rel_tol)
@@ -425,7 +421,7 @@ def truncated_corr(query: CorrelationQuery, j_tr: int, weighted: bool = True) ->
     if not 0 <= j_tr <= (n_sp - 1) // 2:
         raise ValueError(f"j_tr must lie in 0..{(n_sp - 1) // 2}, got {j_tr}")
     ratio = _length_ratio(query.params)
-    weights = _level_weights(n_sp, query.delta if weighted else 0)[:j_tr + 1].tolist()
+    weights = _level_weights(n_sp, query.delta if weighted else 0)[:j_tr + 1, 0].tolist()
     masses = [(2.0 * math.pi * n / n_sp) / ratio for n in range(1, j_tr + 1)]
     terms = [1.0 / query.s] + [mass * bessel_k1(mass * query.s) for mass in masses]
     total = 0.0

@@ -179,7 +179,7 @@ def long_double_level_sum(params: ModelParams, s: float, delta: int,
     n_sp = params.species_count
     nodes, weights = call_nodes[part].astype(ld), step_weights.astype(ld)
     mus = correlation._gap_ratios(params).astype(ld)
-    level_weights = correlation._level_weights(n_sp, delta).astype(ld)
+    level_weights = correlation._level_weights(n_sp, delta)[:, 0].astype(ld)
     c = np.sqrt(1 - mus * mus)
     pi = 4 * np.arctan(ld(1))
     total = ld(0)

@@ -172,6 +172,41 @@ class TestCorrelation:
         assert code == 4
         assert out.read_text().splitlines()[1].split(",")[3] == "nan"
 
+    @pytest.mark.parametrize("s", ["1e300", "1.7e308"])
+    def test_largest_separations_read_zero(self, tmp_path, s):
+        # the massless level's excess overflows at the first nodes, eta times it does not
+        code, out = run_to_file(tmp_path, "corr.csv", [
+            "correlation", "--normalized-omega", "0.001", "--s-points", "1",
+            "--s-min", s, "--s-max", s])
+        assert code == 0
+        assert out.read_text().splitlines()[1] == f"{float(s)!r},1,0.0,0.0,0.0,0.0"
+
+    @pytest.mark.parametrize("argv", [
+        ["--normalized-omega", "0.001", "--s-min", "1e292", "--s-max", "1e300", "--s-points", "5"],
+        ["--normalized-omega", "0.9", "--s-min", "1e20", "--s-max", "1.7e308",
+         "--s-points", "40", "--j-tr", "4"],
+    ])
+    def test_truncated_sum_past_k1_underflow(self, tmp_path, argv):
+        # every K1 argument m s here is 1.19e20 or more, where CF2 used to fail at some decades
+        code, out = run_to_file(tmp_path, "corr.csv", ["correlation"] + argv)
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == int(argv[argv.index("--s-points") + 1])
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+    def test_infinite_tolerance_still_takes_two_steps(self, tmp_path):
+        # step 1's error is inf, and so is the tolerance: the row must not stop there
+        argv = ["correlation", "--normalized-omega", "0.001", "--s-points", "1",
+                "--s-min", "5", "--s-max", "5"]
+        rows = []
+        for name, tol in (("inf.csv", ["--quad-tol", "inf"]), ("default.csv", [])):
+            code, out = run_to_file(tmp_path, name, argv + tol)
+            assert code == 0
+            rows.append([float(cell) for cell in out.read_text().splitlines()[1].split(",")])
+        (_, _, _, loose, loose_err, _), (_, _, _, value, err, _) = rows
+        assert 0.0 < loose_err < 1e-10 * loose
+        assert abs(loose - value) <= loose_err + err
+
 
 class TestOracleCheck:
     def test_report(self, tmp_path, config):

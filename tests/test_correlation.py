@@ -58,6 +58,15 @@ class TestBesselK1:
         above = bessel_k1(2.0 + 1e-12)
         assert below == pytest.approx(above, rel=1e-10)
 
+    @settings(max_examples=50, deadline=None)
+    @given(x=st.floats(min_value=746.0, allow_nan=False))
+    @example(x=1e21)
+    @example(x=math.inf)
+    def test_zero_past_underflow(self, x):
+        # e^-x underflows past x = 745.13 and K1 < e^-x with it; the continued
+        # fraction, which need not converge out here, is not run
+        assert bessel_k1(x) == 0.0
+
 
 class TestFourierSinIntegral:
     """Closed-form Fourier-sine pairs as independent oracles for the quadrature."""
@@ -165,6 +174,14 @@ class TestQuadConfig:
     def test_rejects_invalid_settings(self, kwargs):
         with pytest.raises(ValueError):
             fourier_sin_integral(lambda eta: eta, 3.0, **kwargs)
+
+    @pytest.mark.parametrize("rel_tol, scale", [(math.inf, 1.0), (1e300, 1e10)])
+    def test_a_tolerance_that_overflows_still_takes_two_steps(self, rel_tol, scale):
+        # step 1 has no sum to agree with, so its error is inf, and so is a
+        # tolerance rel_tol * |sum| that overflows: inf <= inf must not stop there
+        value, err = fourier_sin_integral(lambda eta: scale * eta / (eta**2 + 1.0), 3.0, rel_tol)
+        assert 0.0 < err <= 1e-13 * value
+        assert value == pytest.approx(scale * 0.5 * math.pi * math.exp(-3.0), rel=1e-13)
 
 
 class TestQueryValidation:
@@ -382,6 +399,13 @@ class TestNumericCorrelator:
                   for s in (1e-30, 1e-100)]
         assert values[1] == pytest.approx(values[0], rel=1e-9)
 
+    @pytest.mark.parametrize("s", [1e292, 1e300, 1.7976931348623157e308])
+    def test_vanishes_at_the_largest_separations(self, s):
+        # the first nodes give eta = u/s below the normal floats, where the
+        # massless level's excess overflows; eta times it stays finite
+        value, err = numeric_corr(CorrelationQuery(s=s, delta=1, params=normalized_params(1e-3, 9)))
+        assert (value, err) == (0.0, 0.0)
+
     def test_unrepresentable_separation_fails(self):
         # at s = 5e-324 nearly every node u/s overflows to eta = inf
         with pytest.raises(QuadratureError):
@@ -537,11 +561,12 @@ class TestStepCalls:
         for level, (nodes, weights, magnitudes) in enumerate(step_tables):
             rule_nodes, rule_weights = correlation._de_rule(level)
             assert nodes.tobytes() == rule_nodes.tobytes()
-            assert weights is rule_weights
+            assert weights.tobytes() == rule_weights.tobytes()
             assert magnitudes.tobytes() == np.abs(rule_weights).tobytes()
         for nodes, steps in calls:
             assert not nodes.flags.writeable
-            assert all(not magnitudes.flags.writeable for _, _, magnitudes in steps)
+            assert all(not weights.flags.writeable and not magnitudes.flags.writeable
+                       for _, weights, magnitudes in steps)
 
     @pytest.mark.parametrize("s, expected", [(40.0, [351]), (0.01, [351, 489])])
     def test_calls_of_a_row(self, monkeypatch, s, expected):
@@ -645,7 +670,7 @@ def test_level_weights_sum_the_mode_weights(n_sp):
     for delta in range(n_sp):
         mode_weights = np.cos(2.0 * np.pi * abs(kk_label(modes * delta, n_sp)) / n_sp)
         expected = np.bincount(levels, mode_weights)
-        assert _level_weights(n_sp, delta).tobytes() == expected.tobytes(), delta
+        assert _level_weights(n_sp, delta)[:, 0].tobytes() == expected.tobytes(), delta
 
 
 def _counted(monkeypatch, name) -> list[int]:
@@ -701,18 +726,19 @@ class TestLevelBasisMemo:
         assert all(memo.cache_info().hits == 1 for memo in
                    (_gap_ratios, _level_weights, correlation._length_ratio))
 
-    def test_weight_stack_is_built_once_and_read_only(self, cold_memos):
-        stack = correlation._weight_stack(9, 3)
-        assert correlation._weight_stack(9, 3) is stack
-        assert not stack.flags.writeable
-        weights = _level_weights(9, 3)
-        assert stack[:, 0].tobytes() == weights.tobytes()
-        assert stack[:, 1].tobytes() == np.abs(weights).tobytes()
+    def test_level_table_holds_the_weights_and_their_sizes(self, cold_memos):
+        table = _level_weights(9, 3)
+        assert table.shape == (5, 2) and table.flags.c_contiguous
+        assert table[:, 1].tobytes() == np.abs(table[:, 0]).tobytes()
 
     def test_bounded(self):
-        for memo in (_gap_ratios, _level_weights, correlation._length_ratio,
-                     correlation._weight_stack):
+        for memo in (_gap_ratios, _level_weights, correlation._length_ratio):
             assert memo.cache_info().maxsize is not None
+
+    def test_one_cache_per_table(self):
+        # the rule's steps live only in the call tables, the weights only in [w, |w|]
+        memos = {name for name, value in vars(correlation).items() if hasattr(value, "cache_info")}
+        assert memos == {"_de_call", "_length_ratio", "_gap_ratios", "_level_weights"}
 
     @pytest.mark.parametrize("first, second", EQUAL_SETS)
     def test_equal_sets_get_the_bytes_of_a_fresh_build(self, cold_memos, first, second):
@@ -725,9 +751,9 @@ class TestLevelBasisMemo:
     @pytest.mark.parametrize("first, second", EQUAL_DELTAS)
     def test_equal_deltas_get_the_bytes_of_a_fresh_build(self, cold_memos, first, second):
         assert first == second
-        for memo in (_level_weights, correlation._weight_stack):
-            memo(9, first)
-            assert self._outcome(memo, 9, second) == self._outcome(memo.__wrapped__, 9, second)
+        _level_weights(9, first)
+        fresh = self._outcome(_level_weights.__wrapped__, 9, second)
+        assert self._outcome(_level_weights, 9, second) == fresh
 
     def test_an_int_set_too_large_for_float_still_raises(self, cold_memos):
         # equal sets: the float products overflow to inf, the exact int product
