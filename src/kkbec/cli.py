@@ -6,7 +6,8 @@ files and stdout carry only machine-readable output. Floats are rendered with
 ``repr`` (shortest round-trip form), so identical inputs produce byte-identical
 outputs; each distinct table value is formatted once. s and eta grids include
 their bounds exactly. ``main(argv)`` is reentrant and cheap to call in-process:
-one parser per process, and ``cmd_*`` looked up at call time.
+one parser per process, and ``cmd_*`` looked up at call time. Running out of
+memory, say on a grid of 1e12 points, is a validation failure (exit 2).
 """
 
 from __future__ import annotations
@@ -358,6 +359,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except ArithmeticError as exc:
         print(f"error: inputs outside the floating-point range: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

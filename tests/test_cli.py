@@ -358,6 +358,32 @@ class TestTotality:
         err = capsys.readouterr().err
         assert err and "Traceback" not in err
 
+    @pytest.mark.parametrize("message, shown", [
+        ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+         "and data type float64",
+         "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+         "and data type float64"),
+        ("", "an allocation failed"),
+    ], ids=["numpy", "bare"])
+    @pytest.mark.parametrize("argv", [
+        ["dispersion", "--normalized-omega", "0.1", "--eta-points", "1000000000000"],
+        ["correlation", "--normalized-omega", "0.001", "--s-points", "1000000000000"],
+        ["oracle-check", "--cases", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_out_of_memory_is_a_validation_exit(self, tmp_path, capsys, monkeypatch,
+                                                 argv, message, shown):
+        # injected, not allocated: a host that overcommits memory could grant a
+        # 1e12-point grid and then kill the process that touches it
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "_log_grid", exhausted)
+        monkeypatch.setattr(cli.oracle, "compare_with_closed_forms", exhausted)
+        code, out = run_to_file(tmp_path, "out", argv)
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: out of memory: {shown}\n"
+
     def test_tiny_rabi_correlator_underflows(self, tmp_path):
         # at |Omega|/nU = 1e-300, (R_l Delta)^3 overflows but R_l/rho^3 is a
         # representable 3.6e-302

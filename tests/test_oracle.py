@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kkbec import oracle
 from kkbec.errors import DegenerateModeError, OracleError
@@ -69,6 +73,24 @@ class TestBuildBdG:
         rebuilt = build_bdg(standard_params, 0.7)
         assert np.array_equal(rebuilt.block_a, expected_a)
         assert np.array_equal(rebuilt.block_b, expected_b)
+
+    def test_stack_members_are_the_scalar_blocks(self, standard_params):
+        momenta = np.array([0.0, 0.01, 0.7, 3.0, 10.0])
+        stack = build_bdg(standard_params, momenta)
+        assert stack.block_a.shape == stack.block_b.shape == (5, 9, 9)
+        assert np.array_equal(stack.momentum, momenta)
+        assert stack.block_a.flags.writeable and stack.block_b.flags.writeable
+        assert not np.shares_memory(stack.block_b[0], stack.block_b[1])
+        for k, p in enumerate(momenta.tolist()):
+            member = build_bdg(standard_params, p)
+            assert np.array_equal(stack.block_a[k], member.block_a)
+            assert np.array_equal(stack.block_b[k], member.block_b)
+
+    def test_scalar_momentum_stays_a_float(self, standard_params):
+        for p in (0, 0.7, np.float64(0.7)):
+            system = build_bdg(standard_params, p)
+            assert type(system.momentum) is float
+            assert system.block_a.shape == (9, 9)
 
 
 class TestOracleEnergies:
@@ -140,9 +162,56 @@ class TestOracleEnergies:
 
         monkeypatch.setattr(np.linalg, "eigvals", counted)
         worst, stable = compare_with_closed_forms(params, [0.3])
-        assert calls == [(9, 9)]
+        assert calls == [(1, 9, 9)]
         assert worst <= 1e-12
         assert stable is False
+
+    def test_mixed_stack_takes_the_general_solver_within_the_bound(self, monkeypatch):
+        # the first 15 momenta have A + B indefinite, the last 5 positive definite:
+        # the stacked Cholesky fails, and the whole stack, the positive-definite
+        # members too, goes to the general solver
+        params = ModelParams(9, 1.0, 1.0, 1.0, -1.0, -0.1)
+        momenta = np.logspace(-2, 1, 20)
+        stack = build_bdg(params, momenta)
+        definite = np.linalg.eigvalsh(stack.block_a + stack.block_b).min(axis=1) > 0
+        assert definite.tolist() == [False] * 15 + [True] * 5
+        calls = []
+        general = np.linalg.eigvals
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return general(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        e_sq, stable = oracle_energies(stack)
+        assert calls == [(20, 9, 9)]
+        assert e_sq.shape == (20, 9)
+        assert stable is False
+        monkeypatch.setattr(np.linalg, "eigvals", general)
+        eps = np.finfo(float).eps
+        for k, p in enumerate(momenta.tolist()):
+            member = build_bdg(params, p)
+            a, b = member.block_a, member.block_b
+            bound = 100 * eps * np.linalg.norm(a + b, 2) * np.linalg.norm(a - b, 2)
+            alone, _ = oracle_energies(member)
+            assert np.max(np.abs(np.sort(e_sq[k]) - np.sort(alone))) <= bound, p
+
+    @pytest.mark.parametrize("p", [np.inf, np.nan, 1e150])
+    def test_non_finite_member_of_an_indefinite_stack_is_an_oracle_error(self, p):
+        # p = 0.3 fails the stacked Cholesky, so the non-finite member meets the
+        # general solver
+        params = ModelParams(9, 1.0, 1.0, 1.0, -1.0, -0.1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OracleError, match="general eigenproblem failed"):
+                oracle_energies(build_bdg(params, np.array([0.3, p])))
+
+    def test_stack_is_stable_only_if_every_member_is(self):
+        tachyonic = ModelParams(9, 1.0, 1.0, 1.0, -0.1, 0.1)
+        momenta = np.array([0.0, 1.0, 10.0])
+        flags = [oracle_energies(build_bdg(tachyonic, p))[1] for p in momenta.tolist()]
+        assert flags == [False, True, True]
+        assert oracle_energies(build_bdg(tachyonic, momenta))[1] is False
+        assert oracle_energies(build_bdg(tachyonic, momenta[1:]))[1] is True
 
     def test_tachyonic_set_stays_on_the_symmetric_route(self, monkeypatch):
         # A + B is positive definite and A - B indefinite: the congruence carries
@@ -170,8 +239,43 @@ class TestOracleEnergies:
         assert np.min(e_sq) < -1e-6
 
 
+_param_sets = st.one_of(
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: sample_parameter_sets(np.random.Generator(np.random.Philox(seed)), 1)[0]),
+    st.builds(normalized_params, st.floats(1e-4, 0.5),
+              st.integers(2, oracle._STACK_MAX_N)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=_param_sets,
+       momenta=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=oracle._STACK))
+def test_stack_matches_the_per_momentum_route(params, momenta):
+    # batched LAPACK need not be bitwise: the sorted spectra of each member must
+    # agree to the eigensolver bound 100 eps ||A+B||_2 ||A-B||_2
+    stacked, stable = oracle_energies(build_bdg(params, np.array(momenta)))
+    assert stacked.shape == (len(momenta), params.species_count)
+    eps = np.finfo(float).eps
+    flags = []
+    for k, p in enumerate(momenta):
+        member = build_bdg(params, p)
+        a, b = member.block_a, member.block_b
+        bound = 100 * eps * np.linalg.norm(a + b, 2) * np.linalg.norm(a - b, 2)
+        alone, flag = oracle_energies(member)
+        flags.append(flag)
+        assert np.max(np.abs(np.sort(stacked[k]) - np.sort(alone))) <= bound, p
+    assert stable is all(flags)
+
+
+@pytest.fixture
+def wide_params(standard_params):
+    """standard_params at N = 51, above the stacking crossover, as the benchmark runs."""
+    assert 51 > oracle._STACK_MAX_N
+    return dataclasses.replace(standard_params, species_count=51)
+
+
 class TestCompareWithClosedForms:
-    def test_one_module_level_solve_per_momentum_in_grid_order(self, standard_params,
+    def test_one_module_level_solve_per_momentum_in_grid_order(self, wide_params,
                                                                monkeypatch):
         # the benchmark's BdG check wraps oracle.oracle_energies the same way
         momenta = np.logspace(-2, 1, 7)
@@ -180,14 +284,37 @@ class TestCompareWithClosedForms:
 
         def recorded(system):
             e_sq, stable = solve(system)
+            assert type(system.momentum) is float and e_sq.shape == (51,)
             seen.append(system.momentum)
             if len(seen) == 4:  # a 1e-3 error at one momentum must be the one reported
                 e_sq = e_sq * (1.0 + 1e-3)
             return e_sq[::-1], stable and len(seen) != 6
 
         monkeypatch.setattr(oracle, "oracle_energies", recorded)
-        worst, stable = compare_with_closed_forms(standard_params, momenta)
+        worst, stable = compare_with_closed_forms(wide_params, momenta)
         assert seen == momenta.tolist()
+        assert abs(worst - 1e-3) <= 1e-9
+        assert stable is False
+
+    def test_one_module_level_solve_per_chunk_in_grid_order(self, standard_params,
+                                                            monkeypatch):
+        monkeypatch.setattr(oracle, "_STACK", 3)
+        momenta = np.logspace(-2, 1, 7)
+        solve = oracle.oracle_energies
+        seen = []
+
+        def recorded(system):
+            e_sq, stable = solve(system)
+            assert e_sq.shape == (system.momentum.size, 9)
+            seen.append(system.momentum.tolist())
+            if len(seen) == 2:  # a 1e-3 error at one momentum must be the one reported
+                e_sq[1] *= 1.0 + 1e-3
+            return e_sq[:, ::-1], stable and len(seen) != 3
+
+        monkeypatch.setattr(oracle, "oracle_energies", recorded)
+        worst, stable = compare_with_closed_forms(standard_params, momenta)
+        grid = momenta.tolist()
+        assert seen == [grid[:3], grid[3:6], grid[6:]]
         assert abs(worst - 1e-3) <= 1e-9
         assert stable is False
 
@@ -196,7 +323,8 @@ class TestCompareWithClosedForms:
 
         def poisoned(system):
             e_sq, stable = solve(system)
-            return np.where(np.arange(e_sq.size) == 2, np.nan, e_sq), stable
+            flat = np.arange(e_sq.size).reshape(e_sq.shape)
+            return np.where(flat == 2, np.nan, e_sq), stable
 
         monkeypatch.setattr(oracle, "oracle_energies", poisoned)
         worst, _ = compare_with_closed_forms(standard_params, [0.1, 1.0])
@@ -206,19 +334,40 @@ class TestCompareWithClosedForms:
         with pytest.raises(ValueError, match="at least one momentum"):
             compare_with_closed_forms(standard_params, [])
 
-    def test_one_cholesky_and_one_eigvalsh_per_momentum(self, standard_params, monkeypatch):
-        # a work gate that does not depend on the machine: no eigenvector solve
-        momenta = np.logspace(-2, 1, 7)
-        counts = {}
+    @pytest.mark.parametrize("momenta, shape", [(0.3, r"\(\)"), ([[0.1, 0.2]], r"\(1, 2\)"),
+                                                (np.zeros((0, 3)), r"\(0, 3\)")])
+    def test_grid_that_is_not_1d_is_refused(self, standard_params, momenta, shape):
+        with pytest.raises(ValueError, match=r"1-D momentum grid, got shape " + shape):
+            compare_with_closed_forms(standard_params, momenta)
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        calls = {}
         for name in ("cholesky", "eigvalsh", "eigh", "eigvals"):
-            def counted(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
-                counts[_name] = counts.get(_name, 0) + 1
-                return _solve(*args, **kwargs)
+            def counted(matrix, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.setdefault(_name, []).append(matrix.shape)
+                return _solve(matrix, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_one_cholesky_and_one_eigvalsh_per_momentum(self, wide_params, monkeypatch):
+        # a work gate that does not depend on the machine: no eigenvector solve
+        momenta = np.logspace(-2, 1, 7)
+        calls = self._count_solves(monkeypatch)
+        worst, stable = compare_with_closed_forms(wide_params, momenta)
+        assert stable and worst <= 1e-9
+        assert calls == {"cholesky": [(51, 51)] * momenta.size,
+                         "eigvalsh": [(51, 51)] * momenta.size}
+
+    def test_one_cholesky_and_one_eigvalsh_per_chunk(self, standard_params, monkeypatch):
+        # the chunks bound the stack, and so the temporaries, to _STACK members
+        momenta = np.logspace(-2, 1, 2 * oracle._STACK + 1)
+        calls = self._count_solves(monkeypatch)
         worst, stable = compare_with_closed_forms(standard_params, momenta)
         assert stable and worst <= 1e-9
-        assert counts == {"cholesky": momenta.size, "eigvalsh": momenta.size}
+        chunks = [(oracle._STACK, 9, 9)] * 2 + [(1, 9, 9)]
+        assert calls == {"cholesky": chunks, "eigvalsh": chunks}
 
     @pytest.mark.parametrize("p", [1e200, np.inf, -np.inf, np.nan, 1e150])
     def test_non_finite_kinetic_term_is_an_oracle_error(self, p):
@@ -226,6 +375,12 @@ class TestCompareWithClosedForms:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(OracleError, match="symmetrized eigenproblem failed"):
                 compare_with_closed_forms(normalized_params(0.1, 9), [p])
+
+    @pytest.mark.parametrize("momenta", [[0.1, np.inf, 1.0], [0.1, np.nan, 1.0], [0.1, 1e150]])
+    def test_non_finite_member_of_a_stack_is_an_oracle_error(self, momenta):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OracleError, match="symmetrized eigenproblem failed"):
+                compare_with_closed_forms(normalized_params(0.1, 9), momenta)
 
 
 class TestOracleAmplitudes:
