@@ -4,10 +4,13 @@ Exit codes: 0 success, 2 validation failure, 3 I/O failure, 4 quadrature
 failure in at least one output row, 5 oracle mismatch. stderr is for humans;
 files and stdout carry only machine-readable output. Floats are rendered with
 ``repr`` (shortest round-trip form), so identical inputs produce byte-identical
-outputs; each distinct table value is formatted once. s and eta grids include
-their bounds exactly. ``main(argv)`` is reentrant and cheap to call in-process:
-one parser per process, and ``cmd_*`` looked up at call time. Running out of
-memory, say on a grid of 1e12 points, is a validation failure (exit 2).
+outputs; ``dispersion`` formats each level's block once, for both modes j and
+N - j that share it. s and eta grids include their bounds exactly.
+``main(argv)`` is reentrant and cheap to call in-process: one parser per
+process, argv parsed once, by the parser of the command that argv[0] names
+(argv that names none goes to the top-level parser, for help or a usage
+error), and ``cmd_*`` looked up at call time. Running out of memory, say on a
+grid of 1e12 points, is a validation failure (exit 2).
 """
 
 from __future__ import annotations
@@ -206,8 +209,9 @@ def cmd_correlation(args) -> int:
     if not mono:
         raise ValueError("correlation requires mono_metric parameters")
     svals = _log_grid(args.s_min, args.s_max, args.s_points)
+    j_tr = min(2, (params.species_count - 1) // 2) if args.j_tr is None else args.j_tr
     # a non-positive --quad-tol raises ValueError in the first row (exit 2 through main)
-    table = correlation.correlation_table(params, svals, args.delta, args.j_tr, args.quad_tol,
+    table = correlation.correlation_table(params, svals, args.delta, j_tr, args.quad_tol,
                                           not args.unweighted_truncation)
     _write_table(args.out, table, args.format)
     _maybe_svg(args, table["s"], {name: table["D_" + name]
@@ -322,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     corr.add_argument("--s-max", type=float, default=40.0)
     corr.add_argument("--s-points", type=int, default=25)
     corr.add_argument("--delta", type=int, default=1)
-    corr.add_argument("--j-tr", type=int, default=2)
+    corr.add_argument("--j-tr", type=int, default=None)  # None: min(2, (N-1)//2)
     corr.add_argument("--quad-tol", type=float, default=1e-10)
     corr.add_argument("--unweighted-truncation", action="store_true",
                       help="reproduce the unweighted printed truncated form")
@@ -339,12 +343,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser = functools.cache(build_parser)  # the one parser of the process that main uses
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The one parser of the process that main uses, and its parser of each command."""
+    parser = build_parser()
+    return parser, next(action.choices for action in parser._actions if action.dest == "command")
 
 
 def main(argv=None) -> int:
     """Run one command; the only place that turns an outcome into an exit code."""
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parser()
+    if argv and argv[0] in commands:
+        # the command's own parser alone, as the top-level pass would hand argv on to it
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
+    else:  # no command named: the top-level parser prints help or a usage error
+        args = parser.parse_args(argv)
     if getattr(args, "svg", False) and args.out is None:
         print("error: --svg requires --out", file=sys.stderr)
         return EXIT_IO

@@ -30,8 +30,9 @@ gives the level sum and the size that bounds its roundoff.
 returns the columns that the ``correlation`` command writes.
 
 Each table is built once, into one bounded cache of read-only values: the
-rule's steps per integrand call, the gap ratios and a/xi per ``ModelParams``,
-and the level table per (N, Delta). Errors are not cached.
+rule's steps per integrand call; per ``ModelParams`` the gap ratios, a/xi and
+the integrand of the massive levels with its constants; and the level table
+per (N, Delta). Errors are not cached.
 """
 
 from __future__ import annotations
@@ -360,6 +361,7 @@ def _amplitude_excess(mus: np.ndarray, n_sp: int):
     head = 1.0 + c  # a - eta^2
     foot = mus * mus / head  # b - eta^2
     scale = 2.0 * c / n_sp
+    head.flags.writeable = foot.flags.writeable = scale.flags.writeable = False
 
     def excess(eta):
         eta = np.asarray(eta, dtype=float)[..., np.newaxis]
@@ -374,6 +376,14 @@ def _amplitude_excess(mus: np.ndarray, n_sp: int):
         return np.divide(scale, r, out=r)
 
     return excess
+
+
+# a bound on the arrays of N//2 floats kept per parameter set, three built here and the
+# gap ratios they view: 32 sets, 512 kB at N = 1001
+@_memo(maxsize=32)
+def _massive_excess(params: ModelParams):
+    """``_amplitude_excess`` of the levels |n| = 1..N//2, its constants built once, read-only."""
+    return _amplitude_excess(_gap_ratios(params)[1:], params.species_count)
 
 
 def mode_integrand(params: ModelParams, j: int, eta) -> float | np.ndarray:
@@ -395,7 +405,7 @@ def numeric_corr(query: CorrelationQuery, rel_tol: float = 1e-10) -> tuple[float
     """Exact mode-sum correlator in 1/xi^3 units, with an error estimate bounding its roundoff."""
     n_sp = query.params.species_count
     massive = _level_weights(n_sp, query.delta)[1:]
-    excess = _amplitude_excess(_gap_ratios(query.params)[1:], n_sp)
+    excess = _massive_excess(query.params)
 
     def g(eta):
         # the excesses e_l are positive, so the second column is sum_l |w_l e_l|

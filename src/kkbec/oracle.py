@@ -139,8 +139,12 @@ def oracle_amplitudes(system: BdGSystem, j: int) -> tuple[float, float, float]:
     The blocks are circulant, so projecting onto the j-th Fourier vector is
     exact; the 2x2 BdG matrix [[A_j, B_j], [-B_j, -A_j]] is then diagonalized
     numerically and the positive-energy eigenvector is rescaled to the
-    u^2 - v^2 = 1/N mode-decomposition convention with u > 0 >= v.
+    u^2 - v^2 = 1/N mode-decomposition convention with u > 0 >= v. It takes
+    the system of one momentum; a stack of blocks raises ``ValueError``.
     """
+    if system.block_a.ndim != 2:
+        raise ValueError("oracle_amplitudes needs the (N, N) blocks of one momentum, "
+                         f"got shape {system.block_a.shape}")
     aj, bj = _fourier_blocks(system, j)
     two = np.array([[aj, bj], [-bj, -aj]])
     eigs, vecs = np.linalg.eig(two)

@@ -207,6 +207,25 @@ class TestCorrelation:
         assert 0.0 < loose_err < 1e-10 * loose
         assert abs(loose - value) <= loose_err + err
 
+    def test_default_truncation_fits_three_species(self):
+        # N = 3 has the levels 0 and 1 only: the default J is min(2, (N-1)//2) = 1
+        argv = ["correlation", "--normalized-omega", "0.01", "--species", "3"]
+        code, out, err = _captured(argv)
+        assert (code, err) == (0, "")
+        assert _captured(argv + ["--j-tr", "1"]) == (0, out, "")
+        assert len(out.splitlines()) == 26
+
+    def test_truncation_past_the_levels_is_refused(self):
+        code, out, err = _captured(["correlation", "--normalized-omega", "0.01", "--species", "3",
+                                    "--j-tr", "2", "--s-points", "1", "--s-max", "2"])
+        assert (code, out) == (2, "")
+        assert err == "error: j_tr must lie in 0..1, got 2\n"
+
+    def test_default_truncation_is_two_from_five_species(self):
+        for species in ("5", "9"):
+            argv = ["correlation", "--normalized-omega", "0.001", "--species", species] + self.ARGS
+            assert _captured(argv) == _captured(argv + ["--j-tr", "2"])
+
 
 class TestOracleCheck:
     def test_report(self, tmp_path, config):
@@ -574,6 +593,81 @@ class TestParserReuse:
         for argv in commands * 4:
             assert _captured(argv)[0] == 0, argv
         assert 0 < len(calls) <= one_build
+
+
+class TestDispatch:
+    """main parses argv once, by the parser of the command that argv[0] names."""
+
+    INPUT = ["--normalized-omega", "0.1", "--species", "3"]
+    # one cheap request per command, with abbreviations, '=' forms and repeats
+    PARSED = [
+        ["tower", *INPUT],
+        ["tower", "--config", "params.json", "--format", "json", "--out", "t.csv", "--svg"],
+        ["tower", "--normalized-om", "0.1", "--species=3"],
+        ["dispersion", *INPUT, "--eta-points", "2", "--eta-min=0.5", "--eta-max", "2"],
+        ["dispersion", "--species", "3", "--normalized-omega", "0.1", "--eta-points", "1",
+         "--eta-min", "2", "--eta-max", "2", "--format", "csv", "--format", "json"],
+        ["correlation", "--normalized-omega", "0.001", "--s-mi", "5", "--s-max", "5",
+         "--s-points", "1"],
+        ["correlation", "--normalized-omega", "0.001", "--s-min", "5", "--s-max", "5",
+         "--s-points", "1", "--delta", "2", "--j-tr", "1", "--quad-tol", "1e-8",
+         "--unweighted-truncation"],
+        ["oracle-check", "--cases", "1", "--p-points", "1"],
+        ["oracle-check", "--seed", "5", "--cases=1", "--p-points", "1", "--out", "r.json"],
+        ["validate", *INPUT, "--regime", "unrestricted"],
+        ["validate", "--config", "params.json"],
+    ]
+    # each ends in a top-level parse: help, or a usage error
+    REJECTED = [
+        [], ["-h"], ["--help"], ["no-such-command"], ["tow", *INPUT], ["--"],
+        ["--", "tower", *INPUT], ["tower", "--", *INPUT], ["-x", "tower", *INPUT],
+        ["tower", *INPUT, "extra", "more"], ["tower", *INPUT, "--no-such-flag", "1"],
+        ["tower", "-h"], ["correlation", "--help"], ["tower"],
+        ["tower", "--config", "p.json", "--normalized-omega", "0.1"],
+        ["correlation", "--normalized-omega", "0.1", "--s-min", "two"],
+        ["correlation", "--normalized-omega", "0.1", "--s-m", "2"],
+        ["oracle-check", "--normalized-omega", "0.1"],
+        ["validate", *INPUT, "--regime", "bogus"],
+        ["dispersion", *INPUT, "--format", "xml"],
+    ]
+
+    @staticmethod
+    def _top_level(argv):
+        """(SystemExit code, stdout, stderr) of a parse by a fresh top-level parser."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+        return ("exit", exc.value.code), out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", PARSED)
+    def test_namespace_of_a_top_level_parse(self, monkeypatch, argv):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"),
+                            lambda args: seen.append(args) or 0)
+        assert main(argv) == 0
+        assert seen == [build_parser().parse_args(argv)]
+
+    @pytest.mark.parametrize("argv", REJECTED)
+    def test_rejection_is_the_top_level_parse(self, argv):
+        assert _captured(argv) == self._top_level(argv)
+
+    def test_one_parse_per_request(self, monkeypatch):
+        """Gate: one parse_known_args call per command request, whatever the command."""
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        requests = [argv for argv in self.PARSED if "--out" not in argv and "--config" not in argv]
+        assert {argv[0] for argv in requests} == set(TestOptions.EXPECTED)
+        for argv in requests:
+            calls.clear()
+            assert _captured(argv)[0] == 0, argv
+            assert calls == [f"kkbec {argv[0]}"]
 
 
 def _fmt(value) -> str:

@@ -512,7 +512,11 @@ class TestLevelSumRoundoff:
 
 
 def _integrand_calls(monkeypatch) -> list[int]:
-    """The number of eta of every call of numeric_corr's mode integrand, in order."""
+    """The number of eta of every call of numeric_corr's mode integrand, in order.
+
+    The integrand memo is emptied, so that it is built again through the
+    counter; a test that counts takes ``cold_memos``, so no counter outlives it.
+    """
     calls = []
     make_excess = correlation._amplitude_excess
 
@@ -526,6 +530,7 @@ def _integrand_calls(monkeypatch) -> list[int]:
         return evaluate
 
     monkeypatch.setattr(correlation, "_amplitude_excess", counted)
+    correlation._massive_excess.cache_clear()
     return calls
 
 
@@ -540,13 +545,13 @@ def test_evaluation_count_gate(monkeypatch, cold_memos, n_sp, s, delta):
     assert 0 < sum(calls) <= 2000
 
 
-def test_overflowing_integrand_fails_fast(monkeypatch):
+def test_overflowing_integrand_fails_fast(monkeypatch, cold_memos):
     # eta^2 overflows past ~1e154, so at s = 1e-160 the integrand is NaN at
     # almost every node; the first step's non-finite sum must end the row
     calls = _integrand_calls(monkeypatch)
     with pytest.raises(QuadratureError, match="non-finite sum at step 1 of 7"):
         numeric_corr(CorrelationQuery(s=1e-160, delta=1, params=normalized_params(0.1, 9)))
-    assert sum(calls) <= 1000
+    assert 0 < sum(calls) <= 1000
 
 
 class TestStepCalls:
@@ -569,7 +574,7 @@ class TestStepCalls:
                        for _, weights, magnitudes in steps)
 
     @pytest.mark.parametrize("s, expected", [(40.0, [351]), (0.01, [351, 489])])
-    def test_calls_of_a_row(self, monkeypatch, s, expected):
+    def test_calls_of_a_row(self, monkeypatch, cold_memos, s, expected):
         # 114 + 237 nodes for steps 1 and 2, then the 489 of step 3
         calls = _integrand_calls(monkeypatch)
         numeric_corr(CorrelationQuery(s=s, delta=1, params=normalized_params(1e-3, 9)))
@@ -685,7 +690,7 @@ def _counted(monkeypatch, name) -> list[int]:
 
 
 class TestLevelBasisMemo:
-    """Gap ratios, level weights and a/xi are built once per parameter set, read-only."""
+    """Gap ratios, level weights, a/xi and the integrand's constants are built once, read-only."""
 
     PARAMS = ModelParams(9, 1.0, 1.0, 1.0, 1e-3, -1e-3)
     TACHYONIC = ModelParams(9, 1.0, 1.0, 1.0, -0.1, 0.1)
@@ -725,6 +730,13 @@ class TestLevelBasisMemo:
         assert correlation._length_ratio(self.PARAMS) is ratio
         assert all(memo.cache_info().hits == 1 for memo in
                    (_gap_ratios, _level_weights, correlation._length_ratio))
+        excess = correlation._massive_excess(self.PARAMS)
+        assert correlation._massive_excess(self.PARAMS) is excess
+        assert correlation._massive_excess.cache_info().hits == 1
+        constants = [cell.cell_contents for cell in excess.__closure__
+                     if isinstance(cell.cell_contents, np.ndarray)]
+        assert len(constants) == 4  # mu, 1 + c, mu^2/(1 + c) and 2c/N of the levels 1..N//2
+        assert all(not array.flags.writeable for array in constants)
 
     def test_level_table_holds_the_weights_and_their_sizes(self, cold_memos):
         table = _level_weights(9, 3)
@@ -732,13 +744,15 @@ class TestLevelBasisMemo:
         assert table[:, 1].tobytes() == np.abs(table[:, 0]).tobytes()
 
     def test_bounded(self):
-        for memo in (_gap_ratios, _level_weights, correlation._length_ratio):
+        for memo in (_gap_ratios, _level_weights, correlation._length_ratio,
+                     correlation._massive_excess):
             assert memo.cache_info().maxsize is not None
 
     def test_one_cache_per_table(self):
         # the rule's steps live only in the call tables, the weights only in [w, |w|]
         memos = {name for name, value in vars(correlation).items() if hasattr(value, "cache_info")}
-        assert memos == {"_de_call", "_length_ratio", "_gap_ratios", "_level_weights"}
+        assert memos == {"_de_call", "_length_ratio", "_gap_ratios", "_level_weights",
+                         "_massive_excess"}
 
     @pytest.mark.parametrize("first, second", EQUAL_SETS)
     def test_equal_sets_get_the_bytes_of_a_fresh_build(self, cold_memos, first, second):
@@ -766,6 +780,10 @@ class TestLevelBasisMemo:
                 _gap_ratios(floats)  # its gap ratios are NaN
             with pytest.raises(OverflowError):
                 _gap_ratios(ints)
+            with pytest.raises(ValidityError):
+                correlation._massive_excess(floats)
+            with pytest.raises(OverflowError):
+                correlation._massive_excess(ints)
             with pytest.raises(OverflowError):
                 correlation._length_ratio(ints)
 
@@ -797,19 +815,21 @@ class TestLevelBasisMemo:
 
     def test_work_gate(self, monkeypatch, cold_memos):
         # machine-independent: one table and ten calls of each correlator at one
-        # parameter set build its gap ratios and its scales once
+        # parameter set build its gap ratios, its scales and its integrand constants once
         gap_builds = _counted(monkeypatch, "rest_energy_sq")
         scale_builds = _counted(monkeypatch, "derive_scales")
+        excess_builds = _counted(monkeypatch, "_amplitude_excess")
         params, delta = normalized_params(1e-3, 51), 3
         table = correlation_table(params, np.logspace(math.log10(4.0), math.log10(400.0), 25),
                                   delta)
         assert not np.isnan(table["D_numeric"]).any()
+        assert excess_builds[0] == 1  # once for the 25 rows, not once a row
         for s in np.linspace(5.0, 50.0, 10).tolist():
             query = CorrelationQuery(s=s, delta=delta, params=normalized_params(1e-3, 51))
             numeric_corr(query)
             truncated_corr(query, 2)
             analytic_corr(query)
-        assert (gap_builds[0], scale_builds[0]) == (1, 1)
+        assert (gap_builds[0], scale_builds[0], excess_builds[0]) == (1, 1, 1)
 
 
 class TestCrossChecks:

@@ -411,6 +411,12 @@ class TestOracleAmplitudes:
         with pytest.raises(DegenerateModeError):
             oracle_amplitudes(build_bdg(standard_params, 0.0), 0)
 
+    @pytest.mark.parametrize("momenta", [[0.1, 0.2, 0.3], [0.4]])
+    def test_stack_is_refused_with_its_shape(self, momenta):
+        system = build_bdg(normalized_params(0.1, 3), np.array(momenta))
+        with pytest.raises(ValueError, match=rf"one momentum, got shape \({len(momenta)}, 3, 3\)"):
+            oracle_amplitudes(system, 1)
+
 
 def test_sampler_is_deterministic_and_stable():
     first = sample_parameter_sets(np.random.Generator(np.random.Philox(11)), 10)
