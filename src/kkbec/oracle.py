@@ -3,22 +3,21 @@
 Builds the quadratic fluctuation form of the full Hamiltonian around the
 uniform mean field (chemical potential mu = nU + 2nU' + 2*Omega, the value
 that keeps the j = 0 mode gapless) and extracts the squared eigenenergies,
-the spectrum of (A+B)(A-B), by the symmetric-definite reduction: A + B is
-factored as L L^T by Cholesky, and the congruence L^T (A-B) L, which has the
-same spectrum, goes to a dense symmetric eigensolver. Only when A + B is not
-positive definite, so that the factorization fails, is the product itself
-handed to a general eigensolver. The closed forms in :mod:`kkbec.spectrum` are
-touched only by :func:`compare_with_closed_forms`, to hold them against these
-spectra; that agreement is what the test suite and the `oracle-check` CLI command
-certify.
+the spectrum of (A+B)(A-B): the blocks commute, so the product is symmetric,
+and one matrix product, a check of that symmetry and one dense symmetric
+eigensolve give E^2. The closed forms in :mod:`kkbec.spectrum` are touched
+only by :func:`compare_with_closed_forms`, to hold them against these
+spectra; that agreement is what the test suite and the `oracle-check` CLI
+command certify.
 
 The identity and ring-coupling tables depend only on N, so they are built
 once per N and kept, read-only, in a small bounded cache. Every momentum is
-still assembled into fresh blocks and factored and solved densely on its own:
-nothing of one momentum's factorization is reused for another. For small N
-the momenta of one grid are built as a (P, N, N) stack and go through one
-stacked Cholesky and one stacked eigensolve, which only saves numpy's
-per-call overhead; above :data:`_STACK_MAX_N` each momentum is one call.
+still assembled into fresh blocks and solved densely on its own, in the
+position basis: nothing of one momentum's solve is reused for another. For
+small N the momenta of one grid are built as a (P, N, N) stack and go
+through one stacked product and one stacked eigensolve, which only saves
+numpy's per-call overhead; above :data:`_STACK_MAX_N` each momentum is one
+call.
 """
 
 from __future__ import annotations
@@ -32,17 +31,23 @@ from .errors import DegenerateModeError, OracleError
 from .model import ModelParams
 
 # Eigenvalues of the E^2 product below this (absolute, normalized units) mark
-# a dynamical instability; imaginary parts below it are truncated as noise.
+# a dynamical instability.
 STABILITY_TOL = 1e-10
+
+# Largest asymmetry of (A+B)(A-B), in eps ||A+B||_inf ||A-B||_inf, that
+# roundoff explains: each entry sums at most 3 nonzero products, so about 3
+# bounds it. 4,940 built systems (200 sampled sets, N = 2..301, U' = -1 and
+# tachyonic sets, p = 0 and 1e-5..1e3) reached 0.25, and 0.49 at N = 2.
+_COMMUTE_TOL = 4.0
 
 # compare_with_closed_forms solves up to _STACK momenta per call as one stack
 # when N <= _STACK_MAX_N, and one momentum per call above; the chunks keep the
 # temporaries O(_STACK N^2) on any grid. Crossover, 20 momenta, median of 100
-# alternating runs (numpy 2.4, OpenBLAS, 2 cores): the stack takes 0.2-0.3x the
-# loop's time at N <= 11, 0.5x at N = 21, 0.8x at 31, 0.95x at 41 and 0.98x at
-# 45; from N = 47 the loop is faster, by 2-8% up to N = 101.
+# alternating runs (numpy 2.4, OpenBLAS, 2 cores): the stack takes 0.15-0.25x
+# the loop's time at N <= 11, 0.5x at 21, 0.7-1.0x at 31 to 47 (three sweeps);
+# from N = 49 the loop is faster, by 6-16% up to N = 61 and 29% at N = 101.
 _STACK = 64
-_STACK_MAX_N = 41
+_STACK_MAX_N = 47
 
 
 @dataclass(frozen=True)
@@ -91,36 +96,24 @@ def build_bdg(params: ModelParams, p: float | np.ndarray) -> BdGSystem:
 def oracle_energies(system: BdGSystem) -> tuple[np.ndarray, bool]:
     """Squared eigenenergies of (A+B)(A-B), unsorted, plus a stability flag.
 
-    When A + B is positive definite it is factored as L L^T, and the
-    congruence L^T (A-B) L, similar to (A+B)(A-B), is diagonalized
-    symmetrically; a negative eigenvalue there marks an instability of A - B.
-    Only when the Cholesky factorization fails (A + B not positive definite)
-    is the plain product handed to a general eigensolver, whose near-real
-    eigenvalues are truncated to their real parts.
-
-    A stacked system gives one row of E^2 per member, and the flag is true
-    only if every member is stable. One member whose A + B is not positive
-    definite sends the whole stack to the general eigensolver.
+    A and B are polynomials in the one ring-coupling matrix, so A + B and
+    A - B commute and P = (A+B)(A-B) is symmetric. That is checked, not
+    assumed: blocks that do not commute raise ``OracleError``. One symmetric
+    eigensolve of (P + P^T)/2 gives E^2, definite A + B or not; a negative
+    one marks an instability. A stacked system gives one row of E^2 per
+    member, each checked, and the flag is true only if every member is stable.
     """
-    a, b = system.block_a, system.block_b
+    plus, minus = system.block_a + system.block_b, system.block_a - system.block_b
+    prod = plus @ minus
+    asym = np.abs(prod - np.swapaxes(prod, -1, -2)).max(axis=(-2, -1))
+    scale = np.abs(plus).sum(axis=-1).max(axis=-1) * np.abs(minus).sum(axis=-1).max(axis=-1)
+    if np.any(asym > _COMMUTE_TOL * np.finfo(float).eps * scale):
+        raise OracleError("A + B and A - B do not commute: (A+B)(A-B) is not symmetric")
     try:
-        chol = np.linalg.cholesky(a + b)
-    except np.linalg.LinAlgError:  # A + B not positive definite, e.g. U' = -1, Omega = -0.1
-        try:
-            raw = np.linalg.eigvals((a + b) @ (a - b))
-        except np.linalg.LinAlgError as exc:  # a non-finite member of a stack
-            # whose Cholesky failed on another, indefinite member (p = inf beside p = 0.3)
-            raise OracleError("general eigenproblem failed") from exc
-        if np.any(np.abs(raw.imag) > STABILITY_TOL * np.maximum(1.0, np.abs(raw.real))):
-            raise OracleError("E^2 spectrum came out complex beyond tolerance")
-        e_sq = raw.real
-    else:
-        sym = np.swapaxes(chol, -1, -2) @ (a - b) @ chol
-        try:
-            e_sq = np.linalg.eigvalsh(0.5 * (sym + np.swapaxes(sym, -1, -2)))
-        except np.linalg.LinAlgError as exc:  # p = 1e200, +-inf, NaN: inf or NaN in L;
-            # p = 1e150: the congruence overflows
-            raise OracleError("symmetrized eigenproblem failed") from exc
+        e_sq = np.linalg.eigvalsh(0.5 * (prod + np.swapaxes(prod, -1, -2)))
+    except np.linalg.LinAlgError as exc:  # p = 1e150, 1e200, +-inf, NaN: inf or NaN
+        # in P, whose NaN asymmetry compares False above
+        raise OracleError("symmetrized eigenproblem failed") from exc
     stable = bool(e_sq.min() >= -STABILITY_TOL)
     return e_sq, stable
 

@@ -244,7 +244,7 @@ class TestOracleCheck:
 
     def test_seed_with_small_energies_passes(self, tmp_path):
         # its worst case (N = 11, U' = -0.485, Omega = -0.473) divides the solver's
-        # roundoff by a small E^2; the Cholesky congruence keeps it under 5e-10
+        # roundoff by a small E^2; the symmetric product route keeps it under 5e-10
         code, out = run_to_file(
             tmp_path, "oracle.json",
             ["oracle-check", "--cases", "8", "--seed", "2186642200"],

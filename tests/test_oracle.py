@@ -149,61 +149,68 @@ class TestOracleEnergies:
                 worst_wrong = max(worst_wrong, np.max(np.abs(wrong - reference)) / bound)
         assert worst_wrong > 1.0
 
-    def test_indefinite_a_plus_b_takes_the_general_solver(self, monkeypatch):
+    @staticmethod
+    def _assert_general_eigenvalues_within_bound(system, e_sq):
+        # the reference is the general eigensolver on the plain product, which
+        # assumes no symmetry; the sorted E^2 agree to 100 eps ||A+B||_2 ||A-B||_2
+        a, b = system.block_a, system.block_b
+        eps = np.finfo(float).eps
+        bound = 100 * eps * np.linalg.norm(a + b, 2) * np.linalg.norm(a - b, 2)
+        general = np.linalg.eigvals((a + b) @ (a - b))
+        assert np.max(np.abs(general.imag)) <= bound
+        assert np.max(np.abs(np.sort(e_sq) - np.sort(general.real))) <= bound, system.momentum
+
+    def test_indefinite_a_plus_b_matches_the_general_eigenvalues(self):
         params = ModelParams(9, 1.0, 1.0, 1.0, -1.0, -0.1)
         system = build_bdg(params, 0.3)
         assert np.linalg.eigvalsh(system.block_a + system.block_b).min() < -1.9
-        calls = []
-        general = np.linalg.eigvals
-
-        def counted(matrix):
-            calls.append(matrix.shape)
-            return general(matrix)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        e_sq, stable = oracle_energies(system)
+        assert stable is False
+        self._assert_general_eigenvalues_within_bound(system, e_sq)
         worst, stable = compare_with_closed_forms(params, [0.3])
-        assert calls == [(1, 9, 9)]
         assert worst <= 1e-12
         assert stable is False
 
-    def test_mixed_stack_takes_the_general_solver_within_the_bound(self, monkeypatch):
-        # the first 15 momenta have A + B indefinite, the last 5 positive definite:
-        # the stacked Cholesky fails, and the whole stack, the positive-definite
-        # members too, goes to the general solver
+    def test_mixed_stack_matches_the_general_eigenvalues_within_the_bound(self):
+        # the first 15 momenta have A + B indefinite, the last 5 positive definite;
+        # the one stacked eigensolve takes them all
         params = ModelParams(9, 1.0, 1.0, 1.0, -1.0, -0.1)
         momenta = np.logspace(-2, 1, 20)
         stack = build_bdg(params, momenta)
         definite = np.linalg.eigvalsh(stack.block_a + stack.block_b).min(axis=1) > 0
         assert definite.tolist() == [False] * 15 + [True] * 5
-        calls = []
-        general = np.linalg.eigvals
-
-        def counted(matrix):
-            calls.append(matrix.shape)
-            return general(matrix)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counted)
         e_sq, stable = oracle_energies(stack)
-        assert calls == [(20, 9, 9)]
         assert e_sq.shape == (20, 9)
         assert stable is False
-        monkeypatch.setattr(np.linalg, "eigvals", general)
-        eps = np.finfo(float).eps
         for k, p in enumerate(momenta.tolist()):
             member = build_bdg(params, p)
-            a, b = member.block_a, member.block_b
-            bound = 100 * eps * np.linalg.norm(a + b, 2) * np.linalg.norm(a - b, 2)
+            self._assert_general_eigenvalues_within_bound(member, e_sq[k])
             alone, _ = oracle_energies(member)
-            assert np.max(np.abs(np.sort(e_sq[k]) - np.sort(alone))) <= bound, p
+            self._assert_general_eigenvalues_within_bound(member, alone)
 
     @pytest.mark.parametrize("p", [np.inf, np.nan, 1e150])
     def test_non_finite_member_of_an_indefinite_stack_is_an_oracle_error(self, p):
-        # p = 0.3 fails the stacked Cholesky, so the non-finite member meets the
-        # general solver
+        # the indefinite member p = 0.3 and the non-finite one share the one eigensolve
         params = ModelParams(9, 1.0, 1.0, 1.0, -1.0, -0.1)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(OracleError, match="general eigenproblem failed"):
+            with pytest.raises(OracleError, match="symmetrized eigenproblem failed"):
                 oracle_energies(build_bdg(params, np.array([0.3, p])))
+
+    @pytest.mark.parametrize("momentum", [0.7, np.array([0.0, 0.7, 3.0])])
+    def test_blocks_that_do_not_commute_are_refused(self, momentum):
+        # one symmetric off-diagonal pair of B, 1e-6 off relative, breaks the
+        # commutation that makes (A+B)(A-B) symmetric; the unperturbed system
+        # passes. A needs a coupling term, or it is a multiple of the identity
+        # and commutes with any B (the mono-metric sets have none).
+        system = build_bdg(ModelParams(9, 1.0, 1.0, 1.0, 0.2, -0.1), momentum)
+        assert np.all(system.block_a[..., 2, 3] == 0.1)
+        oracle_energies(system)
+        block_b = system.block_b.copy()
+        block_b[..., 2, 3] *= 1.0 + 1e-6
+        block_b[..., 3, 2] *= 1.0 + 1e-6
+        broken = oracle.BdGSystem(system.momentum, system.block_a, block_b)
+        with pytest.raises(OracleError, match="do not commute"):
+            oracle_energies(broken)
 
     def test_stack_is_stable_only_if_every_member_is(self):
         tachyonic = ModelParams(9, 1.0, 1.0, 1.0, -0.1, 0.1)
@@ -214,8 +221,8 @@ class TestOracleEnergies:
         assert oracle_energies(build_bdg(tachyonic, momenta[1:]))[1] is True
 
     def test_tachyonic_set_stays_on_the_symmetric_route(self, monkeypatch):
-        # A + B is positive definite and A - B indefinite: the congruence carries
-        # the negative E^2 without the general solver
+        # A + B is positive definite and A - B indefinite: the one symmetric
+        # eigensolve carries the negative E^2 without the general solver
         def refused(matrix):
             raise AssertionError("the general eigensolver was called")
 
@@ -239,16 +246,16 @@ class TestOracleEnergies:
         assert np.min(e_sq) < -1e-6
 
 
-_param_sets = st.one_of(
-    st.integers(0, 2**32 - 1).map(
-        lambda seed: sample_parameter_sets(np.random.Generator(np.random.Philox(seed)), 1)[0]),
-    st.builds(normalized_params, st.floats(1e-4, 0.5),
-              st.integers(2, oracle._STACK_MAX_N)),
-)
+def _param_sets(max_species):
+    return st.one_of(
+        st.integers(0, 2**32 - 1).map(
+            lambda seed: sample_parameter_sets(np.random.Generator(np.random.Philox(seed)), 1)[0]),
+        st.builds(normalized_params, st.floats(1e-4, 0.5), st.integers(2, max_species)),
+    )
 
 
 @settings(max_examples=60, deadline=None)
-@given(params=_param_sets,
+@given(params=_param_sets(oracle._STACK_MAX_N),
        momenta=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=oracle._STACK))
 def test_stack_matches_the_per_momentum_route(params, momenta):
     # batched LAPACK need not be bitwise: the sorted spectra of each member must
@@ -265,6 +272,16 @@ def test_stack_matches_the_per_momentum_route(params, momenta):
         flags.append(flag)
         assert np.max(np.abs(np.sort(stacked[k]) - np.sort(alone))) <= bound, p
     assert stable is all(flags)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=_param_sets(101), momenta=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=8))
+def test_built_systems_pass_the_commutation_check(params, momenta):
+    # roundoff alone never trips the check, for one momentum or a stack
+    for p in (momenta[0], np.array(momenta)):
+        e_sq, _ = oracle_energies(build_bdg(params, p))
+        assert e_sq.shape == np.shape(p) + (params.species_count,)
+        assert np.all(np.isfinite(e_sq))
 
 
 @pytest.fixture
@@ -343,7 +360,7 @@ class TestCompareWithClosedForms:
     @staticmethod
     def _count_solves(monkeypatch):
         calls = {}
-        for name in ("cholesky", "eigvalsh", "eigh", "eigvals"):
+        for name in ("cholesky", "eigvalsh", "eigh", "eigvals", "eig"):
             def counted(matrix, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
                 calls.setdefault(_name, []).append(matrix.shape)
                 return _solve(matrix, *args, **kwargs)
@@ -351,23 +368,22 @@ class TestCompareWithClosedForms:
             monkeypatch.setattr(np.linalg, name, counted)
         return calls
 
-    def test_one_cholesky_and_one_eigvalsh_per_momentum(self, wide_params, monkeypatch):
-        # a work gate that does not depend on the machine: no eigenvector solve
+    def test_one_eigvalsh_and_no_factorization_per_momentum(self, wide_params, monkeypatch):
+        # a work gate that does not depend on the machine: no factorization, no
+        # general or eigenvector solve
         momenta = np.logspace(-2, 1, 7)
         calls = self._count_solves(monkeypatch)
         worst, stable = compare_with_closed_forms(wide_params, momenta)
         assert stable and worst <= 1e-9
-        assert calls == {"cholesky": [(51, 51)] * momenta.size,
-                         "eigvalsh": [(51, 51)] * momenta.size}
+        assert calls == {"eigvalsh": [(51, 51)] * momenta.size}
 
-    def test_one_cholesky_and_one_eigvalsh_per_chunk(self, standard_params, monkeypatch):
+    def test_one_eigvalsh_and_no_factorization_per_chunk(self, standard_params, monkeypatch):
         # the chunks bound the stack, and so the temporaries, to _STACK members
         momenta = np.logspace(-2, 1, 2 * oracle._STACK + 1)
         calls = self._count_solves(monkeypatch)
         worst, stable = compare_with_closed_forms(standard_params, momenta)
         assert stable and worst <= 1e-9
-        chunks = [(oracle._STACK, 9, 9)] * 2 + [(1, 9, 9)]
-        assert calls == {"cholesky": chunks, "eigvalsh": chunks}
+        assert calls == {"eigvalsh": [(oracle._STACK, 9, 9)] * 2 + [(1, 9, 9)]}
 
     @pytest.mark.parametrize("p", [1e200, np.inf, -np.inf, np.nan, 1e150])
     def test_non_finite_kinetic_term_is_an_oracle_error(self, p):
