@@ -7,10 +7,13 @@ files and stdout carry only machine-readable output. Floats are rendered with
 outputs; ``dispersion`` formats each level's block once, for both modes j and
 N - j that share it. s and eta grids include their bounds exactly.
 ``main(argv)`` is reentrant and cheap to call in-process: one parser per
-process, argv parsed once, by the parser of the command that argv[0] names
-(argv that names none goes to the top-level parser, for help or a usage
-error), and ``cmd_*`` looked up at call time. Running out of memory, say on a
-grid of 1e12 points, is a validation failure (exit 2).
+process, and ``cmd_*`` looked up at call time. argv is parsed once. When
+argv[0] names a command, one pass over that command's option table (exact
+option strings, each once, with plain values) reads the rest; whatever the
+table declines goes to the command's argparse parser, and argv that names no
+command to the top-level parser. argparse thus still accepts abbreviations and
+'--opt=value', and writes every help text and usage error. Running out of
+memory, say on a grid of 1e12 points, is a validation failure (exit 2).
 """
 
 from __future__ import annotations
@@ -343,22 +346,87 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the action kinds the option table reads: a value converted by its type, or a flag
+_TABLE_ACTIONS = (argparse._StoreAction, argparse._StoreTrueAction)
+
+
+def _option_table(parser: argparse.ArgumentParser) -> tuple[dict, dict, list]:
+    """A command's exact option strings with their actions, its defaults, and its groups.
+
+    The defaults are those argparse puts in a fresh namespace. Each group lists the
+    dests of one mutually exclusive group.
+    """
+    options = {string: action for string, action in parser._option_string_actions.items()
+               if type(action) in _TABLE_ACTIONS}
+    defaults = {action.dest: action.default for action in parser._actions
+                if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS}
+    groups = [[action.dest for action in group._group_actions]
+              for group in parser._mutually_exclusive_groups]
+    return options, defaults, groups
+
+
+def _table_parse(table, argv: list[str]) -> argparse.Namespace | None:
+    """argv's namespace in one pass over ``table``, or None to leave argv to argparse.
+
+    It takes each token as an exact option string, used at most once, followed by
+    its value when it takes one: a token that does not start with '-', converts
+    with the action's type and lies in its choices. Exactly one member of each
+    group must be given. Whatever it takes, argparse parses to the same namespace.
+    """
+    options, defaults, groups = table
+    given = {}
+    tokens = iter(argv)
+    for token in tokens:
+        action = options.get(token)
+        if action is None or action.dest in given:
+            return None
+        if action.nargs == 0:
+            given[action.dest] = action.const
+            continue
+        text = next(tokens, "-")  # a missing value reads as '-', which argparse must judge
+        if text[:1] == "-":
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    if any(sum(dest in given for dest in group) != 1 for group in groups):
+        return None
+    args = argparse.Namespace()
+    args.__dict__.update(defaults, **given)
+    return args
+
+
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The one parser of the process that main uses, and its parser of each command."""
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict]:
+    """The one parser of the process that main uses, its parser of each command, and
+    each command's option table."""
     parser = build_parser()
-    return parser, next(action.choices for action in parser._actions if action.dest == "command")
+    commands = next(action.choices for action in parser._actions if action.dest == "command")
+    return parser, commands, {name: _option_table(sub) for name, sub in commands.items()}
 
 
 def main(argv=None) -> int:
-    """Run one command; the only place that turns an outcome into an exit code."""
+    """Run one command; the only place that turns an outcome into an exit code.
+
+    argv that names a command is read by one pass over that command's option
+    table. What the table declines (help, abbreviations, '--opt=value', repeats,
+    values that start with '-', unknown tokens, group errors) goes to the
+    command's argparse parser, and argv that names no command to the top-level
+    parser: argparse writes every help text and usage error.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _parser()
+    parser, commands, tables = _parser()
     if argv and argv[0] in commands:
-        # the command's own parser alone, as the top-level pass would hand argv on to it
-        args, extras = commands[argv[0]].parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args = _table_parse(tables[argv[0]], argv[1:])
+        if args is None:
+            # the command's own parser alone, as the top-level pass would hand argv on to it
+            args, extras = commands[argv[0]].parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
         args.command = argv[0]
     else:  # no command named: the top-level parser prints help or a usage error
         args = parser.parse_args(argv)

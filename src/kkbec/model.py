@@ -269,7 +269,7 @@ def params_from_document(doc: dict) -> tuple[ModelParams, bool]:
     if not isinstance(doc["N"], int) or isinstance(doc["N"], bool):
         raise ValueError("N must be an integer")
     length = doc.get("L")
-    if length is not None and not isinstance(length, (int, float)):
+    if length is not None and (isinstance(length, bool) or not isinstance(length, (int, float))):
         raise ValueError("L must be a number or null")
     mono = doc.get("mono_metric", False)
     if not isinstance(mono, bool):

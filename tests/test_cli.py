@@ -317,6 +317,12 @@ class TestConfigHandling:
         path.write_text(json.dumps({**STANDARD_DOC, "temperature": 1.0}))
         assert main(["tower", "--config", str(path)]) == 2
 
+    def test_boolean_length(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({**STANDARD_DOC, "L": True}))
+        assert main(["tower", "--config", str(path)]) == 2
+        assert "L must be a number or null" in capsys.readouterr().err
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text("{not json")
@@ -596,27 +602,44 @@ class TestParserReuse:
 
 
 class TestDispatch:
-    """main parses argv once, by the parser of the command that argv[0] names."""
+    """main parses argv once: by the option table of the command that argv[0] names,
+    or else by that command's argparse parser."""
 
     INPUT = ["--normalized-omega", "0.1", "--species", "3"]
-    # one cheap request per command, with abbreviations, '=' forms and repeats
-    PARSED = [
+    ROW = ["--s-min", "5", "--s-max", "5", "--s-points", "1"]
+    # read by the option table: exact option strings, each once, with plain values;
+    # the last four are the benchmark's request shapes
+    TABLE = [
         ["tower", *INPUT],
         ["tower", "--config", "params.json", "--format", "json", "--out", "t.csv", "--svg"],
+        ["correlation", "--normalized-omega", "0.001", "--s-min", "5", "--s-max", "5",
+         "--s-points", "1", "--delta", "2", "--j-tr", "1", "--quad-tol", "1e-8",
+         "--unweighted-truncation"],
+        ["correlation", "--normalized-omega", "0.001", *ROW, "--quad-tol", "nan"],
+        ["correlation", "--normalized-omega", "0.001", *ROW, "--quad-tol", "inf"],
+        ["oracle-check", "--cases", "1", "--p-points", "1"],
+        ["validate", *INPUT, "--regime", "unrestricted"],
+        ["validate", "--config", "params.json"],
+        ["correlation", "--normalized-omega", "0.001", "--species", "9", "--s-min", "2.5",
+         "--s-max", "2.5", "--s-points", "1", "--delta", "3"],
+        ["tower", "--normalized-omega", "0.01", "--species", "51"],
+        ["validate", "--normalized-omega", "0.01", "--species", "51"],
+        ["oracle-check", "--cases", "8"],
+    ]
+    # handed to argparse: abbreviations, '=' forms, repeats, a value that starts with '-'
+    HANDED = [
         ["tower", "--normalized-om", "0.1", "--species=3"],
         ["dispersion", *INPUT, "--eta-points", "2", "--eta-min=0.5", "--eta-max", "2"],
         ["dispersion", "--species", "3", "--normalized-omega", "0.1", "--eta-points", "1",
          "--eta-min", "2", "--eta-max", "2", "--format", "csv", "--format", "json"],
         ["correlation", "--normalized-omega", "0.001", "--s-mi", "5", "--s-max", "5",
          "--s-points", "1"],
-        ["correlation", "--normalized-omega", "0.001", "--s-min", "5", "--s-max", "5",
-         "--s-points", "1", "--delta", "2", "--j-tr", "1", "--quad-tol", "1e-8",
-         "--unweighted-truncation"],
-        ["oracle-check", "--cases", "1", "--p-points", "1"],
+        ["correlation", "--normalized-omega", "0.001", "--s-min", "-1", "--s-max", "5",
+         "--s-points", "1"],
+        ["correlation", "--normalized-omega", "0.001", *ROW, "--delta", "1", "--delta", "2"],
         ["oracle-check", "--seed", "5", "--cases=1", "--p-points", "1", "--out", "r.json"],
-        ["validate", *INPUT, "--regime", "unrestricted"],
-        ["validate", "--config", "params.json"],
     ]
+    PARSED = TABLE + HANDED
     # each ends in a top-level parse: help, or a usage error
     REJECTED = [
         [], ["-h"], ["--help"], ["no-such-command"], ["tow", *INPUT], ["--"],
@@ -629,6 +652,9 @@ class TestDispatch:
         ["oracle-check", "--normalized-omega", "0.1"],
         ["validate", *INPUT, "--regime", "bogus"],
         ["dispersion", *INPUT, "--format", "xml"],
+        ["tower", *INPUT, "--format", "--out", "x"],
+        ["tower", *INPUT, "--svg", "yes"],
+        ["tower", *INPUT, "--format", "json", "-h"],
     ]
 
     @staticmethod
@@ -640,20 +666,26 @@ class TestDispatch:
                 build_parser().parse_args(argv)
         return ("exit", exc.value.code), out.getvalue(), err.getvalue()
 
+    @staticmethod
+    def _fields(args):
+        # repr tells nan from nan's absence, and -0.0 from 0.0, where == cannot
+        return {name: repr(value) for name, value in vars(args).items()}
+
     @pytest.mark.parametrize("argv", PARSED)
     def test_namespace_of_a_top_level_parse(self, monkeypatch, argv):
         seen = []
         monkeypatch.setattr(cli, "cmd_" + argv[0].replace("-", "_"),
                             lambda args: seen.append(args) or 0)
         assert main(argv) == 0
-        assert seen == [build_parser().parse_args(argv)]
+        assert [self._fields(args) for args in seen] == [
+            self._fields(build_parser().parse_args(argv))]
 
     @pytest.mark.parametrize("argv", REJECTED)
     def test_rejection_is_the_top_level_parse(self, argv):
         assert _captured(argv) == self._top_level(argv)
 
     def test_one_parse_per_request(self, monkeypatch):
-        """Gate: one parse_known_args call per command request, whatever the command."""
+        """Gate: no parse_known_args call for argv the table reads, one for argv it hands on."""
         calls = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
 
@@ -662,12 +694,57 @@ class TestDispatch:
             return parse_known_args(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
-        requests = [argv for argv in self.PARSED if "--out" not in argv and "--config" not in argv]
-        assert {argv[0] for argv in requests} == set(TestOptions.EXPECTED)
-        for argv in requests:
-            calls.clear()
-            assert _captured(argv)[0] == 0, argv
-            assert calls == [f"kkbec {argv[0]}"]
+        commands = set()
+        for requests, parses in ((self.TABLE, []), (self.HANDED, ["kkbec {}"])):
+            for argv in requests:
+                if "--out" in argv or "--config" in argv:
+                    continue
+                calls.clear()
+                # a command's outcome (--s-min -1 fails validation), never a usage error
+                assert _captured(argv)[0] in (0, 2), argv
+                assert calls == [prog.format(argv[0]) for prog in parses], argv
+                commands.add(argv[0])
+        assert commands == set(TestOptions.EXPECTED)
+
+
+def _table_tokens(sub):
+    """argv tokens for one command: its option strings, their prefixes and '=' forms, and values."""
+    options = sorted(sub._option_string_actions)
+    values = ["3", "0.5", "1e-3", "51", "-1", "-0.5", "-inf", "nan", "inf", "two", "",
+              "-", "--", "csv", "json", *REGIMES]
+    option = st.sampled_from(options)
+    return st.one_of(
+        st.tuples(option, st.sampled_from(values)).map(list),
+        option.map(lambda opt: [opt]),
+        st.tuples(option, st.integers(2, 20)).map(lambda t: [t[0][:t[1]]]),
+        st.tuples(option, st.sampled_from(values)).map(lambda t: [f"{t[0]}={t[1]}"]),
+        st.sampled_from(values).map(lambda value: [value]),
+    )
+
+
+class TestOptionTable:
+    """The option table takes only argv that argparse parses to the same namespace."""
+
+    COMMANDS = next(a for a in build_parser()._actions if a.dest == "command").choices
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_taken_argv_is_argparse_namespace(self, command, data):
+        sub = self.COMMANDS[command]
+        argv = [token for chunk in data.draw(st.lists(_table_tokens(sub), max_size=8))
+                for token in chunk]
+        taken = cli._table_parse(cli._parser()[2][command], argv)
+        if taken is None:
+            return
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                args, extras = sub.parse_known_args(argv)
+            except SystemExit:  # a usage error that the table took
+                pytest.fail(f"argparse rejects {argv}: {err.getvalue()}")
+        assert extras == []
+        assert TestDispatch._fields(taken) == TestDispatch._fields(args)
 
 
 def _fmt(value) -> str:

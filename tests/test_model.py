@@ -243,6 +243,8 @@ class TestParameterDocument:
             params_from_document([9, 1.0])
         with pytest.raises(ValueError, match="L must be"):
             params_from_document({**self.DOC, "L": "long"})
+        with pytest.raises(ValueError, match="L must be"):
+            params_from_document({**self.DOC, "L": True})
         with pytest.raises(ValueError):
             params_from_document({**self.DOC, "N": 9.0})
         with pytest.raises(ValueError):

@@ -398,6 +398,13 @@ class TestCompareWithClosedForms:
             with pytest.raises(OracleError, match="symmetrized eigenproblem failed"):
                 compare_with_closed_forms(normalized_params(0.1, 9), momenta)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 7: at p = 0 the gapless mode's closed-form E^2 is exactly 0, so the "
+        "relative metric divides the oracle's roundoff by its 1e-12 floor (reads ~1.7e-4); "
+        "the norm-scaled gate of that item turns this into a pass"))
+    def test_gapless_mode_at_zero_momentum_matches(self):
+        assert compare_with_closed_forms(normalized_params(0.1, 9), [0.0])[0] <= 1e-9
+
 
 class TestOracleAmplitudes:
     def test_matches_closed_form(self, standard_params):
