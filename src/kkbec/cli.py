@@ -6,14 +6,15 @@ files and stdout carry only machine-readable output. Floats are rendered with
 ``repr`` (shortest round-trip form), so identical inputs produce byte-identical
 outputs; ``dispersion`` formats each level's block once, for both modes j and
 N - j that share it. s and eta grids include their bounds exactly.
-``main(argv)`` is reentrant and cheap to call in-process: one parser per
-process, and ``cmd_*`` looked up at call time. argv is parsed once. When
-argv[0] names a command, one pass over that command's option table (exact
-option strings, each once, with plain values) reads the rest; whatever the
-table declines goes to the command's argparse parser, and argv that names no
-command to the top-level parser. argparse thus still accepts abbreviations and
-'--opt=value', and writes every help text and usage error. Running out of
-memory, say on a grid of 1e12 points, is a validation failure (exit 2).
+``main(argv)`` is reentrant and cheap to call in-process, and looks ``cmd_*``
+up at call time. Each command's options are declared once, in ``_COMMANDS``,
+which builds the argparse parser and the one-pass reader alike. argv is parsed
+once: the reader takes argv that names a command and gives each option's exact
+string at most once, with a plain value; whatever it declines goes to the
+top-level argparse parser, built once per process when first needed. argparse
+thus still accepts abbreviations and '--opt=value', and writes every help text
+and usage error. Running out of memory, say on a grid of 1e12 points, is a
+validation failure (exit 2).
 """
 
 from __future__ import annotations
@@ -212,9 +213,8 @@ def cmd_correlation(args) -> int:
     if not mono:
         raise ValueError("correlation requires mono_metric parameters")
     svals = _log_grid(args.s_min, args.s_max, args.s_points)
-    j_tr = min(2, (params.species_count - 1) // 2) if args.j_tr is None else args.j_tr
     # a non-positive --quad-tol raises ValueError in the first row (exit 2 through main)
-    table = correlation.correlation_table(params, svals, args.delta, j_tr, args.quad_tol,
+    table = correlation.correlation_table(params, svals, args.delta, args.j_tr, args.quad_tol,
                                           not args.unweighted_truncation)
     _write_table(args.out, table, args.format)
     _maybe_svg(args, table["s"], {name: table["D_" + name]
@@ -292,6 +292,39 @@ def cmd_validate(args) -> int:
     return EXIT_OK if payload["ok"] else EXIT_VALIDATION
 
 
+# Each command's help line and options, in the order of its help. An option maps to its
+# add_argument keywords: its type, default, and choices or help; a flag has no type.
+# A command that takes --config takes exactly one of the two _SOURCE options.
+_OUT = {"--out": dict(type=str, help="output path (default stdout)")}
+_SOURCE = {"--config": dict(type=str, help="JSON parameter document"),
+           "--normalized-omega": dict(
+               type=float, metavar="RATIO",
+               help="normalized mono-metric mode: m=n=U=1, |Omega|/nU=RATIO")}
+_INPUT = {**_SOURCE, "--species": dict(type=int, help="N for --normalized-omega (default 9)"),
+          **_OUT}
+_TABLE = {**_INPUT, "--format": dict(type=str, choices=("csv", "json"), default="csv"),
+          "--svg": dict(action="store_true", help="also write a minimal SVG plot next to --out")}
+_COMMANDS = {
+    "tower": ("mass tower table (exact vs continuum)", _TABLE),
+    "dispersion": ("dispersion curves over an eta grid", {
+        **_TABLE, "--eta-min": dict(type=float, default=0.01),
+        "--eta-max": dict(type=float, default=10.0), "--eta-points": dict(type=int, default=60)}),
+    "correlation": ("analytic/numeric/truncated correlators", {
+        **_TABLE, "--s-min": dict(type=float, default=2.0),
+        "--s-max": dict(type=float, default=40.0), "--s-points": dict(type=int, default=25),
+        "--delta": dict(type=int, default=1),
+        "--j-tr": dict(type=int),  # None: correlation_table's default
+        "--quad-tol": dict(type=float, default=1e-10),
+        "--unweighted-truncation": dict(action="store_true",
+                                        help="reproduce the unweighted printed truncated form")}),
+    "oracle-check": ("closed forms vs brute-force BdG", {
+        **_OUT, "--seed": dict(type=int, default=DEFAULT_SEED),
+        "--cases": dict(type=int, default=120), "--p-points": dict(type=int, default=20)}),
+    "validate": ("regime constraint report", {
+        **_INPUT, "--regime": dict(type=str, choices=model.REGIMES, default=model.RELATIVISTIC)}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kkbec",
@@ -299,137 +332,84 @@ def build_parser() -> argparse.ArgumentParser:
                     "ring-coupled multicomponent condensate",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    # parent parsers: each subcommand takes only the option groups it reads
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", default=None, help="output path (default stdout)")
-    inputs = argparse.ArgumentParser(add_help=False)
-    source = inputs.add_mutually_exclusive_group(required=True)
-    source.add_argument("--config", help="JSON parameter document")
-    source.add_argument("--normalized-omega", type=float, default=None, metavar="RATIO",
-                        help="normalized mono-metric mode: m=n=U=1, |Omega|/nU=RATIO")
-    inputs.add_argument("--species", type=int, default=None,
-                        help="N for --normalized-omega (default 9)")
-    table = argparse.ArgumentParser(add_help=False)
-    table.add_argument("--format", choices=("csv", "json"), default="csv")
-    table.add_argument("--svg", action="store_true",
-                       help="also write a minimal SVG plot next to --out")
-
-    subs.add_parser("tower", parents=[inputs, out, table],
-                    help="mass tower table (exact vs continuum)")
-
-    disp = subs.add_parser("dispersion", parents=[inputs, out, table],
-                           help="dispersion curves over an eta grid")
-    disp.add_argument("--eta-min", type=float, default=0.01)
-    disp.add_argument("--eta-max", type=float, default=10.0)
-    disp.add_argument("--eta-points", type=int, default=60)
-
-    corr = subs.add_parser("correlation", parents=[inputs, out, table],
-                           help="analytic/numeric/truncated correlators")
-    corr.add_argument("--s-min", type=float, default=2.0)
-    corr.add_argument("--s-max", type=float, default=40.0)
-    corr.add_argument("--s-points", type=int, default=25)
-    corr.add_argument("--delta", type=int, default=1)
-    corr.add_argument("--j-tr", type=int, default=None)  # None: min(2, (N-1)//2)
-    corr.add_argument("--quad-tol", type=float, default=1e-10)
-    corr.add_argument("--unweighted-truncation", action="store_true",
-                      help="reproduce the unweighted printed truncated form")
-
-    check = subs.add_parser("oracle-check", parents=[out],
-                            help="closed forms vs brute-force BdG")
-    check.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    check.add_argument("--cases", type=int, default=120)
-    check.add_argument("--p-points", type=int, default=20)
-
-    val = subs.add_parser("validate", parents=[inputs, out], help="regime constraint report")
-    val.add_argument("--regime", choices=model.REGIMES, default=model.RELATIVISTIC)
-
+    for name, (summary, options) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=summary)
+        source = sub.add_mutually_exclusive_group(required=True) if "--config" in options else sub
+        for option, keywords in options.items():
+            (source if option in _SOURCE else sub).add_argument(option, **keywords)
     return parser
 
 
-# the action kinds the option table reads: a value converted by its type, or a flag
-_TABLE_ACTIONS = (argparse._StoreAction, argparse._StoreTrueAction)
+def _reader(options: dict) -> tuple[dict, dict]:
+    """A command's options as ``_read`` takes them, option -> (dest, type or None for a
+    flag, choices), and the defaults that argparse puts in a fresh namespace."""
+    dests = {option: option[2:].replace("-", "_") for option in options}
+    return ({option: (dests[option], keywords.get("type"), keywords.get("choices"))
+             for option, keywords in options.items()},
+            {dests[option]: keywords.get("default", None if "type" in keywords else False)
+             for option, keywords in options.items()})
 
 
-def _option_table(parser: argparse.ArgumentParser) -> tuple[dict, dict, list]:
-    """A command's exact option strings with their actions, its defaults, and its groups.
-
-    The defaults are those argparse puts in a fresh namespace. Each group lists the
-    dests of one mutually exclusive group.
-    """
-    options = {string: action for string, action in parser._option_string_actions.items()
-               if type(action) in _TABLE_ACTIONS}
-    defaults = {action.dest: action.default for action in parser._actions
-                if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS}
-    groups = [[action.dest for action in group._group_actions]
-              for group in parser._mutually_exclusive_groups]
-    return options, defaults, groups
+_READERS = {name: _reader(options) for name, (_, options) in _COMMANDS.items()}
 
 
-def _table_parse(table, argv: list[str]) -> argparse.Namespace | None:
-    """argv's namespace in one pass over ``table``, or None to leave argv to argparse.
+def _read(argv: list[str]) -> argparse.Namespace | None:
+    """argv's namespace in one pass over the options of the command that argv[0] names,
+    or None to leave argv to argparse.
 
     It takes each token as an exact option string, used at most once, followed by
     its value when it takes one: a token that does not start with '-', converts
-    with the action's type and lies in its choices. Exactly one member of each
-    group must be given. Whatever it takes, argparse parses to the same namespace.
+    with the option's type and lies in its choices. Exactly one _SOURCE option must
+    be given where the command takes them. Whatever it takes, argparse parses to
+    the same namespace.
     """
-    options, defaults, groups = table
+    reader = _READERS.get(argv[0]) if argv else None
+    if reader is None:
+        return None
+    options, defaults = reader
     given = {}
-    tokens = iter(argv)
+    tokens = iter(argv[1:])
     for token in tokens:
-        action = options.get(token)
-        if action is None or action.dest in given:
+        option = options.get(token)
+        if option is None or option[0] in given:
             return None
-        if action.nargs == 0:
-            given[action.dest] = action.const
+        dest, kind, choices = option
+        if kind is None:
+            given[dest] = True
             continue
         text = next(tokens, "-")  # a missing value reads as '-', which argparse must judge
         if text[:1] == "-":
             return None
         try:
-            value = text if action.type is None else action.type(text)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            value = kind(text)
+        except ValueError:
             return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        given[action.dest] = value
-    if any(sum(dest in given for dest in group) != 1 for group in groups):
+        given[dest] = value
+    if "config" in defaults and ("config" in given) == ("normalized_omega" in given):
         return None
-    args = argparse.Namespace()
+    args = argparse.Namespace(command=argv[0])
     args.__dict__.update(defaults, **given)
     return args
 
 
 @functools.cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser], dict]:
-    """The one parser of the process that main uses, its parser of each command, and
-    each command's option table."""
-    parser = build_parser()
-    commands = next(action.choices for action in parser._actions if action.dest == "command")
-    return parser, commands, {name: _option_table(sub) for name, sub in commands.items()}
+def _parser() -> argparse.ArgumentParser:
+    """The one top-level parser of the process, built when argv first needs it."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     """Run one command; the only place that turns an outcome into an exit code.
 
-    argv that names a command is read by one pass over that command's option
-    table. What the table declines (help, abbreviations, '--opt=value', repeats,
-    values that start with '-', unknown tokens, group errors) goes to the
-    command's argparse parser, and argv that names no command to the top-level
-    parser: argparse writes every help text and usage error.
+    ``_read`` reads argv that names a command in one pass over its options. What
+    it declines (help, no or an unknown command, abbreviations, '--opt=value',
+    repeats, values that start with '-', unknown tokens, group errors) goes to the
+    top-level argparse parser, which writes every help text and usage error.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands, tables = _parser()
-    if argv and argv[0] in commands:
-        args = _table_parse(tables[argv[0]], argv[1:])
-        if args is None:
-            # the command's own parser alone, as the top-level pass would hand argv on to it
-            args, extras = commands[argv[0]].parse_known_args(argv[1:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
-        args.command = argv[0]
-    else:  # no command named: the top-level parser prints help or a usage error
-        args = parser.parse_args(argv)
+    args = _read(argv) or _parser().parse_args(argv)  # a Namespace is never false
     if getattr(args, "svg", False) and args.out is None:
         print("error: --svg requires --out", file=sys.stderr)
         return EXIT_IO

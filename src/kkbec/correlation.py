@@ -440,15 +440,17 @@ def truncated_corr(query: CorrelationQuery, j_tr: int, weighted: bool = True) ->
     return total / (n_sp * math.sqrt(2.0) * math.pi**2 * query.s)
 
 
-def correlation_table(params: ModelParams, s, delta: int, j_tr: int = 2, rel_tol: float = 1e-10,
-                      weighted: bool = True) -> dict[str, np.ndarray]:
+def correlation_table(params: ModelParams, s, delta: int, j_tr: int | None = None,
+                      rel_tol: float = 1e-10, weighted: bool = True) -> dict[str, np.ndarray]:
     """All three correlators at one Delta over a sequence of separations ``s``, as columns.
 
     Keys, in the CLI's order: ``s, delta, D_analytic, D_numeric, D_numeric_err,
     D_truncated``, one row per s in the order given. A row whose quadrature
     fails reads NaN in ``D_numeric`` and ``D_numeric_err``; any other error
-    raises.
+    raises. ``j_tr`` defaults to min(2, (N - 1)//2), the CLI's default too.
     """
+    if j_tr is None:
+        j_tr = min(2, (params.species_count - 1) // 2)
     s = np.array(s, dtype=float)
     rows = []
     for s_row in s.tolist():

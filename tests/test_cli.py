@@ -3,14 +3,18 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kkbec import cli, model, spectrum
+from kkbec import cli, correlation, model, spectrum
 from kkbec.cli import build_parser, main
 from kkbec.model import REGIMES
 
@@ -225,6 +229,16 @@ class TestCorrelation:
         for species in ("5", "9"):
             argv = ["correlation", "--normalized-omega", "0.001", "--species", species] + self.ARGS
             assert _captured(argv) == _captured(argv + ["--j-tr", "2"])
+
+    @pytest.mark.parametrize("species", [3, 9])
+    def test_library_default_truncation_is_the_cli_default(self, capsys, species):
+        argv = ["correlation", "--normalized-omega", "0.001", "--species", str(species)]
+        code, out, err = _captured(argv + self.ARGS)
+        assert (code, err) == (0, "")
+        table = correlation.correlation_table(model.normalized_params(1e-3, species),
+                                              cli._log_grid(10.0, 20.0, 3), 1, rel_tol=1e-9)
+        cli._write_table(None, table, "csv")
+        assert capsys.readouterr().out == out
 
 
 class TestOracleCheck:
@@ -575,7 +589,8 @@ class TestParserReuse:
         assert build_parser() is not build_parser()
 
     def test_parser_built_at_most_once_per_process(self, monkeypatch):
-        """Gate: 20 calls over every subcommand add no more arguments than one build."""
+        """Gate: 24 calls over every subcommand, one of them handed to argparse, add no
+        more arguments than one build."""
         calls = []
         add_argument = argparse.ArgumentParser.add_argument
 
@@ -595,19 +610,36 @@ class TestParserReuse:
              "--s-min", "5", "--s-max", "5"],
             ["oracle-check", "--cases", "1", "--p-points", "1"],
             ["validate", "--normalized-omega", "0.1"],
+            ["tower", "--normalized-omega=0.1", "--species", "3"],  # an '=' form: argparse
         ]
         for argv in commands * 4:
             assert _captured(argv)[0] == 0, argv
         assert 0 < len(calls) <= one_build
 
 
+class TestArgvFromSys:
+    """main() with no argv reads sys.argv, as `python -m kkbec.cli` and the console script do."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src"
+
+    @pytest.mark.parametrize("argv", [["tower", "--normalized-omega", "0.1", "--species", "3"],
+                                      ["--help"]])
+    def test_module_run_is_the_in_process_run(self, argv):
+        run = subprocess.run([sys.executable, "-m", "kkbec.cli", *argv], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": str(self.SRC)},
+                             timeout=120)
+        code, out, err = _captured(argv)  # --help: code is ("exit", 0)
+        assert run.returncode == (code[1] if isinstance(code, tuple) else code)
+        assert (run.stdout, run.stderr) == (out, err)
+
+
 class TestDispatch:
-    """main parses argv once: by the option table of the command that argv[0] names,
-    or else by that command's argparse parser."""
+    """main parses argv once: by one pass over the options of the command that argv[0]
+    names, or else by the top-level argparse parser."""
 
     INPUT = ["--normalized-omega", "0.1", "--species", "3"]
     ROW = ["--s-min", "5", "--s-max", "5", "--s-points", "1"]
-    # read by the option table: exact option strings, each once, with plain values;
+    # read in one pass: exact option strings, each once, with plain values;
     # the last four are the benchmark's request shapes
     TABLE = [
         ["tower", *INPUT],
@@ -685,8 +717,9 @@ class TestDispatch:
         assert _captured(argv) == self._top_level(argv)
 
     def test_one_parse_per_request(self, monkeypatch):
-        """Gate: no parse_known_args call for argv the table reads, one for argv it hands on."""
-        calls = []
+        """Gate: argv the reader takes builds no parser and calls no parse_known_args;
+        argv it hands on gets exactly the top-level parse, the parser built at most once."""
+        calls, builds = [], []
         parse_known_args = argparse.ArgumentParser.parse_known_args
 
         def counted(self, *args, **kwargs):
@@ -694,8 +727,11 @@ class TestDispatch:
             return parse_known_args(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+        cli._parser.cache_clear()
         commands = set()
-        for requests, parses in ((self.TABLE, []), (self.HANDED, ["kkbec {}"])):
+        # the top-level parse hands argv[1:] on to the parser of the command it names
+        for requests, parses in ((self.TABLE, []), (self.HANDED, ["kkbec", "kkbec {}"])):
             for argv in requests:
                 if "--out" in argv or "--config" in argv:
                     continue
@@ -703,13 +739,15 @@ class TestDispatch:
                 # a command's outcome (--s-min -1 fails validation), never a usage error
                 assert _captured(argv)[0] in (0, 2), argv
                 assert calls == [prog.format(argv[0]) for prog in parses], argv
+                assert len(builds) == (requests is self.HANDED), argv
                 commands.add(argv[0])
+        cli._parser.cache_clear()
         assert commands == set(TestOptions.EXPECTED)
 
 
-def _table_tokens(sub):
+def _table_tokens(command):
     """argv tokens for one command: its option strings, their prefixes and '=' forms, and values."""
-    options = sorted(sub._option_string_actions)
+    options = sorted(TestOptions.EXPECTED[command] | {"-h", "--help"})
     values = ["3", "0.5", "1e-3", "51", "-1", "-0.5", "-inf", "nan", "inf", "two", "",
               "-", "--", "csv", "json", *REGIMES]
     option = st.sampled_from(options)
@@ -723,25 +761,22 @@ def _table_tokens(sub):
 
 
 class TestOptionTable:
-    """The option table takes only argv that argparse parses to the same namespace."""
+    """The one-pass reader takes only argv that argparse parses to the same namespace."""
 
-    COMMANDS = next(a for a in build_parser()._actions if a.dest == "command").choices
-
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("command", sorted(TestOptions.EXPECTED))
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_taken_argv_is_argparse_namespace(self, command, data):
-        sub = self.COMMANDS[command]
-        argv = [token for chunk in data.draw(st.lists(_table_tokens(sub), max_size=8))
-                for token in chunk]
-        taken = cli._table_parse(cli._parser()[2][command], argv)
+        chunks = data.draw(st.lists(_table_tokens(command), max_size=8))
+        argv = [command, *(token for chunk in chunks for token in chunk)]
+        taken = cli._read(argv)
         if taken is None:
             return
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             try:
-                args, extras = sub.parse_known_args(argv)
-            except SystemExit:  # a usage error that the table took
+                args, extras = build_parser().parse_known_args(argv)
+            except SystemExit:  # a usage error that the reader took
                 pytest.fail(f"argparse rejects {argv}: {err.getvalue()}")
         assert extras == []
         assert TestDispatch._fields(taken) == TestDispatch._fields(args)
