@@ -325,6 +325,19 @@ _COMMANDS = {
 }
 
 
+class _Store(argparse.Action):
+    """argparse's store, with '--opt=--' a usage error on every Python.
+
+    Python 3.10 and 3.11 drop the '--' and store an empty list, unconverted;
+    later ones convert '--' itself. Either way the option was given no value.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == [] or values == "--":
+            raise argparse.ArgumentError(self, "expected one argument")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kkbec",
@@ -336,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=summary)
         source = sub.add_mutually_exclusive_group(required=True) if "--config" in options else sub
         for option, keywords in options.items():
-            (source if option in _SOURCE else sub).add_argument(option, **keywords)
+            group = source if option in _SOURCE else sub
+            group.add_argument(option, **{"action": _Store, **keywords})  # a flag keeps store_true
     return parser
 
 

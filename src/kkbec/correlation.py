@@ -21,10 +21,10 @@ The radial reduction of the 3D Fourier integral is analytic; the remaining
 oscillatory 1D integral, whose subtracted integrand decays only like 1/eta,
 goes to the Ooura-Mori double-exponential rule for Fourier integrals, whose
 nodes approach the zeros of sin(eta*s). Its first two steps, which the stop
-test always needs, share one integrand call. The integrand forms f_j - 1/N
-from r^2 = mu^2 + 2 eta^2 + eta^4 = a b (``_amplitude_excess``), with a hypot
-only where eta^2 underflows, and one product with the level table [w, |w|]
-gives the level sum and the size that bounds its roundoff.
+test always needs, share one integrand call. The integrand forms each level's
+f_j - 1/N at the nodes as one row, from r^2 = mu^2 + 2 eta^2 + eta^4 = a b
+(``_amplitude_excess``) with a hypot only where eta^2 underflows; one product
+[w; |w|] @ rows gives the level sum and the size that bounds its roundoff.
 
 ``correlation_table`` evaluates all three over an s grid at one Delta and
 returns the columns that the ``correlation`` command writes.
@@ -176,45 +176,42 @@ _DE_CALLS = 6  # integrand calls of the seven steps: steps 1 and 2 share the fir
 
 @functools.cache
 def _de_call(call: int) -> tuple[np.ndarray, tuple]:
-    """Nodes of integrand call ``call`` of the rule, and its steps (part, weights, |weights|).
+    """Nodes of integrand call ``call`` of the rule, and its steps (part, [W, |W|]).
 
     Call 0 evaluates steps 1 and 2, which the stop test always needs, and call
     k > 0 step k + 2; part is the slice of the call's nodes that are the
-    step's own ``_de_rule`` nodes. Each call is built once, read-only.
+    step's own ``_de_rule`` nodes, and [W, |W|] their weights and magnitudes
+    as one (n_step, 2) table. Each call is built once, read-only.
     """
     rules = [_de_rule(level) for level in ((0, 1) if call == 0 else (call + 1,))]
-    nodes = np.concatenate([rule_nodes for rule_nodes, _ in rules])
-    nodes.flags.writeable = False
-    steps, start = [], 0
-    for rule_nodes, weights in rules:
-        magnitudes = np.abs(weights)
-        weights.flags.writeable = magnitudes.flags.writeable = False
-        steps.append((slice(start, start + rule_nodes.size), weights, magnitudes))
-        start += rule_nodes.size
-    return nodes, tuple(steps)
+    nodes, weights = (np.concatenate(columns) for columns in zip(*rules))
+    table = np.stack([weights, np.abs(weights)], axis=1)
+    nodes.flags.writeable = table.flags.writeable = False
+    ends = np.cumsum([rule_nodes.size for rule_nodes, _ in rules]).tolist()
+    parts = [slice(start, end) for start, end in zip([0] + ends, ends)]
+    return nodes, tuple((part, table[part]) for part in parts)
 
 
 def _step_sums(g, s: float):
-    """Each step's (sum_k W_k values_k, sum_k |W_k| sizes_k) in turn, g called once per call."""
+    """Each step's (sum_k W_k values_k, sum_k |W_k| sizes_k), g called once per call."""
     for call in range(_DE_CALLS):
         nodes, steps = _de_call(call)
         # an overflow in g leaves inf or NaN in the sum, which fails the stop test
         with np.errstate(all="ignore"):
-            out = g(nodes / s)
-            values, sizes = out if isinstance(out, tuple) else (out, np.abs(out))
-            # each step sums only its own nodes: a NaN at a later step's node leaves it finite
-            sums = [(float(weights @ values[part]), float(magnitudes @ sizes[part]))
-                    for part, weights, magnitudes in steps]
+            out = np.asarray(g(nodes / s))
+            pair = out if out.ndim == 2 else np.stack([out, np.abs(out)])
+            # one product over the step's own nodes: a NaN at a later step's leaves it finite
+            sums = [(pair[:, part] @ table).diagonal().tolist() for part, table in steps]
         yield from sums
 
 
 def fourier_sin_integral(g, s: float, rel_tol: float = 1e-10) -> tuple[float, float]:
     """Integrate g(eta)*sin(eta*s) over [0, inf) for smooth, slowly decaying g.
 
-    ``g`` must accept numpy arrays and return the values, or a pair (values,
-    sizes) with each value's size, >= 0, before it cancelled (a plain array
-    has the sizes |values|). The double-exponential rule runs at steps 0.1 *
-    2^-k, k = 0..6, until two successive sums agree within max(min(1e-15,
+    ``g`` maps n nodes eta to their values, or to a (2, n) array or pair
+    (values, sizes) with each value's size, >= 0, before it cancelled (a plain
+    array has the sizes |values|). The double-exponential rule runs at steps
+    0.1 * 2^-k, k = 0..6, until two successive sums agree within max(min(1e-15,
     rel_tol), rel_tol * |sum|); their difference, at least the sum's roundoff
     eps * sum_k |W_k| sizes_k / s (W_k the rule's weights, eps the machine
     epsilon), is the error estimate. The first two steps, which the stop test
@@ -333,21 +330,21 @@ def _gap_ratios(params: ModelParams) -> np.ndarray:
     return mus
 
 
-# a bound on the (N//2 + 1, 2) floats kept per (N, Delta): 128 tables, 1 MB at N = 1001
+# a bound on the (2, N//2 + 1) floats kept per (N, Delta): 128 tables, 1 MB at N = 1001
 @functools.lru_cache(maxsize=128, typed=True)
 def _level_weights(n_sp: int, delta: int) -> np.ndarray:
-    """Read-only [w, |w|] of the levels |n| = 0..N//2, w = sum_{j = +-n} cos(2 pi j Delta/N)."""
+    """Read-only rows [w; |w|] of the levels |n| = 0..N//2, w = sum_{j=+-n} cos(2 pi j Delta/N)."""
     # folding by kk_label keeps each angle exact; modes n, N - n share its cosine bit for bit
     levels = np.arange(n_sp // 2 + 1)
     weights = np.cos(2.0 * np.pi * abs(kk_label(levels * delta, n_sp)) / n_sp)
     weights[1:(n_sp + 1) // 2] *= 2.0
-    table = np.stack([weights, np.abs(weights)], axis=1)
+    table = np.stack([weights, np.abs(weights)])
     table.flags.writeable = False
     return table
 
 
 def _amplitude_excess(mus: np.ndarray, n_sp: int):
-    """eta -> f_j(eta) - 1/N for every gap ratio mu_j, shape eta.shape + mus.shape.
+    """eta -> f_j(eta) - 1/N for the 1-D gap ratios mu_j, shape mus.shape + eta.shape.
 
     With c = sqrt(1 - mu^2), a = 1 + c + eta^2 and b = mu^2/(1 + c) + eta^2,
     r^2 = mu^2 + 2 eta^2 + eta^4 = a b, so (a - r)/(N r), which cancels at
@@ -357,17 +354,21 @@ def _amplitude_excess(mus: np.ndarray, n_sp: int):
     is then sqrt(a) hypot(mu/sqrt(1 + c), eta), which a massless level needs
     once eta^2 underflows.
     """
+    mus = mus[:, np.newaxis]  # (L, 1) constants: a level's values at 1-D eta are one row
     c = np.sqrt((1.0 - mus) * (1.0 + mus))  # 1 - mu is exact where mu^2 would round near 1
     head = 1.0 + c  # a - eta^2
-    foot = mus * mus / head  # b - eta^2
+    # [a; b] = shifts @ [1; eta^2]: exact products, one rounding, half a broadcast add's time
+    shifts = np.hstack([np.vstack([head, mus * mus / head]), np.ones((2 * len(mus), 1))])
     scale = 2.0 * c / n_sp
-    head.flags.writeable = foot.flags.writeable = scale.flags.writeable = False
+    head.flags.writeable = shifts.flags.writeable = scale.flags.writeable = False
 
     def excess(eta):
-        eta = np.asarray(eta, dtype=float)[..., np.newaxis]
-        eta_sq = eta * eta
-        a = head + eta_sq
-        b = foot + eta_sq
+        eta = np.asarray(eta, dtype=float)
+        if eta.ndim != 1:  # rows of a flat eta, reshaped to mus.shape + eta.shape
+            return excess(eta.reshape(-1)).reshape(len(mus), *eta.shape)
+        lifted = np.ones((2, eta.size))
+        eta_sq = np.multiply(eta, eta, out=lifted[1])
+        a, b = (shifts @ lifted).reshape(2, len(mus), eta.size)
         r = np.sqrt(b / a)
         r *= a
         if eta_sq.size and eta_sq.min() < _TINY:  # b is normal wherever eta^2 is
@@ -378,8 +379,8 @@ def _amplitude_excess(mus: np.ndarray, n_sp: int):
     return excess
 
 
-# a bound on the arrays of N//2 floats kept per parameter set, three built here and the
-# gap ratios they view: 32 sets, 512 kB at N = 1001
+# a bound on the 6 N//2 floats built per parameter set, and the gap ratios they view:
+# 32 sets, 896 kB at N = 1001
 @_memo(maxsize=32)
 def _massive_excess(params: ModelParams):
     """``_amplitude_excess`` of the levels |n| = 1..N//2, its constants built once, read-only."""
@@ -397,23 +398,22 @@ def mode_integrand(params: ModelParams, j: int, eta) -> float | np.ndarray:
     mus = _gap_ratios(params)[[abs(kk_label(j, n_sp))]]
     if mus[0] == 0.0 and np.any(np.asarray(eta) == 0.0):
         raise ValueError("the massless mode has no amplitude at eta = 0")
-    value = 1.0 / n_sp + _amplitude_excess(mus, n_sp)(eta)[..., 0]
+    value = 1.0 / n_sp + _amplitude_excess(mus, n_sp)(eta)[0]
     return float(value) if np.isscalar(eta) else value
 
 
 def numeric_corr(query: CorrelationQuery, rel_tol: float = 1e-10) -> tuple[float, float]:
     """Exact mode-sum correlator in 1/xi^3 units, with an error estimate bounding its roundoff."""
     n_sp = query.params.species_count
-    massive = _level_weights(n_sp, query.delta)[1:]
+    massive = _level_weights(n_sp, query.delta)[:, 1:]
     excess = _massive_excess(query.params)
 
     def g(eta):
-        # the excesses e_l are positive, so the second column is sum_l |w_l e_l|
-        sums = excess(eta) @ massive
-        sums *= eta[:, np.newaxis]
+        # the excesses e_l are positive, so the second row is sum_l |w_l e_l|
+        sums = massive @ excess(eta)
+        sums *= eta
         # the massless level (w = 1) as eta e_0, which stays finite where e_0 overflows
-        sums += ((2.0 / n_sp) / (np.sqrt(2.0 + eta * eta) + eta))[:, np.newaxis]
-        return sums[:, 0], sums[:, 1]
+        return np.add(sums, (2.0 / n_sp) / (np.sqrt(2.0 + eta * eta) + eta), out=sums)
 
     integral, err = fourier_sin_integral(g, query.s, rel_tol)
     norm = 2.0 * math.pi**2 * query.s
@@ -431,7 +431,7 @@ def truncated_corr(query: CorrelationQuery, j_tr: int, weighted: bool = True) ->
     if not 0 <= j_tr <= (n_sp - 1) // 2:
         raise ValueError(f"j_tr must lie in 0..{(n_sp - 1) // 2}, got {j_tr}")
     ratio = _length_ratio(query.params)
-    weights = _level_weights(n_sp, query.delta if weighted else 0)[:j_tr + 1, 0].tolist()
+    weights = _level_weights(n_sp, query.delta if weighted else 0)[0, :j_tr + 1].tolist()
     masses = [(2.0 * math.pi * n / n_sp) / ratio for n in range(1, j_tr + 1)]
     terms = [1.0 / query.s] + [mass * bessel_k1(mass * query.s) for mass in masses]
     total = 0.0

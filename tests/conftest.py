@@ -174,12 +174,12 @@ def long_double_level_sum(params: ModelParams, s: float, delta: int,
         value, err = correlation.numeric_corr(correlation.CorrelationQuery(s, delta, params),
                                               rel_tol)
     call_nodes, steps = de_call(calls[-1])
-    part, step_weights, _ = steps[-1]
+    part, step_table = steps[-1]
     ld = np.longdouble
     n_sp = params.species_count
-    nodes, weights = call_nodes[part].astype(ld), step_weights.astype(ld)
+    nodes, weights = call_nodes[part].astype(ld), step_table[:, 0].astype(ld)
     mus = correlation._gap_ratios(params).astype(ld)
-    level_weights = correlation._level_weights(n_sp, delta)[:, 0].astype(ld)
+    level_weights = correlation._level_weights(n_sp, delta)[0].astype(ld)
     c = np.sqrt(1 - mus * mus)
     pi = 4 * np.arctan(ld(1))
     total = ld(0)

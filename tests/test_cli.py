@@ -397,6 +397,20 @@ class TestTotality:
         err = capsys.readouterr().err
         assert err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle-check", "--seed=--"],
+        ["tower", "--normalized-omega=--"],
+        ["tower", "--config=--"],
+        ["correlation", "--normalized-omega", "0.001", "--s-min=--"],
+    ])
+    def test_double_dash_value_is_a_usage_error(self, capsys, argv):
+        # Python 3.10 and 3.11 store '--opt=--' unconverted, as an empty list
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected one argument" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("message, shown", [
         ("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
          "and data type float64",

@@ -237,7 +237,7 @@ class TestModeIntegrand:
                     mu = mpmath.mpf(float(mu))
                     root = mpmath.sqrt(mu * mu + 2 * e2 + e2 * e2)
                     exact = ((1 + e2 + mpmath.sqrt(1 - mu * mu)) / root - 1) / n_sp
-                    assert abs(values[i, k] - exact) <= 1e-14 * exact
+                    assert abs(values[k, i] - exact) <= 1e-14 * exact
 
     @staticmethod
     def _exact_excess(mu: float, eta: float, n_sp: int):
@@ -278,6 +278,19 @@ class TestModeIntegrand:
         # a NaN ends the quadrature at the first step (test_overflowing_integrand_fails_fast)
         with np.errstate(all="ignore"):
             assert np.isnan(_amplitude_excess(np.array([mu]), 9)(eta)[0])
+
+    @pytest.mark.parametrize("eta", [0.3, [], [1e-200, 1e-161, 0.5, 1e160, math.inf],
+                                     [[2.0, 1e-3], [7.0, 1e120]]])
+    def test_amplitude_excess_is_level_major(self, eta):
+        # one row per gap ratio; layout changes no entry, as rounding is elementwise
+        # (subnormal mu^2/(1 + c) and eta^2 included)
+        mus = np.array([0.0, 1e-170, 1e-160, 0.3, 1.0 - 2.0**-53])
+        with np.errstate(all="ignore"):
+            values = _amplitude_excess(mus, 9)(np.array(eta))
+            assert values.shape == mus.shape + np.shape(eta)
+            for index in np.ndindex(values.shape):
+                single = _amplitude_excess(mus[[index[0]]], 9)(np.array(eta)[index[1:]])[0]
+                assert values[index].tobytes() == single.tobytes(), index
 
     def test_nan_gap_ratios_refused(self):
         # n U overflows to inf, and with it the cutoff, so every gap ratio is NaN
@@ -366,7 +379,7 @@ class TestNumericCorrelator:
         excess = _amplitude_excess(mus, n_sp)
 
         def weighted(weights):
-            integral, _ = fourier_sin_integral(lambda eta: eta * (excess(eta) @ weights), 15.0)
+            integral, _ = fourier_sin_integral(lambda eta: eta * (weights @ excess(eta)), 15.0)
             return integral
 
         total_cos = weighted(np.cos(angles))
@@ -545,6 +558,19 @@ def test_evaluation_count_gate(monkeypatch, cold_memos, n_sp, s, delta):
     assert 0 < sum(calls) <= 2000
 
 
+@pytest.mark.parametrize("n_sp, s", [(9, 1.2), (9, 2.0), (9, 4.0), (51, 4.0), (51, 40.0),
+                                     (51, 400.0)])
+def test_benchmark_rows_take_one_integrand_call(monkeypatch, cold_memos, n_sp, s):
+    # rows in the ranges of both correlator benchmarks stop at step 2, so each
+    # makes one integrand call, of the 351 joined nodes of steps 1 and 2
+    params = normalized_params(1e-3, n_sp)
+    calls = _integrand_calls(monkeypatch)
+    for delta in (0, 1, n_sp // 2):
+        numeric_corr(CorrelationQuery(s=s, delta=delta, params=params))
+    assert correlation._de_call(0)[0].size == 351
+    assert calls == [351] * 3
+
+
 def test_overflowing_integrand_fails_fast(monkeypatch, cold_memos):
     # eta^2 overflows past ~1e154, so at s = 1e-160 the integrand is NaN at
     # almost every node; the first step's non-finite sum must end the row
@@ -561,17 +587,16 @@ class TestStepCalls:
         calls = [correlation._de_call(call) for call in range(correlation._DE_CALLS)]
         assert correlation._de_call(0) is calls[0]
         assert [len(steps) for _, steps in calls] == [2, 1, 1, 1, 1, 1]
-        step_tables = [(nodes[part], weights, magnitudes)
-                       for nodes, steps in calls for part, weights, magnitudes in steps]
-        for level, (nodes, weights, magnitudes) in enumerate(step_tables):
+        step_tables = [(nodes[part], table) for nodes, steps in calls for part, table in steps]
+        for level, (nodes, table) in enumerate(step_tables):
             rule_nodes, rule_weights = correlation._de_rule(level)
             assert nodes.tobytes() == rule_nodes.tobytes()
-            assert weights.tobytes() == rule_weights.tobytes()
-            assert magnitudes.tobytes() == np.abs(rule_weights).tobytes()
+            assert table.shape == (rule_nodes.size, 2)
+            assert table[:, 0].tobytes() == rule_weights.tobytes()
+            assert table[:, 1].tobytes() == np.abs(rule_weights).tobytes()
         for nodes, steps in calls:
             assert not nodes.flags.writeable
-            assert all(not weights.flags.writeable and not magnitudes.flags.writeable
-                       for _, weights, magnitudes in steps)
+            assert all(not table.flags.writeable for _, table in steps)
 
     @pytest.mark.parametrize("s, expected", [(40.0, [351]), (0.01, [351, 489])])
     def test_calls_of_a_row(self, monkeypatch, cold_memos, s, expected):
@@ -675,7 +700,7 @@ def test_level_weights_sum_the_mode_weights(n_sp):
     for delta in range(n_sp):
         mode_weights = np.cos(2.0 * np.pi * abs(kk_label(modes * delta, n_sp)) / n_sp)
         expected = np.bincount(levels, mode_weights)
-        assert _level_weights(n_sp, delta)[:, 0].tobytes() == expected.tobytes(), delta
+        assert _level_weights(n_sp, delta)[0].tobytes() == expected.tobytes(), delta
 
 
 def _counted(monkeypatch, name) -> list[int]:
@@ -735,13 +760,13 @@ class TestLevelBasisMemo:
         assert correlation._massive_excess.cache_info().hits == 1
         constants = [cell.cell_contents for cell in excess.__closure__
                      if isinstance(cell.cell_contents, np.ndarray)]
-        assert len(constants) == 4  # mu, 1 + c, mu^2/(1 + c) and 2c/N of the levels 1..N//2
+        assert len(constants) == 4  # mu, 1 + c, the shifts of a and b, 2c/N: levels 1..N//2
         assert all(not array.flags.writeable for array in constants)
 
     def test_level_table_holds_the_weights_and_their_sizes(self, cold_memos):
         table = _level_weights(9, 3)
-        assert table.shape == (5, 2) and table.flags.c_contiguous
-        assert table[:, 1].tobytes() == np.abs(table[:, 0]).tobytes()
+        assert table.shape == (2, 5) and table.flags.c_contiguous
+        assert table[1].tobytes() == np.abs(table[0]).tobytes()
 
     def test_bounded(self):
         for memo in (_gap_ratios, _level_weights, correlation._length_ratio,
