@@ -4,8 +4,12 @@ Exit codes: 0 success, 2 validation failure, 3 I/O failure, 4 quadrature
 failure in at least one output row, 5 oracle mismatch. stderr is for humans;
 files and stdout carry only machine-readable output. Floats are rendered with
 ``repr`` (shortest round-trip form), so identical inputs produce byte-identical
-outputs; ``dispersion`` formats each level's block once, for both modes j and
-N - j that share it. s and eta grids include their bounds exactly.
+outputs; ``tower`` and ``dispersion`` format each level's values once, for both
+modes j and N - j that share them. JSON tables and the ``validate`` and
+``oracle-check`` reports hold the bytes of ``json.dumps(..., indent=2)``, filled
+into one template per record instead of going through json's pure-Python
+indenting encoder. An SVG plot leaves out points that are not finite. s and eta
+grids include their bounds exactly.
 ``main(argv)`` is reentrant and cheap to call in-process, and looks ``cmd_*``
 up at call time. Each command's options are declared once, in ``_COMMANDS``,
 which builds the argparse parser and the one-pass reader alike. argv is parsed
@@ -42,6 +46,7 @@ DEFAULT_SEED = 20240800
 # json's spelling of the reprs that are not JSON; every other repr of an int or float is
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null",
                   "True": "true", "False": "false"}
+_json_string = json.encoder.encode_basestring_ascii  # json.dumps of a str, in C
 
 
 def _write_table(path, columns: dict, fmt: str, take: dict | None = None) -> None:
@@ -50,7 +55,8 @@ def _write_table(path, columns: dict, fmt: str, take: dict | None = None) -> Non
     A cell is ``repr`` of a Python scalar: an array's ``tolist()`` item, or a
     list's item as it is, a NumPy scalar unwrapped by ``item()``. It is empty
     for None in CSV, and in JSON spelled as ``json.dumps(records, indent=2)``
-    does. With ``take[name]``, row i shows value ``take[name][i]``.
+    does. With ``take[name]``, row i shows value ``take[name][i]``, formatted
+    once however many rows show it.
     """
     take = take or {}
     cells = []
@@ -67,12 +73,44 @@ def _write_table(path, columns: dict, fmt: str, take: dict | None = None) -> Non
     if fmt == "csv":
         text = "\n".join([",".join(columns), *map(",".join, rows)]) + "\n"
     else:
-        # the layout of json.dumps(records, indent=2), without its pure-Python encoder
-        keys = [json.dumps(name).replace("%", "%%") for name in columns]
-        record = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
-        records = ",\n".join([record % row for row in rows])
-        text = f"[\n{records}\n]\n" if records else "[]\n"
+        text = _json_records(columns, rows) + "\n"
     _write_text(path, text)
+
+
+def _json_records(keys, rows, depth: int = 0) -> str:
+    """A list of records as ``json.dumps(records, indent=2)`` writes it ``depth`` levels
+    deep, without its pure-Python encoder: one template, filled by each row of JSON
+    texts, the record's values in the order of ``keys`` (at least one key)."""
+    pad = "  " * depth
+    # a key's '%' is doubled so that only the values fill the template
+    fields = ",\n".join(f"{pad}    {_json_string(key).replace('%', '%%')}: %s" for key in keys)
+    record = f"{pad}  {{\n{fields}\n{pad}  }}"
+    records = ",\n".join([record % row for row in rows])
+    return f"[\n{records}\n{pad}]" if records else "[]"
+
+
+def _json_value(value) -> str:
+    """``json.dumps(value)`` for a str, None, or a bool, int or float; a NumPy scalar
+    reads as the Python scalar that ``item()`` gives."""
+    if isinstance(value, str):
+        return _json_string(value)
+    text = repr(value.item() if isinstance(value, np.generic) else value)
+    return _JSON_SPELLING.get(text, text)
+
+
+def _json_document(doc: dict) -> str:
+    """``json.dumps(doc, indent=2)`` and a newline, for a non-empty flat object whose
+    values are what ``_json_value`` takes, or lists of records of those: dicts with
+    the same keys in the same order."""
+    fields = []
+    for key, value in doc.items():
+        if isinstance(value, list):
+            text = _json_records(value[0] if value else (),
+                                 [tuple(map(_json_value, record.values())) for record in value], 1)
+        else:
+            text = _json_value(value)
+        fields.append(f"  {_json_string(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
 def _write_text(path, text: str) -> None:
@@ -84,13 +122,16 @@ def _write_text(path, text: str) -> None:
 
 
 def _svg_polylines(path, curves: dict[str, list[tuple[float, float]]], log_log: bool) -> None:
-    """Minimal inspection plot: one polyline per curve, 640x480 viewport, blank with no points."""
+    """Minimal inspection plot: one polyline per curve, 640x480 viewport, blank with no points.
+
+    A point is left out where a coordinate is not finite, or not positive on log axes.
+    """
     width, height, pad = 640.0, 480.0, 40.0
 
     def transform(pts):
         if log_log:
-            return [(math.log10(x), math.log10(y)) for x, y in pts if x > 0 and y > 0]
-        return list(pts)
+            pts = [(math.log10(x), math.log10(y)) for x, y in pts if x > 0 and y > 0]
+        return [(x, y) for x, y in pts if math.isfinite(x) and math.isfinite(y)]
 
     track = [transform(pts) for pts in curves.values()]
     xs, ys = zip(*([pt for pts in track for pt in pts] or [(0.0, 0.0)]))
@@ -172,7 +213,12 @@ def cmd_tower(args) -> int:
     params, _ = _load_inputs(args)
     _require_valid(params)
     tower = spectrum.kk_tower(params)
-    _write_table(args.out, tower, args.format)
+    # rows 2l - 1 and 2l hold level l's modes j and N - j, which share these columns bit
+    # for bit: each level's row 2l is formatted once, and row i shows level (i + 1) // 2
+    shared = ("Erj_sq_exact", "Erj_sq_continuum", "csj_sq", "constraint_value")
+    level_rows = np.arange(1, params.species_count + 1) // 2
+    _write_table(args.out, {**tower, **{name: tower[name][::2] for name in shared}},
+                 args.format, take=dict.fromkeys(shared, level_rows))
     _maybe_svg(args, tower["j"], {"exact": tower["Erj_sq_exact"],
                                   "continuum": tower["Erj_sq_continuum"]}, log_log=False)
     return EXIT_OK
@@ -255,7 +301,7 @@ def cmd_oracle_check(args) -> int:
         "tachyon_case_flagged": bool(expected_unstable),
         "pass": bool(passed),
     }
-    _write_text(args.out, json.dumps(report, indent=2) + "\n")
+    _write_text(args.out, _json_document(report))
     return EXIT_OK if passed else EXIT_ORACLE
 
 
@@ -265,10 +311,10 @@ def cmd_validate(args) -> int:
     constraints = []
     if report.ok:
         values = spectrum.validity_constraint(params, np.arange((params.species_count + 1) // 2))
-        notes = np.where(values >= model.REJECT_RATIO, "reject",
-                         np.where(values > model.WARN_RATIO, "warn", "ok"))
-        constraints = [{"j": j, "constraint_value": value, "note": note}
-                       for j, (value, note) in enumerate(zip(values.tolist(), notes))]
+        constraints = [{"j": j, "constraint_value": value,
+                        "note": ("reject" if value >= model.REJECT_RATIO else
+                                 "warn" if value > model.WARN_RATIO else "ok")}
+                       for j, value in enumerate(values.tolist())]
     payload = {
         "regime": args.regime,
         "mono_metric": bool(mono),
@@ -288,7 +334,7 @@ def cmd_validate(args) -> int:
                 f"(warn>{model.WARN_RATIO}, reject>={model.REJECT_RATIO})",
                 file=sys.stderr,
             )
-    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+    _write_text(args.out, _json_document(payload))
     return EXIT_OK if payload["ok"] else EXIT_VALIDATION
 
 

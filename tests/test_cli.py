@@ -299,6 +299,45 @@ class TestOracleCheck:
         assert math.isnan(report["max_rel_err"])
         assert report["pass"] is False
 
+    @staticmethod
+    def _expected(cases, p_points, seed, errors, stabilities):
+        worst = math.nan if any(not math.isfinite(e) for e in errors) else max([0.0, *errors])
+        unstable = stabilities.count(False)
+        passed = worst <= 1e-9 and unstable == 0
+        # the hand cases of the command pass for every seed
+        return json.dumps({"cases": cases, "p_points": p_points, "seed": seed,
+                           "max_rel_err": worst, "unstable_cases": unstable,
+                           "hand_case_n3_ok": True, "tachyon_case_flagged": True,
+                           "pass": passed}, indent=2) + "\n", 0 if passed else 5
+
+    @pytest.mark.parametrize("seed, cases, p_points", [(7, 2, 3), (20240800, 3, 1),
+                                                       (2186642200, 8, 20)])
+    def test_bytes_are_json_dumps_of_the_cells(self, seed, cases, p_points):
+        import kkbec.oracle
+
+        rng = np.random.Generator(np.random.Philox(seed))
+        results = [kkbec.oracle.compare_with_closed_forms(params, np.logspace(-2, 1, p_points))
+                   for params in kkbec.oracle.sample_parameter_sets(rng, cases)]
+        text, code = self._expected(cases, p_points, seed, *map(list, zip(*results)))
+        assert _captured(["oracle-check", "--seed", str(seed), "--cases", str(cases),
+                          "--p-points", str(p_points)]) == (code, text, "")
+
+    @pytest.mark.parametrize("results", [
+        [(1e-12, True), (-0.0, True)],
+        [(0.0, True), (2e-9, True), (5e-324, False)],
+        [(math.inf, True), (1e-300, True)],
+        [(1e-13, False), (math.nan, True), (1e-12, False)],
+    ])
+    def test_failing_reports_are_json_dumps_of_the_cells(self, monkeypatch, results):
+        import kkbec.oracle
+
+        scripted = iter(results)
+        monkeypatch.setattr(kkbec.oracle, "compare_with_closed_forms",
+                            lambda params, momenta: next(scripted))
+        text, code = self._expected(len(results), 2, 9, *map(list, zip(*results)))
+        assert _captured(["oracle-check", "--seed", "9", "--cases", str(len(results)),
+                          "--p-points", "2"]) == (code, text, "")
+
 
 class TestValidate:
     def test_pass_with_notes(self, tmp_path, config, capsys):
@@ -323,6 +362,55 @@ class TestValidate:
         path.write_text(json.dumps(doc))
         code, _ = run_to_file(tmp_path, "r.json", ["validate", "--config", str(path)])
         assert code == 2
+
+    @staticmethod
+    def _expected(params, mono, regime):
+        """(exit code, stdout, stderr) of the report, built one mode at a time."""
+        report = model.validate(params, regime)
+        err = [f"{v.severity}: {v.constraint}: {v.message}\n" for v in report.violations]
+        constraints = []
+        for j in range((params.species_count + 1) // 2) if report.ok else ():
+            value = spectrum.validity_constraint(params, j)
+            note = ("reject" if value >= model.REJECT_RATIO else
+                    "warn" if value > model.WARN_RATIO else "ok")
+            constraints.append({"j": j, "constraint_value": value, "note": note})
+            if note != "ok":
+                err.append(f"{note}: validity constraint at j={j} is {value:.6g} "
+                           f"(warn>{model.WARN_RATIO}, reject>={model.REJECT_RATIO})\n")
+        ok = report.ok and all(c["note"] != "reject" for c in constraints)
+        payload = {
+            "regime": regime, "mono_metric": mono,
+            "mono_metricity_holds": model.check_mono_metricity(params),
+            "violations": [{"constraint": v.constraint, "message": v.message,
+                            "severity": v.severity} for v in report.violations],
+            "mode_constraints": constraints, "ok": ok,
+        }
+        return 0 if ok else 2, json.dumps(payload, indent=2) + "\n", "".join(err)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("n_sp", [3, 4, 101])
+    # 1e-3: every mode ok; 0.1: warn at N = 3; 0.3: |Omega|/nU warns; 1.0: reject at N = 3,
+    # and |Omega|/nU errs in the relativistic regime; 30: nU/|Omega| warns in the other
+    @pytest.mark.parametrize("ratio", [1e-3, 0.1, 0.3, 1.0, 30.0])
+    def test_bytes_are_json_dumps_of_the_cells(self, regime, n_sp, ratio):
+        params = model.normalized_params(ratio, n_sp)
+        expected = self._expected(params, True, regime)
+        assert _captured(["validate", "--normalized-omega", repr(ratio), "--species", str(n_sp),
+                          "--regime", regime]) == expected
+
+    @pytest.mark.parametrize("doc", [
+        {**STANDARD_DOC, "Uprime": 0.3, "mono_metric": False},
+        {**STANDARD_DOC, "L": 2.0},
+        {**STANDARD_DOC, "Omega": 0.1, "Uprime": -0.1},
+        {**STANDARD_DOC, "N": 101, "Uprime": 4.0, "Omega": -4.0, "L": 1e-3},
+    ])
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_config_bytes_are_json_dumps_of_the_cells(self, tmp_path, doc, regime):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        params, mono = model.params_from_document(doc)
+        expected = self._expected(params, mono, regime)
+        assert _captured(["validate", "--config", str(path), "--regime", regime]) == expected
 
 
 class TestConfigHandling:
@@ -483,6 +571,26 @@ class TestDeterminismAndSvg:
         assert out.read_text().splitlines()[1] == "1e+200,1,0.0,0.0,0.0,0.0"
         svg = out.with_name("c.csv.svg").read_text()
         assert svg.startswith("<svg") and "<rect" in svg and "polyline" not in svg
+
+    def test_svg_drops_non_finite_points(self, tmp_path):
+        # at |Omega|/nU = 1e300 the gaps of the pair overflow; only the massless mode is drawn
+        code, out = run_to_file(tmp_path, "t.csv", ["tower", "--normalized-omega", "1e300",
+                                                    "--species", "3", "--svg"])
+        assert code == 0
+        assert ",inf," in out.read_text()
+        svg = out.with_name("t.csv.svg").read_text()
+        assert svg.count('points="40.00,440.00"') == 2  # one point a curve
+        assert "polyline" in svg and "nan" not in svg and "inf" not in svg
+
+    @pytest.mark.parametrize("log_log", [False, True])
+    def test_svg_keeps_the_finite_points(self, tmp_path, log_log):
+        curve = [(1.0, 1.0), (10.0, math.inf), (math.nan, 5.0), (100.0, 100.0),
+                 (-math.inf, 10.0), (1000.0, math.nan)]
+        path = tmp_path / "plot.svg"
+        cli._svg_polylines(path, {"curve": curve}, log_log)
+        svg = path.read_text()
+        assert 'points="40.00,440.00 600.00,40.00"' in svg
+        assert "nan" not in svg and "inf" not in svg
 
     def test_svg_requires_out(self, config):
         assert main(["tower", "--config", config, "--svg"]) == 3
@@ -908,18 +1016,22 @@ class TestTableWriter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_tower_matches_per_cell_rendering(self, n_sp, fmt):
         """Every mode evaluated on its own, in tower order: |n| up, +n before -n."""
-        params = model.normalized_params(0.1, n_sp)
-        order = [0] + [j for n in range(1, (n_sp + 1) // 2) for j in (n, n_sp - n)]
-        rows = [[j, model.kk_label(j, n_sp), 2.0 * math.pi * j / n_sp,
-                 spectrum.rest_energy_sq(params, j), spectrum.continuum_mass_sq(params, j),
-                 spectrum.sound_speed_sq(params, j), spectrum.p5(params, j),
-                 spectrum.validity_constraint(params, j), 1 if j == 0 else 2] for j in order]
         header = ["j", "n", "alpha", "Erj_sq_exact", "Erj_sq_continuum", "csj_sq",
                   "p5", "constraint_value", "degeneracy"]
-        code, out, _ = _captured(["tower", "--normalized-omega", "0.1", "--species", str(n_sp),
-                                  "--format", fmt])
-        assert code == 0
-        _assert_same_text(out, _per_cell_table(header, rows, fmt))
+        order = [0] + [j for n in range(1, (n_sp + 1) // 2) for j in (n, n_sp - n)]
+        # at 1e300 the gaps overflow, so the columns a level shares are inf in both modes
+        for ratio in (0.1, 1e300):
+            params = model.normalized_params(ratio, n_sp)
+            rows = [[j, model.kk_label(j, n_sp), 2.0 * math.pi * j / n_sp,
+                     spectrum.rest_energy_sq(params, j), spectrum.continuum_mass_sq(params, j),
+                     spectrum.sound_speed_sq(params, j), spectrum.p5(params, j),
+                     spectrum.validity_constraint(params, j), 1 if j == 0 else 2]
+                    for j in order]
+            code, out, _ = _captured(["tower", "--normalized-omega", repr(ratio),
+                                      "--species", str(n_sp), "--format", fmt])
+            assert code == 0
+            assert (ratio == 1e300) == any(word in out for word in (",inf,", "Infinity"))
+            _assert_same_text(out, _per_cell_table(header, rows, fmt))
 
     @pytest.mark.parametrize("n_sp", [3, 101])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -939,6 +1051,67 @@ class TestTableWriter:
                                   "--species", str(n_sp), "--format", fmt])
         assert code == 0
         _assert_same_text(out, _per_cell_table(["j", "eta", "p", "E", "E_over_csp"], rows, fmt))
+
+
+# text that json has to escape: quotes, backslashes, control and non-ASCII characters,
+# and '%', which must not reach a template as a format directive
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\%/\n\t\x00\x1f\x7f é€\U0001f600'),
+                              st.characters()), max_size=8)
+JSON_FLOAT = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]))
+JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), JSON_FLOAT, JSON_TEXT)
+
+
+def _ordered(fields: dict):
+    """Dicts of the fields' draws, keyed in the order of ``fields`` as the CLI builds them."""
+    return st.fixed_dictionaries(fields).map(lambda doc: {key: doc[key] for key in fields})
+
+
+VALIDATE_DOC = _ordered({
+    "regime": JSON_TEXT, "mono_metric": st.booleans(), "mono_metricity_holds": st.booleans(),
+    "violations": st.lists(_ordered(
+        {"constraint": JSON_TEXT, "message": JSON_TEXT, "severity": JSON_TEXT}), max_size=3),
+    "mode_constraints": st.lists(_ordered(
+        {"j": st.integers(), "constraint_value": JSON_FLOAT, "note": JSON_TEXT}), max_size=4),
+    "ok": st.booleans(),
+})
+ORACLE_DOC = _ordered({
+    "cases": st.integers(), "p_points": st.integers(), "seed": st.integers(),
+    "max_rel_err": JSON_FLOAT, "unstable_cases": st.integers(),
+    "hand_case_n3_ok": st.booleans(), "tachyon_case_flagged": st.booleans(),
+    "pass": st.booleans(),
+})
+
+
+@st.composite
+def _flat_documents(draw):
+    """Drawn keys: scalars, and record lists whose records share their drawn keys."""
+    keys = draw(st.lists(JSON_TEXT, min_size=1, max_size=4, unique=True))
+    doc = {}
+    for key in keys:
+        if draw(st.booleans()):
+            doc[key] = draw(JSON_SCALAR)
+        else:
+            fields = draw(st.lists(JSON_TEXT, min_size=1, max_size=3, unique=True))
+            doc[key] = draw(st.lists(_ordered(dict.fromkeys(fields, JSON_SCALAR)), max_size=3))
+    return doc
+
+
+class TestJsonDocument:
+    """The report renderer gives the bytes of json.dumps(doc, indent=2)."""
+
+    @settings(max_examples=150, deadline=None)
+    @example(doc={'a "%s" \\ key': "%(x)s %% \x00 é", "floats": [
+        {"x": x, "%d": -0.0} for x in (math.nan, math.inf, -math.inf, 5e-324, 1e300)],
+        "empty": [], "ints": 2**70, "none": None, "bool": False})
+    @given(doc=st.one_of(VALIDATE_DOC, ORACLE_DOC, _flat_documents()))
+    def test_is_json_dumps(self, doc):
+        assert cli._json_document(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_numpy_scalars_read_as_python_scalars(self):
+        doc = {"f": np.float64(0.1), "i": np.int64(-3), "b": np.bool_(True),
+               "s": np.str_("ok"), "rows": [{"v": np.float64(math.nan)}]}
+        assert cli._json_document(doc) == json.dumps(
+            {"f": 0.1, "i": -3, "b": True, "s": "ok", "rows": [{"v": math.nan}]}, indent=2) + "\n"
 
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
