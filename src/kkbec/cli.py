@@ -216,6 +216,12 @@ def cmd_tower(args) -> int:
     # rows 2l - 1 and 2l hold level l's modes j and N - j, which share these columns bit
     # for bit: each level's row 2l is formatted once, and row i shows level (i + 1) // 2
     shared = ("Erj_sq_exact", "Erj_sq_continuum", "csj_sq", "constraint_value")
+    # valid inputs can overflow these to inf * 0 or inf - inf (the other columns stay
+    # finite, or kk_tower raises): a NaN cell exits 2, as dispersion does on such inputs
+    nan_cells = np.isnan(np.stack([tower[name] for name in shared]))
+    if nan_cells.any():
+        row, column = np.argwhere(nan_cells.T)[0]  # the first row, and its first NaN column
+        raise FloatingPointError(f"{shared[column]} is NaN at j={tower['j'][row]}")
     level_rows = np.arange(1, params.species_count + 1) // 2
     _write_table(args.out, {**tower, **{name: tower[name][::2] for name in shared}},
                  args.format, take=dict.fromkeys(shared, level_rows))

@@ -67,9 +67,12 @@ def cold_memos():
 def k1_integral_oracle(x: float) -> float:
     """K1 via its integral representation, int_0^inf exp(-x cosh t) cosh t dt.
 
-    Completely independent of the series/continued-fraction implementation in
-    the package; adaptive quadrature on the finite interval where the
-    integrand is above double-precision underflow.
+    Adaptive quadrature (QUADPACK) on the finite interval where the integrand
+    is above double-precision underflow. Above x = 2 the package sums this
+    same integral by the trapezoid rule, after a change of variable, so this
+    checks that sum's discretisation but shares its formula; scipy's
+    ``special.k1`` and 40-digit ``mpmath.besselk`` are the references
+    independent of it.
     """
     t_max = math.acosh(746.0 / x) if x < 746.0 else 1.0
     value, _ = integrate.quad(

@@ -78,6 +78,20 @@ class TestTower:
         assert code == 0
         assert len(out.read_text().splitlines()) == 10
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"m": 1e-300, "Uprime": -1e10}, "Erj_sq_continuum is NaN at j=0"),
+        ({"m": 1.0, "Uprime": -1.4e308}, "Erj_sq_exact is NaN at j=0"),
+    ])
+    def test_nan_cell_exits_2(self, tmp_path, capsys, doc, message):
+        # valid inputs whose c_s^2 overflows to -inf: -inf * 0 at the gapless mode
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"N": 3, "n": 1.0, "U": 1e10, "Omega": -1e-5,
+                                    "mono_metric": False, **doc}))
+        code, out = run_to_file(tmp_path, "tower.csv", ["tower", "--config", str(path)])
+        assert code == cli.EXIT_VALIDATION == 2
+        assert capsys.readouterr().err == f"error: inputs outside the floating-point range: {message}\n"
+        assert not out.exists()
+
 
 class TestDispersion:
     def test_blocks_and_columns(self, tmp_path, config):
@@ -191,7 +205,7 @@ class TestCorrelation:
          "--s-points", "40", "--j-tr", "4"],
     ])
     def test_truncated_sum_past_k1_underflow(self, tmp_path, argv):
-        # every K1 argument m s here is 1.19e20 or more, where CF2 used to fail at some decades
+        # every K1 argument m s here is 1.19e20 or more, where e^-(m s) and K1 underflow to 0.0
         code, out = run_to_file(tmp_path, "corr.csv", ["correlation"] + argv)
         assert code == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]

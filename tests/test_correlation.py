@@ -33,6 +33,15 @@ class TestBesselK1:
             oracle = k1_integral_oracle(float(x))
             assert abs(bessel_k1(float(x)) - oracle) <= 1e-10 * oracle
 
+    def test_against_mpmath(self):
+        # 40-digit references over the series, the trapezoid sum and their seam
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.logspace(-3, math.log10(700.0), 190).tolist() + [2.0 - 1e-12, 2.0 + 1e-12]
+        with mpmath.workdps(40):
+            for x in xs:
+                exact = mpmath.besselk(1, x)
+                assert abs(bessel_k1(x) - exact) <= 1.5e-15 * exact, x
+
     def test_reference_point(self):
         assert bessel_k1(1.0) == pytest.approx(0.6019072302, abs=1e-10)
 
@@ -63,8 +72,8 @@ class TestBesselK1:
     @example(x=1e21)
     @example(x=math.inf)
     def test_zero_past_underflow(self, x):
-        # e^-x underflows past x = 745.13 and K1 < e^-x with it; the continued
-        # fraction, which need not converge out here, is not run
+        # e^-x underflows past x = 745.13 and K1 < e^-x with it; the trapezoid
+        # sum, which is inf/inf = NaN at x = inf, is not run
         assert bessel_k1(x) == 0.0
 
 
