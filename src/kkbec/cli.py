@@ -209,6 +209,18 @@ def _maybe_svg(args, x: np.ndarray, curves: dict[str, np.ndarray], log_log=True)
                        {name: list(zip(xs, y.tolist())) for name, y in curves.items()}, log_log)
 
 
+def _refuse_nan(cells: dict[str, np.ndarray], **keys: np.ndarray) -> None:
+    """Raise FloatingPointError at the first NaN cell in printed order, naming its column
+    and its row's ``keys``. All values broadcast to one shape, the rows in that order."""
+    columns = np.broadcast_arrays(*cells.values(), *keys.values())
+    nan_cells = np.isnan(np.stack(columns[:len(cells)], axis=-1))
+    if nan_cells.any():
+        *row, column = np.argwhere(nan_cells)[0]  # the first row, and its first NaN column
+        where = ", ".join(f"{key}={values[tuple(row)]}"
+                          for key, values in zip(keys, columns[len(cells):]))
+        raise FloatingPointError(f"{list(cells)[column]} is NaN at {where}")
+
+
 def cmd_tower(args) -> int:
     params, _ = _load_inputs(args)
     _require_valid(params)
@@ -216,12 +228,8 @@ def cmd_tower(args) -> int:
     # rows 2l - 1 and 2l hold level l's modes j and N - j, which share these columns bit
     # for bit: each level's row 2l is formatted once, and row i shows level (i + 1) // 2
     shared = ("Erj_sq_exact", "Erj_sq_continuum", "csj_sq", "constraint_value")
-    # valid inputs can overflow these to inf * 0 or inf - inf (the other columns stay
-    # finite, or kk_tower raises): a NaN cell exits 2, as dispersion does on such inputs
-    nan_cells = np.isnan(np.stack([tower[name] for name in shared]))
-    if nan_cells.any():
-        row, column = np.argwhere(nan_cells.T)[0]  # the first row, and its first NaN column
-        raise FloatingPointError(f"{shared[column]} is NaN at j={tower['j'][row]}")
+    # valid inputs can overflow these to inf * 0 or inf - inf; the others stay finite
+    _refuse_nan({name: tower[name] for name in shared}, j=tower["j"])
     level_rows = np.arange(1, params.species_count + 1) // 2
     _write_table(args.out, {**tower, **{name: tower[name][::2] for name in shared}},
                  args.format, take=dict.fromkeys(shared, level_rows))
@@ -246,6 +254,8 @@ def cmd_dispersion(args) -> int:
         energies = spectrum.dispersion(params, levels, momenta)
         over_csp = np.divide(energies, np.sqrt(cs_sq) * momenta,
                              out=np.zeros_like(energies), where=has_cone)
+    # the first printed row of level |n| is mode j = n, at each eta in grid order
+    _refuse_nan({"p": momenta, "E": energies, "E_over_csp": over_csp}, j=levels, eta=etas)
     js = np.arange(n_sp)
     level_of_j = np.abs(model.kk_label(js, n_sp))
     eta_rows = np.tile(np.arange(points), n_sp)
@@ -467,7 +477,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; the only place that turns an outcome into an exit code.
+    """Run one command; return the code it reports (0, or 4, 5 or 2 for a failed
+    ``correlation`` row, ``oracle-check`` or ``validate``) or that of its error.
 
     ``_read`` reads argv that names a command in one pass over its options. What
     it declines (help, no or an unknown command, abbreviations, '--opt=value',

@@ -207,12 +207,13 @@ def check_mono_metricity(params: ModelParams) -> bool:
 
     Couplings that are both zero to within ABS_ZERO_TOL satisfy the relation
     trivially; otherwise the comparison is relative with an underflow guard.
+    A residual that is not finite, as where n*U' overflows, fails it.
     """
     if max(abs(params.nUprime), abs(params.rabi)) <= ABS_ZERO_TOL:
         return True
     residual = abs(params.nUprime + params.rabi)
     scale = max(abs(params.nUprime), abs(params.rabi), EPS_FLOOR)
-    return residual <= MONO_METRIC_TOL * scale
+    return math.isfinite(residual) and residual <= MONO_METRIC_TOL * scale
 
 
 def derive_scales(params: ModelParams, mono_metric: bool = False) -> DerivedScales:

@@ -42,10 +42,10 @@ _COMMUTE_TOL = 4.0
 
 # compare_with_closed_forms solves up to _STACK momenta per call as one stack
 # when N <= _STACK_MAX_N, and one momentum per call above; the chunks keep the
-# temporaries O(_STACK N^2) on any grid. Crossover, 20 momenta, median of 100
-# alternating runs (numpy 2.4, OpenBLAS, 2 cores): the stack takes 0.15-0.25x
-# the loop's time at N <= 11, 0.5x at 21, 0.7-1.0x at 31 to 47 (three sweeps);
-# from N = 49 the loop is faster, by 6-16% up to N = 61 and 29% at N = 101.
+# temporaries O(_STACK N^2) on any grid. Crossover, 20 momenta, median of 9 rounds
+# (numpy 2.4.6, OpenBLAS, 2 vCPUs): the stack takes 0.74x the loop's time at N = 31,
+# 0.94x at 41 and 1.02x at 47; from N = 51 the loop is faster, by 6% at 51, 18% at
+# 61 and 26% at 101.
 _STACK = 64
 _STACK_MAX_N = 47
 

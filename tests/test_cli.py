@@ -119,6 +119,39 @@ class TestDispersion:
         assert block[1] == block[8]
         assert block[2] == block[7]
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"N": 3, "m": 1e10, "n": 1e200, "U": 10.0, "Uprime": 0.001, "Omega": -1.7e308},
+         "E is NaN at j=0, eta=0.01"),
+        ({"N": 3, "m": 2.958581137191542e-285, "n": 1.0062154219445433e+271,
+          "U": 2.4109230042640898e+117, "Uprime": -2.0815252308534084e+141,
+          "Omega": -2.1389717065860115e+164}, "p is NaN at j=0, eta=0.01"),
+        ({"N": 9, "m": 1.509786215752434e+31, "n": 1.0034665039443298e+294,
+          "U": 5.047012611774e-165, "Uprime": 1.253112302875397e-60,
+          "Omega": -1.489107958314019e+101}, "E is NaN at j=3, eta=0.01"),
+        ({"N": 9, "m": 3.221510478381531e-202, "n": 5.876652037889294e-199,
+          "U": 4.349255208411508e-204, "Uprime": 3.487574203788899e-36,
+          "Omega": -2.2096257992889944e+190}, "E_over_csp is NaN at j=1, eta=0.01"),
+        ({"N": 3, "m": 3.87141255298061e+135, "n": 2.6270413094328772e+228,
+          "U": 1.2287272284039867e-173, "Uprime": 8.641265795725671e+78,
+          "Omega": -1.6489564043550729e+236}, "E_over_csp is NaN at j=0, eta=10.0"),
+    ])
+    def test_nan_cell_exits_2(self, tmp_path, capsys, doc, message):
+        # valid documents whose energies overflow to inf - inf or inf/inf: the message
+        # names the first printed row with a NaN cell, and its first NaN column
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({**doc, "mono_metric": False}))
+        code, out = run_to_file(tmp_path, "disp.csv", ["dispersion", "--config", str(path),
+                                                       "--eta-points", "3"])
+        assert code == cli.EXIT_VALIDATION == 2
+        assert capsys.readouterr().err == f"error: inputs outside the floating-point range: {message}\n"
+        assert not out.exists()
+
+    def test_inf_cells_exit_0(self, tmp_path):
+        code, out = run_to_file(tmp_path, "disp.csv", ["dispersion", "--normalized-omega", "1e300",
+                                                       "--species", "3", "--eta-points", "2"])
+        assert code == 0
+        assert {line.split(",")[3] for line in out.read_text().splitlines()[1:]} == {"inf"}
+
     def test_phonon_limit_column(self, tmp_path, config):
         code, out = run_to_file(
             tmp_path, "disp.csv",
@@ -362,6 +395,18 @@ class TestValidate:
         notes = [c for c in payload["mode_constraints"] if c["note"] == "warn"]
         assert notes, "high-j constraint values should carry threshold notes"
         assert "warn" in capsys.readouterr().err
+
+    def test_overflowing_coupling_is_not_mono_metric(self, tmp_path):
+        # n*U' overflows to inf; dispersion refuses the mono-metric scales instead of
+        # printing NaN energies
+        big = 4.149515568880993e180
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"N": 9, "m": 1.0, "n": big, "U": 1.0, "Uprime": big,
+                                    "Omega": -1.0, "mono_metric": True}))
+        _, out, _ = _captured(["validate", "--config", str(path)])
+        assert json.loads(out)["mono_metricity_holds"] is False
+        assert _captured(["dispersion", "--config", str(path)]) == (
+            2, "", "error: mono_metric scales requested but n*U' != -Omega (nU'=inf, Omega=-1)\n")
 
     def test_even_species_exit(self, tmp_path):
         doc = {**STANDARD_DOC, "N": 10}
@@ -684,6 +729,15 @@ class TestGridBounds:
         expected = np.logspace(math.log10(low), math.log10(high), points)
         expected[0], expected[-1] = low, high
         assert cli._log_grid(low, high, points).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["correlation", "--s-points", "0"], ["correlation", "--s-points", "1"],
+        ["dispersion", "--eta-points", "0"]])
+    def test_too_few_points_exit_2(self, argv):
+        # a single point needs min == max, which the default bounds are not
+        code, out, err = _captured(argv + ["--normalized-omega", "0.1"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: grid needs at least one point")
 
     @pytest.mark.parametrize("low, high, points", [(3.0, 3.0, 1), (0.5, 2.0, 2)])
     def test_bounds_alone_need_no_logspace(self, monkeypatch, low, high, points):

@@ -34,9 +34,10 @@ class TestBesselK1:
             assert abs(bessel_k1(float(x)) - oracle) <= 1e-10 * oracle
 
     def test_against_mpmath(self):
-        # 40-digit references over the series, the trapezoid sum and their seam
+        # 40-digit references over both trapezoid sums, their seam, and the 1/x limit
         mpmath = pytest.importorskip("mpmath")
         xs = np.logspace(-3, math.log10(700.0), 190).tolist() + [2.0 - 1e-12, 2.0 + 1e-12]
+        xs += np.logspace(-12, -3, 19, endpoint=False).tolist() + [1e-9, math.nextafter(1e-9, 0.0)]
         with mpmath.workdps(40):
             for x in xs:
                 exact = mpmath.besselk(1, x)
@@ -61,6 +62,14 @@ class TestBesselK1:
             bessel_k1(0.0)
         with pytest.raises(DomainError):
             bessel_k1(-1.0)
+        with pytest.raises(DomainError):
+            bessel_k1(math.nan)
+
+    def test_reciprocal_below_1e_minus_9(self):
+        # K1 = 1/x there to half an ulp; at the smallest subnormal 1/x overflows
+        assert bessel_k1(5e-324) == math.inf
+        # the double nearest 1e-300 is not 10^-300: its reciprocal rounds to 1e300 less an ulp
+        assert bessel_k1(1e-300) == 1.0 / 1e-300 == math.nextafter(1e300, 0.0)
 
     def test_branch_seam_continuity(self):
         below = bessel_k1(2.0 - 1e-12)
@@ -340,6 +349,12 @@ class TestModeIntegrand:
     def test_tachyonic_rejected(self):
         params = ModelParams(9, 1.0, 1.0, 1.0, -0.1, 0.1)
         with pytest.raises(StabilityError):
+            mode_integrand(params, 1, 0.5)
+
+    def test_no_sound_cone_rejected(self):
+        # nU - 2 Omega = -0.2: the CLI meets derive_scales' check first
+        params = ModelParams(9, 1.0, 1.0, 1.0, -0.6, 0.6)
+        with pytest.raises(StabilityError, match="no stable sound cone"):
             mode_integrand(params, 1, 0.5)
 
     def test_massless_origin_invalid(self, standard_params):

@@ -113,6 +113,13 @@ class TestMonoMetricity:
     def test_density_weighting(self):
         assert check_mono_metricity(ModelParams(9, 1, 2, 1, 0.05, -0.1))
 
+    def test_overflowing_coupling_fails(self):
+        # n*U' overflows to inf: the residual is inf, and inf <= 1e-9 * inf would hold
+        big = 4.149515568880993e180
+        params = ModelParams(9, 1.0, big, 1.0, big, -1.0)
+        assert params.nUprime == math.inf
+        assert not check_mono_metricity(params)
+
 
 class TestValidate:
     def test_standard_relativistic_empty(self, standard_params):

@@ -434,6 +434,11 @@ class TestOracleAmplitudes:
         with pytest.raises(DegenerateModeError):
             oracle_amplitudes(build_bdg(standard_params, 0.0), 0)
 
+    def test_unstable_mode(self):
+        tachyonic = ModelParams(9, 1.0, 1.0, 1.0, -0.1, 0.1)
+        with pytest.raises(OracleError, match="mode 1 is dynamically unstable"):
+            oracle_amplitudes(build_bdg(tachyonic, 0.0), 1)
+
     @pytest.mark.parametrize("momenta", [[0.1, 0.2, 0.3], [0.4]])
     def test_stack_is_refused_with_its_shape(self, momenta):
         system = build_bdg(normalized_params(0.1, 3), np.array(momenta))
