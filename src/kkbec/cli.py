@@ -4,12 +4,13 @@ Exit codes: 0 success, 2 validation failure, 3 I/O failure, 4 quadrature
 failure in at least one output row, 5 oracle mismatch. stderr is for humans;
 files and stdout carry only machine-readable output. Floats are rendered with
 ``repr`` (shortest round-trip form), so identical inputs produce byte-identical
-outputs; ``tower`` and ``dispersion`` format each level's values once, for both
-modes j and N - j that share them. JSON tables and the ``validate`` and
-``oracle-check`` reports hold the bytes of ``json.dumps(..., indent=2)``, filled
-into one template per record instead of going through json's pure-Python
-indenting encoder. An SVG plot leaves out points that are not finite. s and eta
-grids include their bounds exactly.
+outputs. ``tower`` and ``dispersion`` format each Kaluza-Klein level's cells
+once for both of its modes j and N - j, and ``validate`` its mode constraints a
+column at a time. JSON tables and the ``validate`` and ``oracle-check`` reports
+hold the bytes of ``json.dumps(..., indent=2)``, filled into one template per
+record instead of json's pure-Python indenting encoder. An SVG plot runs in
+ascending x and leaves out points that are not finite. s and eta grids include
+their bounds exactly.
 ``main(argv)`` is reentrant and cheap to call in-process, and looks ``cmd_*``
 up at call time. Each command's options are declared once, in ``_COMMANDS``,
 which builds the argparse parser and the one-pass reader alike. argv is parsed
@@ -47,6 +48,7 @@ DEFAULT_SEED = 20240800
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "None": "null",
                   "True": "true", "False": "false"}
 _json_string = json.encoder.encode_basestring_ascii  # json.dumps of a str, in C
+_NOTES = [(note, _json_string(note)) for note in ("ok", "warn", "reject")]  # on a mode's constraint
 
 
 def _write_table(path, columns: dict, fmt: str, take: dict | None = None) -> None:
@@ -101,14 +103,12 @@ def _json_value(value) -> str:
 def _json_document(doc: dict) -> str:
     """``json.dumps(doc, indent=2)`` and a newline, for a non-empty flat object whose
     values are what ``_json_value`` takes, or lists of records of those: dicts with
-    the same keys in the same order."""
+    the same keys in the same order, or (keys, rows of JSON texts) of records rendered."""
     fields = []
     for key, value in doc.items():
         if isinstance(value, list):
-            text = _json_records(value[0] if value else (),
-                                 [tuple(map(_json_value, record.values())) for record in value], 1)
-        else:
-            text = _json_value(value)
+            value = (value[0] if value else (), [tuple(map(_json_value, r.values())) for r in value])
+        text = _json_records(*value, 1) if isinstance(value, tuple) else _json_value(value)
         fields.append(f"  {_json_string(key)}: {text}")
     return "{\n" + ",\n".join(fields) + "\n}\n"
 
@@ -135,10 +135,8 @@ def _svg_polylines(path, curves: dict[str, list[tuple[float, float]]], log_log: 
 
     track = [transform(pts) for pts in curves.values()]
     xs, ys = zip(*([pt for pts in track for pt in pts] or [(0.0, 0.0)]))
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    x_span = (x1 - x0) or 1.0
-    y_span = (y1 - y0) or 1.0
+    x0, y0 = min(xs), min(ys)
+    x_span, y_span = (max(xs) - x0) or 1.0, (max(ys) - y0) or 1.0
 
     def pixel(pt):
         px = pad + (pt[0] - x0) / x_span * (width - 2 * pad)
@@ -202,11 +200,12 @@ def _require_valid(params: model.ModelParams) -> None:
 
 
 def _maybe_svg(args, x: np.ndarray, curves: dict[str, np.ndarray], log_log=True):
-    """With --svg, plot each of ``curves`` against ``x``; build nothing without it."""
+    """With --svg, plot each of ``curves`` against ``x``, ascending; build nothing without it."""
     if args.svg:
-        xs = x.tolist()
-        _svg_polylines(str(args.out) + ".svg",
-                       {name: list(zip(xs, y.tolist())) for name, y in curves.items()}, log_log)
+        order = x.argsort(kind="stable")  # tower rows run j = 0, 1, N - 1, 2, N - 2, ...
+        xs = x[order].tolist()
+        _svg_polylines(str(args.out) + ".svg", {name: list(zip(xs, y[order].tolist()))
+                                                for name, y in curves.items()}, log_log)
 
 
 def _refuse_nan(cells: dict[str, np.ndarray], **keys: np.ndarray) -> None:
@@ -225,14 +224,26 @@ def cmd_tower(args) -> int:
     params, _ = _load_inputs(args)
     _require_valid(params)
     tower = spectrum.kk_tower(params)
-    # rows 2l - 1 and 2l hold level l's modes j and N - j, which share these columns bit
-    # for bit: each level's row 2l is formatted once, and row i shows level (i + 1) // 2
-    shared = ("Erj_sq_exact", "Erj_sq_continuum", "csj_sq", "constraint_value")
-    # valid inputs can overflow these to inf * 0 or inf - inf; the others stay finite
-    _refuse_nan({name: tower[name] for name in shared}, j=tower["j"])
-    level_rows = np.arange(1, params.species_count + 1) // 2
-    _write_table(args.out, {**tower, **{name: tower[name][::2] for name in shared}},
-                 args.format, take=dict.fromkeys(shared, level_rows))
+    # level l's modes n = l and -l (rows 2l - 1 and 2l) differ only in j, alpha and the signs of
+    # n and p5 (p5(-n) = -p5(n) exactly): the rest is formatted once a level, from its first row
+    first = np.maximum(np.arange(-1, params.species_count, 2), 0)
+    level = {name: column[first] for name, column in tower.items() if name not in ("j", "alpha")}
+    spell = _JSON_SPELLING if args.format == "json" else {}
+    cells = []
+    for name, column in tower.items():
+        if name not in level:  # j and alpha: ints and finite floats, which JSON spells as repr
+            cells.append(list(map(repr, column.tolist())))
+            continue
+        texts = list(map(repr, level[name].tolist()))
+        if "nan" in texts:  # valid inputs can overflow a closed form to inf * 0 or inf - inf
+            _refuse_nan(level, j=tower["j"][first])
+        texts = [spell.get(text, text) for text in texts] if spell else texts
+        rows = texts[:1] * column.size
+        rows[1::2] = texts[1:]
+        rows[2::2] = ["-" + text for text in texts[1:]] if name in ("n", "p5") else texts[1:]
+        cells.append(rows)
+    _write_text(args.out, "\n".join([",".join(tower), *map(",".join, zip(*cells))]) + "\n"
+                if args.format == "csv" else _json_records(tower, zip(*cells)) + "\n")
     _maybe_svg(args, tower["j"], {"exact": tower["Erj_sq_exact"],
                                   "continuum": tower["Erj_sq_continuum"]}, log_log=False)
     return EXIT_OK
@@ -307,16 +318,9 @@ def cmd_oracle_check(args) -> int:
     _, tachyon_stable = oracle.oracle_energies(oracle.build_bdg(tachyon, 0.0))
     expected_unstable = not tachyon_stable
     passed = (max_rel <= 1e-9) and unstable == 0 and hand_ok and expected_unstable
-    report = {
-        "cases": len(cases),
-        "p_points": int(args.p_points),
-        "seed": int(args.seed),
-        "max_rel_err": max_rel,
-        "unstable_cases": unstable,
-        "hand_case_n3_ok": bool(hand_ok),
-        "tachyon_case_flagged": bool(expected_unstable),
-        "pass": bool(passed),
-    }
+    report = {"cases": len(cases), "p_points": int(args.p_points), "seed": int(args.seed),
+              "max_rel_err": max_rel, "unstable_cases": unstable, "hand_case_n3_ok": bool(hand_ok),
+              "tachyon_case_flagged": bool(expected_unstable), "pass": bool(passed)}
     _write_text(args.out, _json_document(report))
     return EXIT_OK if passed else EXIT_ORACLE
 
@@ -324,32 +328,28 @@ def cmd_oracle_check(args) -> int:
 def cmd_validate(args) -> int:
     params, mono = _load_inputs(args)
     report = _report(params, args.regime)
-    constraints = []
-    if report.ok:
-        values = spectrum.validity_constraint(params, np.arange((params.species_count + 1) // 2))
-        constraints = [{"j": j, "constraint_value": value,
-                        "note": ("reject" if value >= model.REJECT_RATIO else
-                                 "warn" if value > model.WARN_RATIO else "ok")}
-                       for j, value in enumerate(values.tolist())]
-    payload = {
-        "regime": args.regime,
-        "mono_metric": bool(mono),
-        "mono_metricity_holds": model.check_mono_metricity(params),
-        "violations": [
-            {"constraint": v.constraint, "message": v.message, "severity": v.severity}
-            for v in report.violations
-        ],
-        "mode_constraints": constraints,
-        "ok": report.ok and all(c["note"] != "reject" for c in constraints),
-    }
-    for entry in constraints:
-        if entry["note"] != "ok":
-            print(
-                f"{entry['note']}: validity constraint at j={entry['j']} is "
-                f"{entry['constraint_value']:.6g} "
-                f"(warn>{model.WARN_RATIO}, reject>={model.REJECT_RATIO})",
-                file=sys.stderr,
-            )
+    holds = model.check_mono_metricity(params)
+    if mono and not holds:  # the document asks for scales that do not exist
+        message = model.MONO_METRIC_ERROR.format(params.nUprime, params.rabi)
+        violation = model.Violation("mono_metricity", message, "error")
+        print(f"error: mono_metricity: {violation.message}", file=sys.stderr)
+        report = model.ValidationReport((*report.violations, violation))
+    values = (spectrum.validity_constraint(params, np.arange((params.species_count + 1) // 2))
+              if report.ok else np.empty(0))
+    notes = ((values > model.WARN_RATIO) * 1 + (values >= model.REJECT_RATIO)).tolist()  # in _NOTES
+    values = values.tolist()
+    records = zip(map(repr, range(len(values))),
+                  [_JSON_SPELLING.get(text, text) for text in map(repr, values)],
+                  [_NOTES[note][1] for note in notes])
+    payload = {"regime": args.regime, "mono_metric": bool(mono), "mono_metricity_holds": holds,
+               "violations": [{"constraint": v.constraint, "message": v.message,
+                               "severity": v.severity} for v in report.violations],
+               "mode_constraints": (("j", "constraint_value", "note"), records),
+               "ok": report.ok and 2 not in notes}
+    for j, (value, note) in enumerate(zip(values, notes)):
+        if note:
+            print(f"{_NOTES[note][0]}: validity constraint at j={j} is {value:.6g} "
+                  f"(warn>{model.WARN_RATIO}, reject>={model.REJECT_RATIO})", file=sys.stderr)
     _write_text(args.out, _json_document(payload))
     return EXIT_OK if payload["ok"] else EXIT_VALIDATION
 

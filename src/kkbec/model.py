@@ -32,6 +32,7 @@ EPS_FLOOR = 1e-300
 ABS_ZERO_TOL = 1e-14
 
 MONO_METRIC_TOL = 1e-9  # relative tolerance of n*U' = -Omega in check_mono_metricity
+MONO_METRIC_ERROR = "mono_metric scales requested but n*U' != -Omega (nU'={:.6g}, Omega={:.6g})"
 
 _DOCUMENT_KEYS = {"N", "m", "n", "U", "Uprime", "Omega", "L", "mono_metric"}
 
@@ -229,10 +230,7 @@ def derive_scales(params: ModelParams, mono_metric: bool = False) -> DerivedScal
     if params.rabi == 0:
         raise StabilityError("lattice spacing diverges: Omega must be nonzero")
     if mono_metric and not check_mono_metricity(params):
-        raise ValueError(
-            "mono_metric scales requested but n*U' != -Omega "
-            f"(nU'={params.nUprime:.6g}, Omega={params.rabi:.6g})"
-        )
+        raise ValueError(MONO_METRIC_ERROR.format(params.nUprime, params.rabi))
     if mono_metric:
         cs_sq = (params.nU - 2.0 * params.rabi) / m
     else:

@@ -141,21 +141,23 @@ def validity_constraint(params: ModelParams, j: ModeIndices) -> float | np.ndarr
 def kk_tower(params: ModelParams) -> dict[str, np.ndarray]:
     """The mass tower as columns, in rows sorted by |n| (massless first, +n before -n).
 
-    Keys: j, n, alpha, Erj_sq_exact, Erj_sq_continuum, csj_sq, p5,
-    constraint_value, degeneracy (1 for the massless mode, 2 for each pair).
+    Keys: j, n, alpha, Erj_sq_exact, Erj_sq_continuum, csj_sq, p5, constraint_value,
+    degeneracy (1 for the massless mode, 2 for each pair); each form runs once a level |n|.
     """
     n_sp = params.species_count
     if n_sp % 2 == 0:
         raise ValueError("the mass tower pairing j <-> N-j requires odd N")
-    labels = kk_label(np.arange(n_sp), n_sp)
-    j = np.lexsort((labels < 0, abs(labels)))
+    level = np.arange(1, n_sp + 1) // 2  # row 0 holds level 0, rows 2l - 1 and 2l n = l and -l
+    n = np.where(np.arange(n_sp) % 2, level, -level)
+    j, levels = n % n_sp, np.arange(n_sp // 2 + 1)
     # as in Python float arithmetic: overflow gives inf, a division by zero raises
     with np.errstate(over="ignore", invalid="ignore", divide="raise"):
-        return {"j": j, "n": labels[j], "alpha": params.alphas[j],
-                "Erj_sq_exact": rest_energy_sq(params, j),
-                "Erj_sq_continuum": continuum_mass_sq(params, j),
-                "csj_sq": sound_speed_sq(params, j), "p5": p5(params, j),
-                "constraint_value": validity_constraint(params, j),
+        return {"j": j, "n": n, "alpha": params.alphas[j],
+                "Erj_sq_exact": rest_energy_sq(params, levels)[level],
+                "Erj_sq_continuum": continuum_mass_sq(params, levels)[level],
+                "csj_sq": sound_speed_sq(params, levels)[level],
+                "p5": p5(params, levels)[level] * np.sign(n),  # p5(-n) = -p5(n) exactly
+                "constraint_value": validity_constraint(params, levels)[level],
                 "degeneracy": np.where(j == 0, 1, 2)}
 
 

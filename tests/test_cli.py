@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -403,8 +404,9 @@ class TestValidate:
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"N": 9, "m": 1.0, "n": big, "U": 1.0, "Uprime": big,
                                     "Omega": -1.0, "mono_metric": True}))
-        _, out, _ = _captured(["validate", "--config", str(path)])
-        assert json.loads(out)["mono_metricity_holds"] is False
+        code, out, _ = _captured(["validate", "--config", str(path)])
+        assert code == 2
+        assert json.loads(out)["mono_metricity_holds"] is json.loads(out)["ok"] is False
         assert _captured(["dispersion", "--config", str(path)]) == (
             2, "", "error: mono_metric scales requested but n*U' != -Omega (nU'=inf, Omega=-1)\n")
 
@@ -424,11 +426,20 @@ class TestValidate:
 
     @staticmethod
     def _expected(params, mono, regime):
-        """(exit code, stdout, stderr) of the report, built one mode at a time."""
-        report = model.validate(params, regime)
-        err = [f"{v.severity}: {v.constraint}: {v.message}\n" for v in report.violations]
+        """(exit code, stdout, stderr) of the report, built one mode at a time.
+
+        A document that asks for mono-metric scales where n*U' = -Omega fails gets a
+        mono_metricity error after the model's violations."""
+        holds = model.check_mono_metricity(params)
+        violations = list(model.validate(params, regime).violations)
+        if mono and not holds:
+            violations.append(model.Violation(
+                "mono_metricity", "mono_metric scales requested but n*U' != -Omega "
+                f"(nU'={params.nUprime:.6g}, Omega={params.rabi:.6g})", "error"))
+        valid = all(v.severity != "error" for v in violations)
+        err = [f"{v.severity}: {v.constraint}: {v.message}\n" for v in violations]
         constraints = []
-        for j in range((params.species_count + 1) // 2) if report.ok else ():
+        for j in range((params.species_count + 1) // 2) if valid else ():
             value = spectrum.validity_constraint(params, j)
             note = ("reject" if value >= model.REJECT_RATIO else
                     "warn" if value > model.WARN_RATIO else "ok")
@@ -436,12 +447,11 @@ class TestValidate:
             if note != "ok":
                 err.append(f"{note}: validity constraint at j={j} is {value:.6g} "
                            f"(warn>{model.WARN_RATIO}, reject>={model.REJECT_RATIO})\n")
-        ok = report.ok and all(c["note"] != "reject" for c in constraints)
+        ok = valid and all(c["note"] != "reject" for c in constraints)
         payload = {
-            "regime": regime, "mono_metric": mono,
-            "mono_metricity_holds": model.check_mono_metricity(params),
+            "regime": regime, "mono_metric": mono, "mono_metricity_holds": holds,
             "violations": [{"constraint": v.constraint, "message": v.message,
-                            "severity": v.severity} for v in report.violations],
+                            "severity": v.severity} for v in violations],
             "mode_constraints": constraints, "ok": ok,
         }
         return 0 if ok else 2, json.dumps(payload, indent=2) + "\n", "".join(err)
@@ -462,6 +472,8 @@ class TestValidate:
         {**STANDARD_DOC, "L": 2.0},
         {**STANDARD_DOC, "Omega": 0.1, "Uprime": -0.1},
         {**STANDARD_DOC, "N": 101, "Uprime": 4.0, "Omega": -4.0, "L": 1e-3},
+        # mono-metric scales asked for where n*U' = -Omega fails: an error, as in dispersion
+        {**STANDARD_DOC, "Uprime": 0.001, "Omega": -0.002, "L": 2.0},
     ])
     @pytest.mark.parametrize("regime", REGIMES)
     def test_config_bytes_are_json_dumps_of_the_cells(self, tmp_path, doc, regime):
@@ -640,6 +652,17 @@ class TestDeterminismAndSvg:
         svg = out.with_name("t.csv.svg").read_text()
         assert svg.count('points="40.00,440.00"') == 2  # one point a curve
         assert "polyline" in svg and "nan" not in svg and "inf" not in svg
+
+    def test_tower_svg_runs_in_ascending_j(self, tmp_path):
+        # the table's rows run j = 0, 1, 8, 2, 7, ...; a curve must not zig-zag with them
+        code, out = run_to_file(tmp_path, "t.csv", ["tower", "--normalized-omega", "0.1",
+                                                    "--species", "9", "--svg"])
+        assert code == 0
+        curves = re.findall(r'points="([^"]*)"', out.with_name("t.csv.svg").read_text())
+        assert len(curves) == 2
+        for points in curves:
+            xs = [float(point.split(",")[0]) for point in points.split()]
+            assert len(xs) == 9 and all(a < b for a, b in zip(xs, xs[1:])), xs
 
     @pytest.mark.parametrize("log_log", [False, True])
     def test_svg_keeps_the_finite_points(self, tmp_path, log_log):
@@ -1082,43 +1105,56 @@ class TestTableWriter:
 
     @pytest.mark.parametrize("n_sp", [3, 101])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_tower_matches_per_cell_rendering(self, n_sp, fmt):
+    def test_tower_matches_per_cell_rendering(self, tmp_path, n_sp, fmt):
         """Every mode evaluated on its own, in tower order: |n| up, +n before -n."""
         header = ["j", "n", "alpha", "Erj_sq_exact", "Erj_sq_continuum", "csj_sq",
                   "p5", "constraint_value", "degeneracy"]
         order = [0] + [j for n in range(1, (n_sp + 1) // 2) for j in (n, n_sp - n)]
+        # a non-mono set, whose csj_sq differs from level to level
+        doc = {**STANDARD_DOC, "N": n_sp, "Uprime": 0.3, "mono_metric": False}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        sources = [(model.params_from_document(doc)[0], ["--config", str(path)], False)]
         # at 1e300 the gaps overflow, so the columns a level shares are inf in both modes
         for ratio in (0.1, 1e300):
-            params = model.normalized_params(ratio, n_sp)
+            sources.append((model.normalized_params(ratio, n_sp), [
+                "--normalized-omega", repr(ratio), "--species", str(n_sp)], ratio == 1e300))
+        for params, source, overflows in sources:
             rows = [[j, model.kk_label(j, n_sp), 2.0 * math.pi * j / n_sp,
                      spectrum.rest_energy_sq(params, j), spectrum.continuum_mass_sq(params, j),
                      spectrum.sound_speed_sq(params, j), spectrum.p5(params, j),
                      spectrum.validity_constraint(params, j), 1 if j == 0 else 2]
                     for j in order]
-            code, out, _ = _captured(["tower", "--normalized-omega", repr(ratio),
-                                      "--species", str(n_sp), "--format", fmt])
+            code, out, _ = _captured(["tower", *source, "--format", fmt])
             assert code == 0
-            assert (ratio == 1e300) == any(word in out for word in (",inf,", "Infinity"))
+            assert overflows == any(word in out for word in (",inf,", "Infinity"))
             _assert_same_text(out, _per_cell_table(header, rows, fmt))
 
     @pytest.mark.parametrize("n_sp", [3, 101])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_dispersion_matches_per_mode_rendering(self, n_sp, fmt):
+    def test_dispersion_matches_per_mode_rendering(self, tmp_path, n_sp, fmt):
         """Every mode evaluated on its own, one cell at a time."""
-        params = model.normalized_params(0.1, n_sp)
+        # a non-mono set, whose c_sj differs from level to level
+        doc = {**STANDARD_DOC, "N": n_sp, "Uprime": 0.3, "mono_metric": False}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
         etas = np.logspace(-2, 1, 60)
         etas[0], etas[-1] = 0.01, 10.0
-        momenta = etas / model.derive_scales(params, mono_metric=True).healing_length
-        rows = []
-        for j in range(n_sp):
-            cs = math.sqrt(spectrum.sound_speed_sq(params, j))
-            for eta, p in zip(etas.tolist(), momenta.tolist()):
-                energy = spectrum.dispersion(params, j, p)
-                rows.append([j, eta, p, energy, energy / (cs * p)])
-        code, out, _ = _captured(["dispersion", "--normalized-omega", "0.1",
-                                  "--species", str(n_sp), "--format", fmt])
-        assert code == 0
-        _assert_same_text(out, _per_cell_table(["j", "eta", "p", "E", "E_over_csp"], rows, fmt))
+        for (params, mono), source in [
+                ((model.normalized_params(0.1, n_sp), True),
+                 ["--normalized-omega", "0.1", "--species", str(n_sp)]),
+                (model.params_from_document(doc), ["--config", str(path)])]:
+            momenta = etas / model.derive_scales(params, mono_metric=mono).healing_length
+            rows = []
+            for j in range(n_sp):
+                cs = math.sqrt(spectrum.sound_speed_sq(params, j))
+                for eta, p in zip(etas.tolist(), momenta.tolist()):
+                    energy = spectrum.dispersion(params, j, p)
+                    rows.append([j, eta, p, energy, energy / (cs * p)])
+            code, out, _ = _captured(["dispersion", *source, "--format", fmt])
+            assert code == 0
+            _assert_same_text(out, _per_cell_table(["j", "eta", "p", "E", "E_over_csp"],
+                                                   rows, fmt))
 
 
 # text that json has to escape: quotes, backslashes, control and non-ASCII characters,

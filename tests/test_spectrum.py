@@ -263,7 +263,7 @@ class TestTower:
 
     @pytest.mark.parametrize("n_sp", [3, 1001])
     def test_one_call_per_closed_form(self, monkeypatch, n_sp):
-        """The tower is one array evaluation of each closed form, whatever N."""
+        """The tower is one array evaluation of each closed form over the levels |n| = 0..N//2."""
         calls = []
         for form in self.FORMS:
             def counted(params, j, form=form):
@@ -273,10 +273,10 @@ class TestTower:
         kk_tower(normalized_params(0.1, n_sp))
         direct = [name for name, caller, _ in calls if caller == "kk_tower"]
         assert sorted(direct) == sorted(form.__name__ for form in self.FORMS)
-        # continuum_mass_sq evaluates p5 once more, over the same modes
+        # continuum_mass_sq evaluates p5 once more, over the same levels
         assert [(name, caller) for name, caller, _ in calls if caller != "kk_tower"] == [
             ("p5", "continuum_mass_sq")]
-        assert all(shape == (n_sp,) for *_, shape in calls)
+        assert all(shape == (n_sp // 2 + 1,) for *_, shape in calls)
 
 
 class TestNonrelativisticDispersion:
