@@ -5,7 +5,8 @@ failure in at least one output row, 5 oracle mismatch. stderr is for humans;
 files and stdout carry only machine-readable output. Floats are rendered with
 ``repr`` (shortest round-trip form), so identical inputs produce byte-identical
 outputs. ``tower`` and ``dispersion`` format each Kaluza-Klein level's cells
-once for both of its modes j and N - j, and ``validate`` its mode constraints a
+once for both of its modes j and N - j (``dispersion`` writes each mode's block
+as one join of its level's rows), and ``validate`` its mode constraints a
 column at a time. JSON tables and the ``validate`` and ``oracle-check`` reports
 hold the bytes of ``json.dumps(..., indent=2)``, filled into one template per
 record instead of json's pure-Python indenting encoder. An SVG plot runs in
@@ -51,26 +52,21 @@ _json_string = json.encoder.encode_basestring_ascii  # json.dumps of a str, in C
 _NOTES = [(note, _json_string(note)) for note in ("ok", "warn", "reject")]  # on a mode's constraint
 
 
-def _write_table(path, columns: dict, fmt: str, take: dict | None = None) -> None:
+def _write_table(path, columns: dict, fmt: str) -> None:
     """Write columns of one kind of value each (numbers of one type, or floats and None).
 
     A cell is ``repr`` of a Python scalar: an array's ``tolist()`` item, or a
     list's item as it is, a NumPy scalar unwrapped by ``item()``. It is empty
     for None in CSV, and in JSON spelled as ``json.dumps(records, indent=2)``
-    does. With ``take[name]``, row i shows value ``take[name][i]``, formatted
-    once however many rows show it.
+    does.
     """
-    take = take or {}
+    spell = {"None": ""} if fmt == "csv" else _JSON_SPELLING
     cells = []
-    for name, column in columns.items():
+    for column in columns.values():
         # np.ravel would turn a list of ints past int64 into floats
         values = map(repr, column.ravel().tolist() if isinstance(column, np.ndarray) else
                      [value.item() if isinstance(value, np.generic) else value for value in column])
-        if fmt == "csv":
-            values = ["" if value == "None" else value for value in values]
-        else:
-            values = [_JSON_SPELLING.get(value, value) for value in values]
-        cells.append(np.array(values, dtype=object)[take[name]].tolist() if name in take else values)
+        cells.append([spell.get(value, value) for value in values])
     rows = zip(*cells)
     if fmt == "csv":
         text = "\n".join([",".join(columns), *map(",".join, rows)]) + "\n"
@@ -79,16 +75,20 @@ def _write_table(path, columns: dict, fmt: str, take: dict | None = None) -> Non
     _write_text(path, text)
 
 
-def _json_records(keys, rows, depth: int = 0) -> str:
-    """A list of records as ``json.dumps(records, indent=2)`` writes it ``depth`` levels
-    deep, without its pure-Python encoder: one template, filled by each row of JSON
-    texts, the record's values in the order of ``keys`` (at least one key)."""
+def _json_record(keys, depth: int = 0) -> str:
+    """The template of one record of ``json.dumps(records, indent=2)`` in a list ``depth``
+    levels deep: ``%s`` for each JSON text, in the order of ``keys`` (at least one key)."""
     pad = "  " * depth
     # a key's '%' is doubled so that only the values fill the template
     fields = ",\n".join(f"{pad}    {_json_string(key).replace('%', '%%')}: %s" for key in keys)
-    record = f"{pad}  {{\n{fields}\n{pad}  }}"
-    records = ",\n".join([record % row for row in rows])
-    return f"[\n{records}\n{pad}]" if records else "[]"
+    return f"{pad}  {{\n{fields}\n{pad}  }}"
+
+
+def _json_records(keys, rows, depth: int = 0) -> str:
+    """A list of records as ``json.dumps(records, indent=2)`` writes it ``depth`` levels deep,
+    without its pure-Python encoder: ``_json_record``'s template filled by each row of texts."""
+    records = ",\n".join(map(_json_record(keys, depth).__mod__, rows))
+    return f"[\n{records}\n{'  ' * depth}]" if records else "[]"
 
 
 def _json_value(value) -> str:
@@ -267,16 +267,27 @@ def cmd_dispersion(args) -> int:
                              out=np.zeros_like(energies), where=has_cone)
     # the first printed row of level |n| is mode j = n, at each eta in grid order
     _refuse_nan({"p": momenta, "E": energies, "E_over_csp": over_csp}, j=levels, eta=etas)
-    js = np.arange(n_sp)
-    level_of_j = np.abs(model.kk_label(js, n_sp))
-    eta_rows = np.tile(np.arange(points), n_sp)
-    level_rows = np.repeat(level_of_j * points, points) + eta_rows
-    _write_table(args.out, {"j": js, "eta": etas, "p": momenta, "E": energies,
-                            "E_over_csp": np.where(has_cone, over_csp, None)}, args.format,
-                 take={"j": np.repeat(js, points), "eta": eta_rows, "p": eta_rows,
-                       "E": level_rows, "E_over_csp": level_rows})
-    _maybe_svg(args, etas, {f"j={j}": energies[level]
-                            for j, level in enumerate(level_of_j.tolist())})
+    # each level's rows are formatted once, as the text after j; the block of mode j joins
+    # its level's texts with j after each separator
+    keys, csv = ("j", "eta", "p", "E", "E_over_csp"), args.format == "csv"
+    head, after_j, after_eta, after_p, after_e, after_o = (
+        "%s,%s,%s,%s,%s" if csv else _json_record(keys)).split("%s")
+    start, sep, end = (",".join(keys) + "\n", "\n", "\n") if csv else ("[\n", ",\n", "\n]\n")
+    eta_texts, p_texts, e_texts, o_texts = (
+        list(map(repr, column.ravel().tolist())) if csv else
+        [_JSON_SPELLING.get(text, text) for text in map(repr, column.ravel().tolist())]
+        for column in (etas, momenta, energies, over_csp))
+    for cell in np.flatnonzero(~has_cone).tolist():  # no sound cone: no ratio
+        o_texts[cell] = "" if csv else "null"
+    leads = [f"{after_j}{eta}{after_eta}{p}{after_p}" for eta, p in zip(eta_texts, p_texts)]
+    tails = [f"{lead}{e}{after_e}{o}{after_o}"
+             for lead, e, o in zip(leads * len(levels), e_texts, o_texts)]
+    level_of_j = np.abs(model.kk_label(np.arange(n_sp), n_sp)).tolist()
+    blocks = [f"{head}{j}" + f"{sep}{head}{j}".join(tails[level * points:(level + 1) * points])
+              for j, level in enumerate(level_of_j)]
+    _write_text(args.out, start + sep.join(blocks) + end)
+    if args.svg:
+        _maybe_svg(args, etas, {f"j={j}": energies[level] for j, level in enumerate(level_of_j)})
     return EXIT_OK
 
 

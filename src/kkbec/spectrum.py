@@ -92,13 +92,25 @@ def energy_sq(params: ModelParams, j: ModeIndices, p: Momenta) -> float | np.nda
 
 
 def dispersion(params: ModelParams, j: ModeIndices, p: Momenta) -> float | np.ndarray:
-    """Excitation energy sqrt(:func:`energy_sq`); raises at the first (j, p) with E^2 < 0."""
+    """Excitation energy sqrt(:func:`energy_sq`); raises at the first (j, p) with E^2 < 0.
+
+    Where p^2 is subnormal, c_sj^2 p^2 underflows, so E is hypot(E_rj, p sqrt(c_sj^2 + (p/2m)^2))
+    there, if both terms are not negative; every other (j, p) keeps sqrt(energy_sq)'s bits.
+    """
     e_sq = energy_sq(params, j, p)
     if np.any(e_sq < 0):
         e_sq, j, p = (np.broadcast_to(x, np.shape(e_sq)).ravel() for x in (e_sq, j, p))
         k = np.argmax(e_sq < 0)
         raise StabilityError(f"tachyonic mode: E^2 = {e_sq[k]:.6g} < 0 at j={j[k]}, p={p[k]:.6g}")
-    return np.sqrt(e_sq) if np.ndim(e_sq) else math.sqrt(e_sq)
+    energy = np.sqrt(e_sq) if np.ndim(e_sq) else math.sqrt(e_sq)
+    underflows = p * p < np.finfo(float).tiny
+    if np.any(underflows):
+        rest_sq = rest_energy_sq(params, j)
+        slope_sq = sound_speed_sq(params, j) + (p / (2.0 * params.atom_mass)) ** 2
+        with np.errstate(invalid="ignore"):  # the square roots of negative terms are not used
+            small = np.hypot(np.sqrt(rest_sq), p * np.sqrt(slope_sq))
+        energy = np.where(underflows & (rest_sq >= 0) & (slope_sq >= 0), small, energy)
+    return energy if np.ndim(energy) else float(energy)
 
 
 def bogoliubov_amplitudes(params: ModelParams, j: int, p: float) -> BogoliubovAmplitudes:

@@ -153,6 +153,17 @@ class TestDispersion:
         assert code == 0
         assert {line.split(",")[3] for line in out.read_text().splitlines()[1:]} == {"inf"}
 
+    def test_massless_row_at_underflowing_momenta(self, tmp_path):
+        # c_s^2 p^2 underflows once p^2 is subnormal; E must not read 0 or lose digits
+        code, out = run_to_file(tmp_path, "disp.csv", [
+            "dispersion", "--normalized-omega", "0.1", "--species", "3", "--eta-min", "1e-300",
+            "--eta-max", "1e-150", "--eta-points", "16"])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:] if line[:2] == "0,"]
+        assert len(rows) == 16
+        for row in rows:
+            assert float(row[3]) > 0 and abs(float(row[4]) - 1.0) <= 1e-12, row
+
     def test_phonon_limit_column(self, tmp_path, config):
         code, out = run_to_file(
             tmp_path, "disp.csv",
@@ -664,6 +675,17 @@ class TestDeterminismAndSvg:
             xs = [float(point.split(",")[0]) for point in points.split()]
             assert len(xs) == 9 and all(a < b for a, b in zip(xs, xs[1:])), xs
 
+    def test_dispersion_svg_has_a_curve_a_mode(self, tmp_path):
+        code, out = run_to_file(tmp_path, "d.csv", ["dispersion", "--normalized-omega", "0.1",
+                                                    "--species", "9", "--eta-points", "7",
+                                                    "--svg"])
+        assert code == 0
+        curves = re.findall(r'points="([^"]*)"', out.with_name("d.csv.svg").read_text())
+        assert len(curves) == 9
+        for points in curves:
+            xs = [float(point.split(",")[0]) for point in points.split()]
+            assert len(xs) == 7 and all(a < b for a, b in zip(xs, xs[1:])), xs
+
     @pytest.mark.parametrize("log_log", [False, True])
     def test_svg_keeps_the_finite_points(self, tmp_path, log_log):
         curve = [(1.0, 1.0), (10.0, math.inf), (math.nan, 5.0), (100.0, 100.0),
@@ -1017,9 +1039,9 @@ def _per_cell_table(header, rows, fmt):
     return json.dumps(records, indent=2, allow_nan=True, default=lambda v: v.item()) + "\n"
 
 
-def _column_table(tmp_path, columns, fmt, take=None):
+def _column_table(tmp_path, columns, fmt):
     path = tmp_path / f"table.{fmt}"
-    cli._write_table(path, columns, fmt, take)
+    cli._write_table(path, columns, fmt)
     return path.read_text(encoding="utf-8")
 
 
@@ -1056,14 +1078,6 @@ class TestTableWriter:
         columns = self.columns()
         rows = list(zip(*columns.values()))
         assert _column_table(tmp_path, columns, fmt) == _per_cell_table(list(columns), rows, fmt)
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_take_repeats_values(self, tmp_path, fmt):
-        columns = self.columns()
-        take = np.array([3, 0, 0, 11, 5, 3, 1])
-        rows = [[list(values)[i] for values in columns.values()] for i in take.tolist()]
-        assert (_column_table(tmp_path, columns, fmt, dict.fromkeys(columns, take))
-                == _per_cell_table(list(columns), rows, fmt))
 
     @settings(max_examples=50, deadline=None)
     @given(cells=st.lists(st.tuples(st.one_of(st.none(), st.floats()), st.floats(),
@@ -1133,28 +1147,30 @@ class TestTableWriter:
     @pytest.mark.parametrize("n_sp", [3, 101])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_dispersion_matches_per_mode_rendering(self, tmp_path, n_sp, fmt):
-        """Every mode evaluated on its own, one cell at a time."""
+        """Every mode evaluated on its own, one cell at a time, on grids of 1, 2, 7 and 60 etas."""
         # a non-mono set, whose c_sj differs from level to level
         doc = {**STANDARD_DOC, "N": n_sp, "Uprime": 0.3, "mono_metric": False}
         path = tmp_path / "p.json"
         path.write_text(json.dumps(doc))
-        etas = np.logspace(-2, 1, 60)
-        etas[0], etas[-1] = 0.01, 10.0
-        for (params, mono), source in [
-                ((model.normalized_params(0.1, n_sp), True),
-                 ["--normalized-omega", "0.1", "--species", str(n_sp)]),
-                (model.params_from_document(doc), ["--config", str(path)])]:
-            momenta = etas / model.derive_scales(params, mono_metric=mono).healing_length
-            rows = []
-            for j in range(n_sp):
-                cs = math.sqrt(spectrum.sound_speed_sq(params, j))
-                for eta, p in zip(etas.tolist(), momenta.tolist()):
-                    energy = spectrum.dispersion(params, j, p)
-                    rows.append([j, eta, p, energy, energy / (cs * p)])
-            code, out, _ = _captured(["dispersion", *source, "--format", fmt])
-            assert code == 0
-            _assert_same_text(out, _per_cell_table(["j", "eta", "p", "E", "E_over_csp"],
-                                                   rows, fmt))
+        for low, high, points in [(0.5, 0.5, 1), (0.01, 10.0, 2), (0.01, 10.0, 7), (0.01, 10.0, 60)]:
+            etas = np.logspace(math.log10(low), math.log10(high), points)
+            etas[0], etas[-1] = low, high
+            grid = ["--eta-min", repr(low), "--eta-max", repr(high), "--eta-points", str(points)]
+            for (params, mono), source in [
+                    ((model.normalized_params(0.1, n_sp), True),
+                     ["--normalized-omega", "0.1", "--species", str(n_sp)]),
+                    (model.params_from_document(doc), ["--config", str(path)])]:
+                momenta = etas / model.derive_scales(params, mono_metric=mono).healing_length
+                rows = []
+                for j in range(n_sp):
+                    cs = math.sqrt(spectrum.sound_speed_sq(params, j))
+                    for eta, p in zip(etas.tolist(), momenta.tolist()):
+                        energy = spectrum.dispersion(params, j, p)
+                        rows.append([j, eta, p, energy, energy / (cs * p)])
+                code, out, _ = _captured(["dispersion", *source, *grid, "--format", fmt])
+                assert code == 0
+                _assert_same_text(out, _per_cell_table(["j", "eta", "p", "E", "E_over_csp"],
+                                                       rows, fmt))
 
 
 # text that json has to escape: quotes, backslashes, control and non-ASCII characters,

@@ -136,9 +136,10 @@ class TestDispersion:
 
     def test_phonon_limit(self, standard_params):
         scales = derive_scales(standard_params, mono_metric=True)
-        p = 1e-3 / scales.healing_length
-        ratio = dispersion(standard_params, 0, p) / (scales.sound_speed * p)
-        assert abs(ratio - 1.0) <= 1e-6
+        for eta in (1e-3, 1e-160, 1e-300):  # p^2 normal, subnormal, and underflowing to 0
+            p = eta / scales.healing_length
+            ratio = dispersion(standard_params, 0, p) / (scales.sound_speed * p)
+            assert abs(ratio - 1.0) <= 1e-6, eta
 
     def test_tachyonic_raises(self):
         flipped = ModelParams(9, 1.0, 1.0, 1.0, -0.1, 0.1)
