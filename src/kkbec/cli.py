@@ -4,14 +4,15 @@ Exit codes: 0 success, 2 validation failure, 3 I/O failure, 4 quadrature
 failure in at least one output row, 5 oracle mismatch. stderr is for humans;
 files and stdout carry only machine-readable output. Floats are rendered with
 ``repr`` (shortest round-trip form), so identical inputs produce byte-identical
-outputs. ``tower`` and ``dispersion`` format each Kaluza-Klein level's cells
-once for both of its modes j and N - j (``dispersion`` writes each mode's block
-as one join of its level's rows), and ``validate`` its mode constraints a
-column at a time. JSON tables and the ``validate`` and ``oracle-check`` reports
-hold the bytes of ``json.dumps(..., indent=2)``, filled into one template per
-record instead of json's pure-Python indenting encoder. An SVG plot runs in
-ascending x and leaves out points that are not finite. s and eta grids include
-their bounds exactly.
+outputs. One cell formatter, ``_texts``, renders a column at a time, and one row
+writer, ``_write_rows``, writes ``tower``'s and ``correlation``'s rows. ``tower``
+and ``dispersion`` format each Kaluza-Klein level's cells once for both of its
+modes j and N - j (``dispersion`` writes each mode's block as one join of its
+level's rows), and ``validate`` its mode constraints a column at a time. JSON
+tables and the ``validate`` and ``oracle-check`` reports hold the bytes of
+``json.dumps(..., indent=2)``, filled into one template per record instead of
+json's pure-Python indenting encoder. An SVG plot runs in ascending x and leaves
+out points that are not finite. s and eta grids include their bounds exactly.
 ``main(argv)`` is reentrant and cheap to call in-process, and looks ``cmd_*``
 up at call time. Each command's options are declared once, in ``_COMMANDS``,
 which builds the argparse parser and the one-pass reader alike. argv is parsed
@@ -52,27 +53,17 @@ _json_string = json.encoder.encode_basestring_ascii  # json.dumps of a str, in C
 _NOTES = [(note, _json_string(note)) for note in ("ok", "warn", "reject")]  # on a mode's constraint
 
 
-def _write_table(path, columns: dict, fmt: str) -> None:
-    """Write columns of one kind of value each (numbers of one type, or floats and None).
+def _texts(values: np.ndarray, spell: dict) -> list[str]:
+    """``repr`` of each value of a 1-D float or int array, spelled as ``spell`` says."""
+    texts = list(map(repr, values.tolist()))
+    return [spell.get(text, text) for text in texts] if spell else texts
 
-    A cell is ``repr`` of a Python scalar: an array's ``tolist()`` item, or a
-    list's item as it is, a NumPy scalar unwrapped by ``item()``. It is empty
-    for None in CSV, and in JSON spelled as ``json.dumps(records, indent=2)``
-    does.
-    """
-    spell = {"None": ""} if fmt == "csv" else _JSON_SPELLING
-    cells = []
-    for column in columns.values():
-        # np.ravel would turn a list of ints past int64 into floats
-        values = map(repr, column.ravel().tolist() if isinstance(column, np.ndarray) else
-                     [value.item() if isinstance(value, np.generic) else value for value in column])
-        cells.append([spell.get(value, value) for value in values])
-    rows = zip(*cells)
-    if fmt == "csv":
-        text = "\n".join([",".join(columns), *map(",".join, rows)]) + "\n"
-    else:
-        text = _json_records(columns, rows) + "\n"
-    _write_text(path, text)
+
+def _write_rows(path, keys, rows, fmt: str) -> None:
+    """Write rows of cell texts under ``keys``: as CSV, or as ``json.dumps(records, indent=2)``
+    writes them when the texts are JSON."""
+    _write_text(path, "\n".join([",".join(keys), *map(",".join, rows)]) + "\n"
+                if fmt == "csv" else _json_records(keys, rows) + "\n")
 
 
 def _json_record(keys, depth: int = 0) -> str:
@@ -92,24 +83,20 @@ def _json_records(keys, rows, depth: int = 0) -> str:
 
 
 def _json_value(value) -> str:
-    """``json.dumps(value)`` for a str, None, or a bool, int or float; a NumPy scalar
-    reads as the Python scalar that ``item()`` gives."""
+    """``json.dumps(value)`` for a str, None, or a bool, int or float."""
     if isinstance(value, str):
         return _json_string(value)
-    text = repr(value.item() if isinstance(value, np.generic) else value)
+    text = repr(value)
     return _JSON_SPELLING.get(text, text)
 
 
 def _json_document(doc: dict) -> str:
     """``json.dumps(doc, indent=2)`` and a newline, for a non-empty flat object whose
-    values are what ``_json_value`` takes, or lists of records of those: dicts with
-    the same keys in the same order, or (keys, rows of JSON texts) of records rendered."""
-    fields = []
-    for key, value in doc.items():
-        if isinstance(value, list):
-            value = (value[0] if value else (), [tuple(map(_json_value, r.values())) for r in value])
-        text = _json_records(*value, 1) if isinstance(value, tuple) else _json_value(value)
-        fields.append(f"  {_json_string(key)}: {text}")
+    values are what ``_json_value`` takes, or lists of records given as (keys, rows of
+    JSON texts)."""
+    fields = [f"  {_json_string(key)}: "
+              + (_json_records(*value, 1) if isinstance(value, tuple) else _json_value(value))
+              for key, value in doc.items()]
     return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
@@ -232,18 +219,16 @@ def cmd_tower(args) -> int:
     cells = []
     for name, column in tower.items():
         if name not in level:  # j and alpha: ints and finite floats, which JSON spells as repr
-            cells.append(list(map(repr, column.tolist())))
+            cells.append(_texts(column, {}))
             continue
-        texts = list(map(repr, level[name].tolist()))
-        if "nan" in texts:  # valid inputs can overflow a closed form to inf * 0 or inf - inf
+        texts = _texts(level[name], spell)
+        if spell.get("nan", "nan") in texts:  # valid inputs can overflow to inf * 0 or inf - inf
             _refuse_nan(level, j=tower["j"][first])
-        texts = [spell.get(text, text) for text in texts] if spell else texts
         rows = texts[:1] * column.size
         rows[1::2] = texts[1:]
         rows[2::2] = ["-" + text for text in texts[1:]] if name in ("n", "p5") else texts[1:]
         cells.append(rows)
-    _write_text(args.out, "\n".join([",".join(tower), *map(",".join, zip(*cells))]) + "\n"
-                if args.format == "csv" else _json_records(tower, zip(*cells)) + "\n")
+    _write_rows(args.out, tower, zip(*cells), args.format)
     _maybe_svg(args, tower["j"], {"exact": tower["Erj_sq_exact"],
                                   "continuum": tower["Erj_sq_continuum"]}, log_log=False)
     return EXIT_OK
@@ -273,10 +258,8 @@ def cmd_dispersion(args) -> int:
     head, after_j, after_eta, after_p, after_e, after_o = (
         "%s,%s,%s,%s,%s" if csv else _json_record(keys)).split("%s")
     start, sep, end = (",".join(keys) + "\n", "\n", "\n") if csv else ("[\n", ",\n", "\n]\n")
-    eta_texts, p_texts, e_texts, o_texts = (
-        list(map(repr, column.ravel().tolist())) if csv else
-        [_JSON_SPELLING.get(text, text) for text in map(repr, column.ravel().tolist())]
-        for column in (etas, momenta, energies, over_csp))
+    eta_texts, p_texts, e_texts, o_texts = (_texts(column.ravel(), {} if csv else _JSON_SPELLING)
+                                            for column in (etas, momenta, energies, over_csp))
     for cell in np.flatnonzero(~has_cone).tolist():  # no sound cone: no ratio
         o_texts[cell] = "" if csv else "null"
     leads = [f"{after_j}{eta}{after_eta}{p}{after_p}" for eta, p in zip(eta_texts, p_texts)]
@@ -300,11 +283,12 @@ def cmd_correlation(args) -> int:
     # a non-positive --quad-tol raises ValueError in the first row (exit 2 through main)
     table = correlation.correlation_table(params, svals, args.delta, args.j_tr, args.quad_tol,
                                           not args.unweighted_truncation)
-    _write_table(args.out, table, args.format)
+    spell = _JSON_SPELLING if args.format == "json" else {}
+    cells = {name: _texts(column, spell) for name, column in table.items()}
+    _write_rows(args.out, table, zip(*cells.values()), args.format)
     _maybe_svg(args, table["s"], {name: table["D_" + name]
                                   for name in ("analytic", "numeric", "truncated")})
-    # a Python scan: np.isnan(...).any() added about 2% to a one-row request
-    return EXIT_QUADRATURE if any(map(math.isnan, table["D_numeric"].tolist())) else EXIT_OK
+    return EXIT_QUADRATURE if spell.get("nan", "nan") in cells["D_numeric"] else EXIT_OK
 
 
 def cmd_oracle_check(args) -> int:
@@ -348,16 +332,15 @@ def cmd_validate(args) -> int:
     values = (spectrum.validity_constraint(params, np.arange((params.species_count + 1) // 2))
               if report.ok else np.empty(0))
     notes = ((values > model.WARN_RATIO) * 1 + (values >= model.REJECT_RATIO)).tolist()  # in _NOTES
-    values = values.tolist()
-    records = zip(map(repr, range(len(values))),
-                  [_JSON_SPELLING.get(text, text) for text in map(repr, values)],
+    records = zip(map(repr, range(len(notes))), _texts(values, _JSON_SPELLING),
                   [_NOTES[note][1] for note in notes])
     payload = {"regime": args.regime, "mono_metric": bool(mono), "mono_metricity_holds": holds,
-               "violations": [{"constraint": v.constraint, "message": v.message,
-                               "severity": v.severity} for v in report.violations],
+               "violations": (("constraint", "message", "severity"), [
+                   tuple(map(_json_string, (v.constraint, v.message, v.severity)))
+                   for v in report.violations]),
                "mode_constraints": (("j", "constraint_value", "note"), records),
                "ok": report.ok and 2 not in notes}
-    for j, (value, note) in enumerate(zip(values, notes)):
+    for j, (value, note) in enumerate(zip(values.tolist(), notes)):
         if note:
             print(f"{_NOTES[note][0]}: validity constraint at j={j} is {value:.6g} "
                   f"(warn>{model.WARN_RATIO}, reject>={model.REJECT_RATIO})", file=sys.stderr)

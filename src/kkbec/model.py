@@ -164,6 +164,8 @@ def validate(params: ModelParams, regime: str = RELATIVISTIC) -> ValidationRepor
         err("rabi_nonzero", "Omega must be nonzero: the lattice spacing diverges at Omega = 0")
     if params.system_length is not None and not _finite(params.system_length):
         err("system_length_finite", f"L must be finite or null, got {params.system_length!r}")
+    elif params.system_length is not None and params.system_length < 0:
+        err("system_length_sign", f"L must not be negative, got {params.system_length}")
 
     # Regime-specific constraints only make sense on top of finite positives.
     if any(v.severity == "error" for v in out):

@@ -227,13 +227,15 @@ class TestCorrelation:
         # at s = 1e-160 most double-exponential nodes u/s lie past eta ~ 1e154,
         # where eta^2 overflows; the first sum is not finite and the row must
         # fail there instead of refining the step
-        code, out = run_to_file(
-            tmp_path, "corr.csv",
-            ["correlation", "--normalized-omega", "0.1", "--s-points", "1",
-             "--s-min", "1e-160", "--s-max", "1e-160"],
-        )
+        argv = ["correlation", "--normalized-omega", "0.1", "--s-points", "1",
+                "--s-min", "1e-160", "--s-max", "1e-160"]
+        code, out = run_to_file(tmp_path, "corr.csv", argv)
         assert code == 4
         assert out.read_text().splitlines()[1].split(",")[3] == "nan"
+        code, out = run_to_file(tmp_path, "corr.json", argv + ["--format", "json"])
+        assert code == 4
+        assert '"D_numeric": NaN,' in out.read_text()
+        assert math.isnan(json.loads(out.read_text())[0]["D_numeric"])
 
     @pytest.mark.parametrize("s", ["1e300", "1.7e308"])
     def test_largest_separations_read_zero(self, tmp_path, s):
@@ -290,14 +292,14 @@ class TestCorrelation:
             assert _captured(argv) == _captured(argv + ["--j-tr", "2"])
 
     @pytest.mark.parametrize("species", [3, 9])
-    def test_library_default_truncation_is_the_cli_default(self, capsys, species):
-        argv = ["correlation", "--normalized-omega", "0.001", "--species", str(species)]
-        code, out, err = _captured(argv + self.ARGS)
-        assert (code, err) == (0, "")
+    def test_library_default_truncation_is_the_cli_default(self, species):
         table = correlation.correlation_table(model.normalized_params(1e-3, species),
                                               cli._log_grid(10.0, 20.0, 3), 1, rel_tol=1e-9)
-        cli._write_table(None, table, "csv")
-        assert capsys.readouterr().out == out
+        rows = list(zip(*(column.tolist() for column in table.values())))
+        argv = ["correlation", "--normalized-omega", "0.001", "--species", str(species)]
+        for fmt in ("csv", "json"):
+            assert _captured(argv + self.ARGS + ["--format", fmt]) == (
+                0, _per_cell_table(list(table), rows, fmt), "")
 
 
 class TestOracleCheck:
@@ -339,6 +341,16 @@ class TestOracleCheck:
         )
         assert code == 5
         assert json.loads(out.read_text())["pass"] is False
+
+    def test_perturbed_closed_forms_fail(self, monkeypatch):
+        # a pass is never vacuous: E^2 off by 2e-9 relative is past the 1e-9 gate
+        energy_sq = spectrum.energy_sq
+        monkeypatch.setattr(spectrum, "energy_sq",
+                            lambda params, j, p: energy_sq(params, j, p) * (1 + 2e-9))
+        code, out, err = _captured(["oracle-check", "--cases", "8"])
+        assert (code, err) == (5, "")
+        report = json.loads(out)
+        assert report["pass"] is False and 1e-9 < report["max_rel_err"] < 3e-9
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("position", [0, 1, 2])
@@ -434,6 +446,18 @@ class TestValidate:
         path.write_text(json.dumps(doc))
         code, _ = run_to_file(tmp_path, "r.json", ["validate", "--config", str(path)])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["validate", "tower", "dispersion", "correlation"])
+    def test_negative_length_exit(self, tmp_path, command):
+        doc = {**STANDARD_DOC, "Uprime": 0.001, "Omega": -0.001, "L": -100.0}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _captured([command, "--config", str(path)])
+        assert code == 2
+        assert err.startswith("error: system_length_sign: L must not be negative, got -100.0\n")
+        if command == "validate":
+            assert [v["constraint"] for v in json.loads(out)["violations"]] == [
+                "system_length_sign"]
 
     @staticmethod
     def _expected(params, mono, regime):
@@ -1041,7 +1065,9 @@ def _per_cell_table(header, rows, fmt):
 
 def _column_table(tmp_path, columns, fmt):
     path = tmp_path / f"table.{fmt}"
-    cli._write_table(path, columns, fmt)
+    spell = cli._JSON_SPELLING if fmt == "json" else {}
+    cells = [cli._texts(column, spell) for column in columns.values()]
+    cli._write_rows(path, list(columns), zip(*cells), fmt)
     return path.read_text(encoding="utf-8")
 
 
@@ -1052,70 +1078,45 @@ def _assert_same_text(text, expected):
 
 
 class TestTableWriter:
-    """The column writer gives the bytes of the per-cell rule it replaced."""
+    """The cell formatter and row writer give the bytes of the per-cell rule they replaced."""
 
-    FLOATS = [None, math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 0.1,
-              1e300, 2.2250738585072014e-308, 1 / 3]
+    FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 0.1,
+              1e300, 2.2250738585072014e-308, 1 / 3, 12.5]
     INTS = [0, -1, 7, 2**62, -(2**63), 2**63 - 1, 3, 12, 5, -9, 1, 42]
-    BOOLS = [True, False] * 6
-
-    def columns(self):
-        floats = self.FLOATS[1:] + [12.5]
-        return {
-            "optional": self.FLOATS,
-            "py_float": floats,
-            "np_float": np.array(floats),
-            "np_float_scalars": [np.float64(x) for x in floats],
-            "py_int": self.INTS,
-            "np_int": np.array(self.INTS, dtype=np.int64),
-            "np_int_scalars": [np.int64(x) for x in self.INTS],
-            "bool": self.BOOLS,
-            "np_bool": np.array(self.BOOLS),
-        }
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_edge_values(self, tmp_path, fmt):
-        columns = self.columns()
-        rows = list(zip(*columns.values()))
+        columns = {"float": np.array(self.FLOATS), "int": np.array(self.INTS, dtype=np.int64)}
+        rows = list(zip(self.FLOATS, self.INTS))
         assert _column_table(tmp_path, columns, fmt) == _per_cell_table(list(columns), rows, fmt)
 
     @settings(max_examples=50, deadline=None)
-    @given(cells=st.lists(st.tuples(st.one_of(st.none(), st.floats()), st.floats(),
-                                    st.integers(-(2**63), 2**63 - 1), st.booleans()),
+    @given(cells=st.lists(st.tuples(st.floats(), st.floats(), st.integers(-(2**63), 2**63 - 1)),
                           min_size=1, max_size=8),
            fmt=st.sampled_from(["csv", "json"]))
     def test_property(self, tmp_path_factory, cells, fmt):
         tmp_path = tmp_path_factory.mktemp("table")
-        header = ["optional", "float", "int", "bool"]
-        columns = dict(zip(header, map(list, zip(*cells))))
-        columns["float"] = np.array(columns["float"])
+        header = ["float", "other", "int"]
+        floats, others, ints = zip(*cells)
+        columns = {"float": np.array(floats), "other": np.array(others),
+                   "int": np.array(ints, dtype=np.int64)}
         assert _column_table(tmp_path, columns, fmt) == _per_cell_table(header, cells, fmt)
 
     @settings(max_examples=100, deadline=None)
     @example(cells=[])
-    @example(cells=[(None, 0.0, 0, False), (None, 0.0, 2**63, False)])
+    @example(cells=[(0.0, -(2**63)), (-0.0, 2**63 - 1)])
     @given(cells=st.lists(st.tuples(
-        st.one_of(st.none(), st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf,
-                                                           -math.inf])),
-        st.floats(), st.integers(), st.booleans()), max_size=6))
+        st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf,
+                                                5e-324, 1e300, 1 / 3])),
+        st.integers(-(2**63), 2**63 - 1)), max_size=6))
     def test_json_is_json_dumps(self, tmp_path_factory, cells):
         # the joined text against the encoder it replaced, with the names json has to escape
-        header = ["optional", 'float "%s"', "int \\ é", "bool"]
-        columns = dict(zip(header, map(list, zip(*cells)))) or dict.fromkeys(header, [])
-        columns['float "%s"'] = np.array(columns['float "%s"'], dtype=float)
+        header = ['float "%s"', "int \\ é"]
+        floats, ints = zip(*cells) if cells else ((), ())
+        columns = dict(zip(header, (np.array(floats, dtype=float), np.array(ints, dtype=np.int64))))
         records = [dict(zip(header, row)) for row in cells]
         expected = json.dumps(records, indent=2, allow_nan=True) + "\n"
         assert _column_table(tmp_path_factory.mktemp("table"), columns, "json") == expected
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_list_cells_are_taken_as_they_are(self, tmp_path, fmt):
-        # a list through np.ravel made [0, 2**63] a float64 column: 0.0, 9.223372036854776e+18
-        ints = [0, 2**63, -(2**64), 7]
-        optional = [None, 2.5, np.float64(0.1), -0.0]
-        columns = {"int": ints, "optional": optional, "float": np.array(ints, dtype=float)}
-        rows = list(zip(ints, [None, 2.5, 0.1, -0.0], [float(value) for value in ints]))
-        assert _column_table(tmp_path, columns, fmt) == _per_cell_table(list(columns), rows, fmt)
-        assert str(2**63) in _column_table(tmp_path, columns, fmt)
 
     @pytest.mark.parametrize("n_sp", [3, 101])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1186,12 +1187,18 @@ def _ordered(fields: dict):
     return st.fixed_dictionaries(fields).map(lambda doc: {key: doc[key] for key in fields})
 
 
+def _records(fields: dict, max_size: int):
+    """Record lists as the CLI passes them: (keys, rows of the fields' draws)."""
+    return st.lists(st.tuples(*fields.values()), max_size=max_size).map(
+        lambda rows: (tuple(fields), rows))
+
+
 VALIDATE_DOC = _ordered({
     "regime": JSON_TEXT, "mono_metric": st.booleans(), "mono_metricity_holds": st.booleans(),
-    "violations": st.lists(_ordered(
-        {"constraint": JSON_TEXT, "message": JSON_TEXT, "severity": JSON_TEXT}), max_size=3),
-    "mode_constraints": st.lists(_ordered(
-        {"j": st.integers(), "constraint_value": JSON_FLOAT, "note": JSON_TEXT}), max_size=4),
+    "violations": _records(
+        {"constraint": JSON_TEXT, "message": JSON_TEXT, "severity": JSON_TEXT}, 3),
+    "mode_constraints": _records(
+        {"j": st.integers(), "constraint_value": JSON_FLOAT, "note": JSON_TEXT}, 4),
     "ok": st.booleans(),
 })
 ORACLE_DOC = _ordered({
@@ -1204,7 +1211,7 @@ ORACLE_DOC = _ordered({
 
 @st.composite
 def _flat_documents(draw):
-    """Drawn keys: scalars, and record lists whose records share their drawn keys."""
+    """Drawn keys: scalars, and record lists of drawn keys."""
     keys = draw(st.lists(JSON_TEXT, min_size=1, max_size=4, unique=True))
     doc = {}
     for key in keys:
@@ -1212,7 +1219,7 @@ def _flat_documents(draw):
             doc[key] = draw(JSON_SCALAR)
         else:
             fields = draw(st.lists(JSON_TEXT, min_size=1, max_size=3, unique=True))
-            doc[key] = draw(st.lists(_ordered(dict.fromkeys(fields, JSON_SCALAR)), max_size=3))
+            doc[key] = draw(_records(dict.fromkeys(fields, JSON_SCALAR), 3))
     return doc
 
 
@@ -1220,18 +1227,17 @@ class TestJsonDocument:
     """The report renderer gives the bytes of json.dumps(doc, indent=2)."""
 
     @settings(max_examples=150, deadline=None)
-    @example(doc={'a "%s" \\ key': "%(x)s %% \x00 é", "floats": [
-        {"x": x, "%d": -0.0} for x in (math.nan, math.inf, -math.inf, 5e-324, 1e300)],
-        "empty": [], "ints": 2**70, "none": None, "bool": False})
+    @example(doc={'a "%s" \\ key': "%(x)s %% \x00 é", "floats": (
+        ("x", "%d"), [(x, -0.0) for x in (math.nan, math.inf, -math.inf, 5e-324, 1e300)]),
+        "empty": (("x",), []), "ints": 2**70, "none": None, "bool": False})
     @given(doc=st.one_of(VALIDATE_DOC, ORACLE_DOC, _flat_documents()))
     def test_is_json_dumps(self, doc):
-        assert cli._json_document(doc) == json.dumps(doc, indent=2) + "\n"
-
-    def test_numpy_scalars_read_as_python_scalars(self):
-        doc = {"f": np.float64(0.1), "i": np.int64(-3), "b": np.bool_(True),
-               "s": np.str_("ok"), "rows": [{"v": np.float64(math.nan)}]}
-        assert cli._json_document(doc) == json.dumps(
-            {"f": 0.1, "i": -3, "b": True, "s": "ok", "rows": [{"v": math.nan}]}, indent=2) + "\n"
+        # the CLI passes a record list as its keys and rows of JSON texts; json.dumps, as dicts
+        rendered = {key: (value[0], [tuple(map(json.dumps, row)) for row in value[1]])
+                    if isinstance(value, tuple) else value for key, value in doc.items()}
+        dicts = {key: [dict(zip(value[0], row)) for row in value[1]]
+                 if isinstance(value, tuple) else value for key, value in doc.items()}
+        assert cli._json_document(rendered) == json.dumps(dicts, indent=2) + "\n"
 
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,

@@ -191,6 +191,17 @@ class TestValidate:
         point = validate(ModelParams(9, 1.0, 1.0, 1.0, 0.1, -0.1, 0.0), RELATIVISTIC)
         assert [v.constraint for v in point.errors()] == ["system_length_bound"]
 
+    def test_negative_length_rejected_in_every_regime(self):
+        # (2mL^2)^-1 squares the sign away; the sign is checked on its own
+        for regime in (RELATIVISTIC, NONRELATIVISTIC, UNRESTRICTED):
+            for length in (-100.0, -1e-300, -math.inf):
+                report = validate(ModelParams(9, 1.0, 1.0, 1.0, 0.001, -0.001, length), regime)
+                assert [v.constraint for v in report.errors()] == (
+                    ["system_length_finite"] if math.isinf(length) else ["system_length_sign"])
+            # -0.0 is not negative
+            signed_zero = validate(ModelParams(9, 1.0, 1.0, 1.0, 0.001, -0.001, -0.0), regime)
+            assert "system_length_sign" not in {v.constraint for v in signed_zero.violations}
+
     def test_unknown_regime(self, standard_params):
         with pytest.raises(ValueError):
             validate(standard_params, "hyperbolic")
