@@ -1,7 +1,10 @@
 """Command-line surface: figure-ready CSV/JSON tables from parameter documents.
 
 Exit codes: 0 success, 2 validation failure, 3 I/O failure, 4 quadrature
-failure in at least one output row, 5 oracle mismatch. stderr is for humans;
+failure in at least one output row, 5 oracle mismatch. ``_report`` prints a
+document's violations once, a mono-metric request that n*U' = -Omega fails
+included: ``validate`` reports them, and ``tower``, ``dispersion`` and
+``correlation`` refuse the document (exit 2). stderr is for humans;
 files and stdout carry only machine-readable output. Floats are rendered with
 ``repr`` (shortest round-trip form), so identical inputs produce byte-identical
 outputs. One cell formatter, ``_texts``, renders a column at a time, and one row
@@ -173,16 +176,22 @@ def _log_grid(low: float, high: float, points: int) -> np.ndarray:
     return grid
 
 
-def _report(params: model.ModelParams, regime: str) -> model.ValidationReport:
+def _report(params: model.ModelParams, regime: str, mono: bool) -> model.ValidationReport:
+    """The model's violations in ``regime``, and a mono_metricity error where a document asks
+    for mono-metric scales that n*U' = -Omega does not give; each is printed once."""
     report = model.validate(params, regime)
+    if mono and not model.check_mono_metricity(params):
+        message = model.MONO_METRIC_ERROR.format(params.nUprime, params.rabi)
+        report = model.ValidationReport(
+            (*report.violations, model.Violation("mono_metricity", message, "error")))
     for violation in report.violations:
         print(f"{violation.severity}: {violation.constraint}: {violation.message}",
               file=sys.stderr)
     return report
 
 
-def _require_valid(params: model.ModelParams) -> None:
-    if not _report(params, model.UNRESTRICTED).ok:
+def _require_valid(params: model.ModelParams, mono: bool) -> None:
+    if not _report(params, model.UNRESTRICTED, mono).ok:
         raise ValueError("parameters violate the model constraints")
 
 
@@ -208,8 +217,8 @@ def _refuse_nan(cells: dict[str, np.ndarray], **keys: np.ndarray) -> None:
 
 
 def cmd_tower(args) -> int:
-    params, _ = _load_inputs(args)
-    _require_valid(params)
+    params, mono = _load_inputs(args)
+    _require_valid(params, mono)
     tower = spectrum.kk_tower(params)
     # level l's modes n = l and -l (rows 2l - 1 and 2l) differ only in j, alpha and the signs of
     # n and p5 (p5(-n) = -p5(n) exactly): the rest is formatted once a level, from its first row
@@ -236,7 +245,7 @@ def cmd_tower(args) -> int:
 
 def cmd_dispersion(args) -> int:
     params, mono = _load_inputs(args)
-    _require_valid(params)
+    _require_valid(params, mono)
     etas = _log_grid(args.eta_min, args.eta_max, args.eta_points)
     scales = model.derive_scales(params, mono_metric=mono)
     n_sp, points = params.species_count, etas.size
@@ -276,7 +285,7 @@ def cmd_dispersion(args) -> int:
 
 def cmd_correlation(args) -> int:
     params, mono = _load_inputs(args)
-    _require_valid(params)
+    _require_valid(params, mono)
     if not mono:
         raise ValueError("correlation requires mono_metric parameters")
     svals = _log_grid(args.s_min, args.s_max, args.s_points)
@@ -297,14 +306,9 @@ def cmd_oracle_check(args) -> int:
     rng = np.random.Generator(np.random.Philox(args.seed))
     cases = oracle.sample_parameter_sets(rng, args.cases)
     momenta = np.logspace(-2, 1, args.p_points)
-    max_rel = 0.0
-    unstable = 0  # the sampled couplings are stable, so any unstable case fails the check
-    for params in cases:
-        worst, stable = oracle.compare_with_closed_forms(params, momenta)
-        # a NaN stays: max(nan, x) is nan, but max(x, nan) would drop it
-        max_rel = max(max_rel, worst) if math.isfinite(worst) else math.nan
-        if not stable:
-            unstable += 1
+    worst, stable = zip(*(oracle.compare_with_closed_forms(params, momenta) for params in cases))
+    max_rel = max(worst) if all(map(math.isfinite, worst)) else math.nan
+    unstable = stable.count(False)  # the sampled couplings are stable: any unstable case fails
     # deterministic hand cases: the N=3 gap and an expected tachyonic set
     hand = model.ModelParams(3, 1.0, 1.0, 1.0, 0.1, -0.1)
     e_sq, stable = oracle.oracle_energies(oracle.build_bdg(hand, 0.0))
@@ -322,19 +326,14 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_validate(args) -> int:
     params, mono = _load_inputs(args)
-    report = _report(params, args.regime)
-    holds = model.check_mono_metricity(params)
-    if mono and not holds:  # the document asks for scales that do not exist
-        message = model.MONO_METRIC_ERROR.format(params.nUprime, params.rabi)
-        violation = model.Violation("mono_metricity", message, "error")
-        print(f"error: mono_metricity: {violation.message}", file=sys.stderr)
-        report = model.ValidationReport((*report.violations, violation))
+    report = _report(params, args.regime, mono)
     values = (spectrum.validity_constraint(params, np.arange((params.species_count + 1) // 2))
               if report.ok else np.empty(0))
     notes = ((values > model.WARN_RATIO) * 1 + (values >= model.REJECT_RATIO)).tolist()  # in _NOTES
     records = zip(map(repr, range(len(notes))), _texts(values, _JSON_SPELLING),
                   [_NOTES[note][1] for note in notes])
-    payload = {"regime": args.regime, "mono_metric": bool(mono), "mono_metricity_holds": holds,
+    payload = {"regime": args.regime, "mono_metric": bool(mono),
+               "mono_metricity_holds": model.check_mono_metricity(params),
                "violations": (("constraint", "message", "severity"), [
                    tuple(map(_json_string, (v.constraint, v.message, v.severity)))
                    for v in report.violations]),
@@ -481,10 +480,9 @@ def main(argv=None) -> int:
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read(argv) or _parser().parse_args(argv)  # a Namespace is never false
-    if getattr(args, "svg", False) and args.out is None:
-        print("error: --svg requires --out", file=sys.stderr)
-        return EXIT_IO
     try:
+        if getattr(args, "svg", False) and args.out is None:
+            raise OSError("--svg requires --out")
         # looked up at call time, so a patched or wrapped cmd_* takes effect
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except OSError as exc:

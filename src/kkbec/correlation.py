@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureError, StabilityError, ValidityError
-from .model import ModelParams, check_mono_metricity, derive_scales, kk_label
+from .model import MONO_METRIC_ERROR, ModelParams, check_mono_metricity, derive_scales, kk_label
 from .spectrum import rest_energy_sq
 
 _TINY = np.finfo(float).tiny  # the smallest normal float
@@ -278,19 +278,14 @@ def _gap_ratios(params: ModelParams) -> np.ndarray:
     # the NaN ratios it leads to fail below
     with np.errstate(over="ignore", invalid="ignore"):
         gap_sq = rest_energy_sq(params, np.arange(params.species_count // 2 + 1))
-        # the gapless mode evaluates to 0 only up to cancellation noise
-        tachyonic = gap_sq < -1e-12 * cutoff * cutoff
-        if np.any(tachyonic):
-            raise StabilityError(f"tachyonic gap at j={np.argmax(tachyonic)}; "
+        if np.any(gap_sq < 0):  # the rule of spectrum.dispersion: E^2 < 0 is tachyonic
+            raise StabilityError(f"tachyonic gap at j={np.argmax(gap_sq < 0)}; "
                                  "correlators undefined")
-        mus = np.sqrt(np.maximum(gap_sq, 0.0)) / cutoff
+        mus = np.sqrt(gap_sq) / cutoff
     if not np.all(mus <= 1.0):
         raise ValidityError("a mode gap exceeds the cutoff energy m c_s^2, or overflows to NaN")
     if not check_mono_metricity(params):
-        raise ValueError(
-            "mode amplitudes use the single mono-metric sound speed; "
-            f"n*U' = {params.nUprime:.6g} does not match -Omega = {-params.rabi:.6g}"
-        )
+        raise ValueError(MONO_METRIC_ERROR.format(params.nUprime, params.rabi))
     mus.flags.writeable = False
     return mus
 

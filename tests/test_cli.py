@@ -421,8 +421,8 @@ class TestValidate:
         assert "warn" in capsys.readouterr().err
 
     def test_overflowing_coupling_is_not_mono_metric(self, tmp_path):
-        # n*U' overflows to inf; dispersion refuses the mono-metric scales instead of
-        # printing NaN energies
+        # n*U' overflows to inf; dispersion refuses the mono-metric scales with validate's
+        # mono_metricity error instead of printing NaN energies
         big = 4.149515568880993e180
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"N": 9, "m": 1.0, "n": big, "U": 1.0, "Uprime": big,
@@ -431,7 +431,8 @@ class TestValidate:
         assert code == 2
         assert json.loads(out)["mono_metricity_holds"] is json.loads(out)["ok"] is False
         assert _captured(["dispersion", "--config", str(path)]) == (
-            2, "", "error: mono_metric scales requested but n*U' != -Omega (nU'=inf, Omega=-1)\n")
+            2, "", "error: mono_metricity: mono_metric scales requested but n*U' != -Omega "
+                   "(nU'=inf, Omega=-1)\nerror: parameters violate the model constraints\n")
 
     def test_even_species_exit(self, tmp_path):
         doc = {**STANDARD_DOC, "N": 10}
@@ -458,6 +459,39 @@ class TestValidate:
         if command == "validate":
             assert [v["constraint"] for v in json.loads(out)["violations"]] == [
                 "system_length_sign"]
+
+    def test_refused_documents_are_refused_by_every_table_command(self, tmp_path):
+        # a document that validate --regime unrestricted reports an error for is refused by
+        # tower, dispersion and correlation with the same lines, then the gate's
+        big = 4.149515568880993e180
+        for doc in [
+            {**STANDARD_DOC, "Uprime": 0.001, "Omega": -0.002},  # n*U' = -Omega fails
+            {**STANDARD_DOC, "Uprime": 0.0, "Omega": 0.0},
+            {**STANDARD_DOC, "N": 10},
+            {**STANDARD_DOC, "L": -100.0},
+            {**STANDARD_DOC, "m": math.nan},
+            {**STANDARD_DOC, "Uprime": math.nan, "Omega": math.nan, "mono_metric": False},
+            {"N": 9, "m": 1.0, "n": big, "U": 1.0, "Uprime": big, "Omega": -1.0,
+             "mono_metric": True},  # n*U' overflows to inf
+        ]:
+            path = tmp_path / "p.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = _captured(["validate", "--config", str(path),
+                                        "--regime", "unrestricted"])
+            assert code == 2 and "error" in [v["severity"] for v in json.loads(out)["violations"]]
+            refusal = err + "error: parameters violate the model constraints\n"
+            for command in ("tower", "dispersion", "correlation"):
+                assert _captured([command, "--config", str(path)]) == (2, "", refusal), command
+
+    @pytest.mark.parametrize("omega", [1e-15, 1e-13])
+    def test_tachyonic_mono_metric_correlation_exit(self, tmp_path, omega):
+        # gap^2 of every massive level is about -omega: correlation refuses it, as dispersion
+        # refuses E^2 < 0
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({**STANDARD_DOC, "Uprime": -omega, "Omega": omega}))
+        assert _captured(["correlation", "--config", str(path), "--s-min", "20", "--s-max", "20",
+                          "--s-points", "1"]) == (
+            2, "", "error: tachyonic gap at j=1; correlators undefined\n")
 
     @staticmethod
     def _expected(params, mono, regime):

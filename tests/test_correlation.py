@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -343,13 +344,38 @@ class TestModeIntegrand:
 
     def test_mildly_non_mono_rejected(self):
         params = ModelParams(9, 1.0, 1.0, 1.0, 0.0, -0.1)
-        with pytest.raises(ValueError, match="mono-metric"):
+        message = "mono_metric scales requested but n*U' != -Omega (nU'=0, Omega=-0.1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             mode_integrand(params, 1, 0.5)
 
     def test_tachyonic_rejected(self):
         params = ModelParams(9, 1.0, 1.0, 1.0, -0.1, 0.1)
         with pytest.raises(StabilityError):
             mode_integrand(params, 1, 0.5)
+
+    @pytest.mark.parametrize("omega", [1e-15, 1e-13, 1e-12])
+    def test_tiny_positive_rabi_is_tachyonic(self, omega):
+        # mono-metric with Omega > 0: every massive gap^2 is negative, if only by about Omega
+        params = ModelParams(9, 1.0, 1.0, 1.0, -omega, omega)
+        assert np.all(rest_energy_sq(params, np.arange(1, 5)) < 0)
+        query = CorrelationQuery(s=20.0, delta=1, params=params)
+        for refused in (lambda: numeric_corr(query), lambda: correlation_table(params, [20.0], 1)):
+            with pytest.raises(StabilityError, match="^tachyonic gap at j=1; "):
+                refused()
+
+    @settings(max_examples=200, deadline=None)
+    @example(ratio=1e-300, n_sp=1001)
+    @example(ratio=0.24, n_sp=3)
+    @example(ratio=0.24, n_sp=1001)
+    @given(ratio=st.one_of(st.floats(1e-300, 0.24),
+                           st.floats(-300.0, math.log10(0.24)).map(lambda x: 10.0**x)),
+           n_sp=st.integers(1, 500).map(lambda k: 2 * k + 1))
+    def test_property_stable_sets_have_real_gaps(self, ratio, n_sp):
+        # Omega < 0 with n U' = -Omega fixes the sign of every factor of gap^2, so the
+        # exact rule gap^2 < 0 refuses no stable set
+        params = normalized_params(ratio, n_sp)
+        assert np.all(rest_energy_sq(params, np.arange(n_sp // 2 + 1)) >= 0)
+        _gap_ratios(params)
 
     def test_no_sound_cone_rejected(self):
         # nU - 2 Omega = -0.2: the CLI meets derive_scales' check first
