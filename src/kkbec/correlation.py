@@ -7,9 +7,9 @@ inverse cubed healing length (the 1/xi^3 prefactor divided out):
   (1/(2 sqrt2 pi^2)) * R_l / (s^2 + (R_l Delta)^2)^(3/2);
 * ``numeric_corr`` -- the mode sum as one integral, (1/(2 pi^2 s)) int_0^inf
   eta sin(eta s) sum_j cos(2 pi j Delta / N) [f_j(eta) - 1/N] d eta, with
-  f_j = (u_j - v_j)^2 at eta = p*xi; the 1/N asymptote, removed in exact
-  cancellation-free form, cancels for Delta != 0 mod N and is a pure contact
-  term otherwise, so the value for s > 0 is unchanged;
+  f_j = (u_j - v_j)^2 at eta = p*xi; the 1/N asymptote cancels for Delta != 0
+  mod N and is a pure contact term otherwise, so the value for s > 0 is
+  unchanged;
 * ``truncated_corr`` -- the low-mode relativistic sum
   (1/N) sum_{|j| <= j_tr} R_m(j) K1(R_m(j) s) / (sqrt2 pi^2 s) with
   R_m(j) = alpha_j / R_l, cosine-weighted by default for Delta != 0.
@@ -17,22 +17,22 @@ inverse cubed healing length (the 1/xi^3 prefactor divided out):
 Modes j and N - j share a gap, so both sums run over the Kaluza-Klein levels
 |n| with the same weights, the summed cosines of their modes (``_level_weights``).
 
-The radial reduction of the 3D Fourier integral is analytic; the remaining
-oscillatory 1D integral, whose subtracted integrand decays only like 1/eta,
-goes to the Ooura-Mori double-exponential rule for Fourier integrals, whose
-nodes approach the zeros of sin(eta*s). Its first two steps, which the stop
-test always needs, share one integrand call. The integrand forms each level's
-f_j - 1/N at the nodes as one row, from r^2 = mu^2 + 2 eta^2 + eta^4 = a b
-(``_amplitude_excess``) with a hypot only where eta^2 underflows; one product
-[w; |w|] @ rows gives the level sum and the size that bounds its roundoff.
+The radial reduction of the 3D Fourier integral is analytic; each level's
+part of the remaining sine integral closes on the branch cut of its
+amplitude, from its decay mass kappa to kappa', as one positive integral
+(``_cut_table``). A tanh-sinh rule tabled once per parameter set sums all
+levels: a row is one exp over the (N//2 + 1, 161) table of steps 1 and 2,
+and a later step is read only where the stop test needs it. The Ooura-Mori
+rule for the sine integral itself, ``fourier_sin_integral``, is a second
+method; ``_amplitude_excess`` forms f_j - 1/N without cancellation.
 
 ``correlation_table`` evaluates all three over an s grid at one Delta and
 returns the columns that the ``correlation`` command writes.
 
 Each table is built once, into one bounded cache of read-only values: the
-rule's steps per integrand call; per ``ModelParams`` the gap ratios, a/xi and
-the integrand of the massive levels with its constants; and the level table
-per (N, Delta). Errors are not cached.
+double-exponential rule's steps per integrand call; per ``ModelParams`` the
+gap ratios, a/xi and the branch-cut tables of each call and reach; and the
+level table per (N, Delta). Errors are not cached.
 """
 
 from __future__ import annotations
@@ -170,32 +170,23 @@ def _step_sums(g, s: float):
         yield from sums
 
 
-def fourier_sin_integral(g, s: float, rel_tol: float = 1e-10) -> tuple[float, float]:
-    """Integrate g(eta)*sin(eta*s) over [0, inf) for smooth, slowly decaying g.
+def _agree(sums, steps: int, rel_tol: float) -> tuple[float, float]:
+    """The first of a rule's nested step sums (value, magnitude) to agree with the one before.
 
-    ``g`` maps n nodes eta to their values, or to a (2, n) array or pair
-    (values, sizes) with each value's size, >= 0, before it cancelled (a plain
-    array has the sizes |values|). The double-exponential rule runs at steps
-    0.1 * 2^-k, k = 0..6, until two successive sums agree within max(min(1e-15,
-    rel_tol), rel_tol * |sum|); their difference, at least the sum's roundoff
-    eps * sum_k |W_k| sizes_k / s (W_k the rule's weights, eps the machine
-    epsilon), is the error estimate. The first two steps, which the stop test
-    always needs, go to ``g`` in one call of their joined nodes; every later
-    step is a call of its own. ``rel_tol`` must be > 0; even an infinite one
-    needs two steps that agree to a finite error. Raises
-    :class:`QuadratureError` (with the last sum, and why) if they never agree,
-    agree only to a roundoff above the tolerance, or a sum is not finite.
+    Two agree within max(min(1e-15, rel_tol), rel_tol * |value|), ``rel_tol`` > 0
+    (even an infinite one needs two finite steps); their difference, at least
+    the roundoff eps * magnitude, is the error. Raises :class:`QuadratureError`
+    (with the last value, and why) if none of the ``steps`` agree, they agree
+    only to a roundoff above the tolerance, or a value is not finite.
     """
-    if not s > 0:
-        raise ValueError("oscillation frequency s must be positive")
     if not rel_tol > 0:
         raise ValueError(f"need a tolerance > 0, got {rel_tol}")
     abs_tol = min(1e-15, rel_tol)
     value = math.inf  # the first step has no sum to agree with
-    for step, (total, magnitude) in enumerate(_step_sums(g, s), 1):
-        prev, value = value, total / s
+    for step, (total, magnitude) in enumerate(sums, 1):
+        prev, value = value, total
         # a sum rounds in proportion to the magnitudes it adds (Higham, ASNA 4.2)
-        roundoff = math.ulp(1.0) * magnitude / s
+        roundoff = math.ulp(1.0) * magnitude
         err = max(abs(value - prev), roundoff)
         tol = max(abs_tol, rel_tol * abs(value))
         if math.isfinite(err) and err <= tol:  # finite: two finite steps agree
@@ -204,8 +195,24 @@ def fourier_sin_integral(g, s: float, rel_tol: float = 1e-10) -> tuple[float, fl
             break
     why = ("got a non-finite sum" if not math.isfinite(value) else
            "reached its roundoff floor" if err == roundoff else "ran out of steps")
-    raise QuadratureError(f"quadrature {why} at step {step} of 7: error {err:.3g}, requested "
-                          f"{tol:.3g}", partial_value=value, error_estimate=err)
+    raise QuadratureError(f"quadrature {why} at step {step} of {steps}: error {err:.3g}, "
+                          f"requested {tol:.3g}", partial_value=value, error_estimate=err)
+
+
+def fourier_sin_integral(g, s: float, rel_tol: float = 1e-10) -> tuple[float, float]:
+    """Integrate g(eta)*sin(eta*s) over [0, inf) for smooth, slowly decaying g.
+
+    ``g`` maps n nodes eta to their values, or to a (2, n) array or pair
+    (values, sizes), each value's size >= 0 before it cancelled (plain values
+    have the sizes |values|). The double-exponential rule runs at steps 0.1 *
+    2^-k, k = 0..6, until two agree as ``_agree`` tests, with the magnitude
+    sum_k |W_k| sizes_k / s (W_k the weights). Steps 1 and 2 go to ``g`` as one
+    call of their joined nodes, every later step as a call of its own.
+    """
+    if not s > 0:
+        raise ValueError("oscillation frequency s must be positive")
+    return _agree(((total / s, magnitude / s) for total, magnitude in _step_sums(g, s)),
+                  _DE_CALLS + 1, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +253,16 @@ _FIELDS = operator.attrgetter(*(field.name for field in dataclasses.fields(Model
 
 
 def _memo(maxsize: int):
-    """A bounded ``functools.lru_cache`` of a ModelParams builder, keyed on every field's type too.
+    """A bounded ``functools.lru_cache`` of a builder of a ModelParams (and more arguments),
+    keyed on every field's type too.
 
     Equal sets can build different values: an int density 2**600, squared,
     overflows a conversion to float where the equal float gives inf.
     """
     def memoize(build):
-        cached = functools.lru_cache(maxsize, typed=True)(lambda params, *fields: build(params))
-        memo = functools.wraps(build)(lambda params: cached(params, *_FIELDS(params)))
+        cached = functools.lru_cache(maxsize, typed=True)(
+            lambda params, args, *fields: build(params, *args))
+        memo = functools.wraps(build)(lambda params, *args: cached(params, args, *_FIELDS(params)))
         memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
         return memo
 
@@ -339,14 +348,6 @@ def _amplitude_excess(mus: np.ndarray, n_sp: int):
     return excess
 
 
-# a bound on the 6 N//2 floats built per parameter set, and the gap ratios they view:
-# 32 sets, 896 kB at N = 1001
-@_memo(maxsize=32)
-def _massive_excess(params: ModelParams):
-    """``_amplitude_excess`` of the levels |n| = 1..N//2, its constants built once, read-only."""
-    return _amplitude_excess(_gap_ratios(params)[1:], params.species_count)
-
-
 def mode_integrand(params: ModelParams, j: int, eta) -> float | np.ndarray:
     """(u_j - v_j)^2 at dimensionless momentum eta = p*xi.
 
@@ -362,22 +363,110 @@ def mode_integrand(params: ModelParams, j: int, eta) -> float | np.ndarray:
     return float(value) if np.isscalar(eta) else value
 
 
+_CUT_CALLS = 4  # table calls of the branch-cut rule's five steps: steps 1 and 2 share the first
+
+
+def _cut_table(mus: np.ndarray, n_sp: int, call: int, reach: float):
+    """Read-only (kappa, W, u) of call ``call`` of the branch-cut rule, levels of gap ratios ``mus``.
+
+    Level l's int_0^inf eta sin(eta s) (f_l - 1/N) d eta closes on its cut from kappa =
+    mu/sqrt(1 + c) to kappa' = sqrt(1 + c), c = sqrt(1 - mu^2): I_l = (1/N) int t e^(-t s)
+    sqrt((kappa'^2 - t^2)/(t^2 - kappa^2)) dt = e^(-kappa s) sum_k W_k e^(-s u_k). Tanh-sinh
+    (Takahasi and Mori, Publ. RIMS 9 (1974) 721) at step k takes tau = i h, |tau| <= 4, h =
+    0.1 * 2^(1 - k): call 0 holds step 1's nodes, then step 2's odd ones, call k > 0 step
+    k + 2's odd ones. t = kappa + u, u = delta p, p = 1/(1 + e^(-pi sinh tau)) and q = 1 - p
+    formed apart; delta is the cut's length d = 2c/(kappa + kappa'), or ``reach`` if less.
+    With sqrt(t - kappa) = sqrt(u) out of the root, W = h pi cosh(tau) q sqrt(u) sqrt((d -
+    delta) + delta q) sqrt(kappa' + t) t/sqrt(t + kappa)/N is finite and >= 0 (0 where t is).
+    """
+    h = 0.05 * 0.5**call
+    index = np.arange(1 - (80 << call), 80 << call, 2)
+    if call == 0:
+        index = np.concatenate([np.arange(-80, 81, 2), index])
+    tau, h = index * h, np.where(index % 2, h, 2.0 * h)
+    rise = np.exp(np.pi * np.sinh(tau))
+    p, q = rise / (1.0 + rise), 1.0 / (1.0 + rise)
+    c = np.sqrt((1.0 - mus) * (1.0 + mus))[:, np.newaxis]  # 1 - mu is exact near mu = 1
+    top = np.sqrt(1.0 + c)
+    kappa = mus[:, np.newaxis] / top
+    length = 2.0 * c / (kappa + top)
+    delta = np.minimum(length, reach)
+    # in place: at N = 200,001 a (N//2 + 1, 161) temporary is 129 MB
+    offsets = delta * p
+    t = offsets + kappa
+    weights = np.sqrt(t + kappa)
+    np.divide(t, weights, out=weights, where=t > 0)
+    weights *= np.sqrt(offsets)
+    weights *= np.sqrt(np.add(length - delta, delta * q, out=t), out=t)
+    weights *= np.sqrt(np.add(top, offsets + kappa, out=t), out=t)
+    weights *= (np.pi / n_sp) * h * np.cosh(tau) * q
+    kappa = kappa.ravel()
+    kappa.flags.writeable = weights.flags.writeable = offsets.flags.writeable = False
+    return kappa, weights, offsets
+
+
+def _cut_reach(s: float) -> float:
+    """sqrt2 2^-m, m >= 0 the octave of s sqrt2/745: the whole cut (of length < sqrt2) below
+    s = 1490/sqrt2, and beyond a reach in [745/s, 1490/s), past which e^(-s u) < 5e-324."""
+    return math.ldexp(math.sqrt(2.0), -max(0, math.frexp(s * (math.sqrt(2.0) / 745.0))[1] - 1))
+
+
+# a bound on the tables kept, (2 n + 1)(N//2 + 1) floats for a call of n <= 640 nodes: 8
+# tables, each 2.6 MB for steps 1 and 2 (n = 161) and at most 10 MB at N = 1001, 258 MB and
+# at most 1 GB at N = 200,001
+@_memo(maxsize=8)
+def _cut_call(params: ModelParams, call: int, reach: float):
+    """``_cut_table`` of the levels of ``params``, built once a call and reach."""
+    return _cut_table(_gap_ratios(params), params.species_count, call, reach)
+
+
+def _cut_sums(tables, level_weights: np.ndarray, s: float):
+    """Each step's (sum_l w_l I_l, its roundoff size) at s, [w; |w|] = ``level_weights``.
+
+    A call's table, ``tables(call)``, is read when the stop test asks for its
+    steps: one exp, one product with the level weights and a sum a step. The
+    size is sum_l |w_l| I_l (4 + kappa_l s): each term carries its roundings
+    (2.5 eps sum_l |w_l| I_l at most against long double, 9,000 rows at N <=
+    101 and s in [1e-3, 1e5]), and e^(-kappa s) those of kappa, kappa s times.
+    """
+    sums = 0.0
+    for call in range(_CUT_CALLS):
+        kappa, weights, offsets = tables(call)
+        # s u overflows only where e^(-s u) is 0.0; at s = inf, s kappa is NaN where kappa = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.multiply(offsets, -s)
+            if call == 0:
+                exponent = s * kappa
+                level_weights = level_weights * np.exp(-exponent, where=kappa > 0,
+                                                       out=np.ones(kappa.size))
+                level_weights[1] *= 4.0 + np.fmin(exponent, 746.0)
+        terms = np.exp(terms, out=terms)
+        terms *= weights
+        steps = (0, 81) if call == 0 else (0,)  # where each step's own nodes start
+        for own in np.add.reduceat(level_weights @ terms, steps, axis=1).T:
+            sums = sums / 2.0 + own
+            yield tuple(sums.tolist())
+
+
 def numeric_corr(query: CorrelationQuery, rel_tol: float = 1e-10) -> tuple[float, float]:
-    """Exact mode-sum correlator in 1/xi^3 units, with an error estimate bounding its roundoff."""
-    n_sp = query.params.species_count
-    massive = _level_weights(n_sp, query.delta)[:, 1:]
-    excess = _massive_excess(query.params)
+    """Exact mode-sum correlator in 1/xi^3 units, with an error estimate bounding its roundoff.
 
-    def g(eta):
-        # the excesses e_l are positive, so the second row is sum_l |w_l e_l|
-        sums = massive @ excess(eta)
-        sums *= eta
-        # the massless level (w = 1) as eta e_0, which stays finite where e_0 overflows
-        return np.add(sums, (2.0 / n_sp) / (np.sqrt(2.0 + eta * eta) + eta), out=sums)
-
-    integral, err = fourier_sin_integral(g, query.s, rel_tol)
-    norm = 2.0 * math.pi**2 * query.s
-    return integral / norm, err / norm
+    D = sum_l w_l I_l / (2 pi^2 s) over the levels' cut integrals (``_cut_table``). Steps 1
+    to 5 (at most 1,281 nodes a level) run until two agree (``_agree``); the estimate is
+    their difference, at least eps times the size of ``_cut_sums``. Raises
+    :class:`QuadratureError` as ``_agree`` does, or where D is not a finite float.
+    """
+    params, s = query.params, query.s
+    reach = _cut_reach(s)
+    integral, err = _agree(_cut_sums(lambda call: _cut_call(params, call, reach),
+                                     _level_weights(params.species_count, query.delta), s),
+                           _CUT_CALLS + 1, rel_tol)
+    norm = 2.0 * math.pi**2 * s
+    value, err = integral / norm, err / norm
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise QuadratureError(f"D = {value!r} at s = {s!r} is not a finite float",
+                              partial_value=value, error_estimate=err)
+    return value, err
 
 
 def truncated_corr(query: CorrelationQuery, j_tr: int, weighted: bool = True) -> float:

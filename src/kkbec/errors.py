@@ -26,7 +26,7 @@ class DomainError(KkbecError):
 
 
 class QuadratureError(KkbecError):
-    """Oscillatory quadrature did not converge within its step ladder.
+    """A quadrature did not converge within its step ladder, or gave no finite value.
 
     Carries the best available estimate so callers can decide whether the
     partial result is still useful.

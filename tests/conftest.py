@@ -158,38 +158,69 @@ def correlator_quadpack_oracle(params: ModelParams, s: float, delta: int) -> tup
     return float(terms.sum()) / norm, float(np.abs(terms).sum()) / norm
 
 
+def double_exponential_corr(params: ModelParams, s: float, delta: int,
+                            rel_tol: float = 1e-10) -> tuple[float, float]:
+    """The correlator and its error estimate from the eta-domain integral, a second method.
+
+    The integrand is eta sum_l w_l (f_l - 1/N) over the levels, built from
+    ``_amplitude_excess`` (the massless level as eta e_0, finite where e_0
+    overflows), and ``fourier_sin_integral`` takes its sine transform. It shares
+    with ``numeric_corr`` only the gap ratios and the level weights.
+    """
+    n_sp = params.species_count
+    massive = correlation._level_weights(n_sp, delta)[:, 1:]
+    excess = correlation._amplitude_excess(correlation._gap_ratios(params)[1:], n_sp)
+
+    def g(eta):
+        # the excesses e_l are positive, so the second row is sum_l |w_l e_l|
+        sums = massive @ excess(eta)
+        sums *= eta
+        return np.add(sums, (2.0 / n_sp) / (np.sqrt(2.0 + eta * eta) + eta), out=sums)
+
+    integral, err = correlation.fourier_sin_integral(g, s, rel_tol)
+    norm = 2.0 * math.pi**2 * s
+    return integral / norm, err / norm
+
+
 def long_double_level_sum(params: ModelParams, s: float, delta: int,
                           rel_tol: float = 1e-10) -> tuple[float, float, float]:
     """numeric_corr's (value, error) and its level sum redone in long double.
 
-    The reference takes the package's gap ratios and level weights, the same
-    ``_de_rule`` nodes and weights at the step where the quadrature stopped, and
-    forms the amplitude excesses, the level sum and the quadrature sum in
-    ``np.longdouble``. It differs from the value only by the double-precision
-    roundoff, which the error estimate has to bound. The stop is found from the
-    integrand calls of the rule (``_de_call``) that ran: the first step never
-    stops, so the quadrature stopped at the last step of the last call.
+    The reference takes the package's gap ratios, level weights and reach of
+    the cut, and the tanh-sinh nodes tau = i h of the step where the row stopped;
+    from them it forms each level's cut integral, t e^(-t s) sqrt((kappa'^2 -
+    t^2)/(t^2 - kappa^2)) summed with the Jacobian of the map and without
+    e^(-kappa s) factored out, and the level sum in ``np.longdouble``. It
+    differs from the value only by the double-precision roundoff, which the
+    error estimate has to bound. The stop is found from the table calls of the
+    rule (``_cut_call``) that the row read: the first step never stops, so the
+    row stopped at the last step of the last call.
     """
     calls = []
-    de_call = correlation._de_call
+    cut_call = correlation._cut_call
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(correlation, "_de_call", lambda call: calls.append(call) or de_call(call))
+        patch.setattr(correlation, "_cut_call",
+                      lambda params, call, reach: calls.append((call, reach))
+                      or cut_call(params, call, reach))
         value, err = correlation.numeric_corr(correlation.CorrelationQuery(s, delta, params),
                                               rel_tol)
-    call_nodes, steps = de_call(calls[-1])
-    part, step_table = steps[-1]
+    last, reach = calls[-1]
     ld = np.longdouble
-    n_sp = params.species_count
-    nodes, weights = call_nodes[part].astype(ld), step_table[:, 0].astype(ld)
-    mus = correlation._gap_ratios(params).astype(ld)
-    level_weights = correlation._level_weights(n_sp, delta)[0].astype(ld)
-    c = np.sqrt(1 - mus * mus)
     pi = 4 * np.arctan(ld(1))
-    total = ld(0)
-    for start in range(0, nodes.size, 512):  # blocks keep N = 1001 small in memory
-        eta = (nodes[start:start + 512] / ld(s))[:, np.newaxis]
-        a = 1 + c + eta * eta
-        r = np.sqrt(mus * mus + eta * eta * (2 + eta * eta))
-        excess = (2 * c / n_sp) * (a / r) / (a + r)
-        total += np.sum(weights[start:start + 512] * eta[:, 0] * (excess @ level_weights))
-    return value, err, float(total / ld(s) / (2 * pi * pi * ld(s)))
+    h = 0.05 * 0.5**last  # step last + 2 has the nodes tau = i h, |tau| <= 4
+    tau = (np.arange(-(80 << last), (80 << last) + 1) * h).astype(ld)
+    rise = np.exp(pi * np.sinh(tau))
+    p, q = rise / (1 + rise), 1 / (1 + rise)
+    mus = correlation._gap_ratios(params).astype(ld)[:, np.newaxis]
+    c = np.sqrt((1 - mus) * (1 + mus))
+    top = np.sqrt(1 + c)
+    kappa = mus / top
+    length = 2 * c / (kappa + top)
+    cut = np.minimum(length, ld(reach))
+    u = cut * p
+    t = kappa + u
+    root = np.sqrt(((length - cut) + cut * q) * (top + t) / (u * (t + kappa)))
+    levels = h * np.sum(cut * pi * np.cosh(tau) * p * q * t * root * np.exp(-s * t), axis=1)
+    weights = correlation._level_weights(params.species_count, delta)[0].astype(ld)
+    total = weights @ levels / params.species_count
+    return value, err, float(total / (2 * pi * pi * ld(s)))

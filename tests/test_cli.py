@@ -223,12 +223,11 @@ class TestCorrelation:
         row = out.read_text().splitlines()[1].split(",")
         assert row[3] == "nan"
 
-    def test_overflowing_integrand_exit_code(self, tmp_path):
-        # at s = 1e-160 most double-exponential nodes u/s lie past eta ~ 1e154,
-        # where eta^2 overflows; the first sum is not finite and the row must
-        # fail there instead of refining the step
+    def test_floor_limited_row_exit_code(self, tmp_path):
+        # two steps of the branch-cut rule agree to their roundoff, far above a
+        # tolerance of 1e-300: the row must fail there instead of refining the step
         argv = ["correlation", "--normalized-omega", "0.1", "--s-points", "1",
-                "--s-min", "1e-160", "--s-max", "1e-160"]
+                "--s-min", "1e-160", "--s-max", "1e-160", "--quad-tol", "1e-300"]
         code, out = run_to_file(tmp_path, "corr.csv", argv)
         assert code == 4
         assert out.read_text().splitlines()[1].split(",")[3] == "nan"
@@ -236,6 +235,17 @@ class TestCorrelation:
         assert code == 4
         assert '"D_numeric": NaN,' in out.read_text()
         assert math.isnan(json.loads(out.read_text())[0]["D_numeric"])
+
+    @pytest.mark.parametrize("s", ["1e-160", "1e-300"])
+    def test_tiny_separation_gets_its_answer(self, tmp_path, s):
+        # a cut integral has no eta = u/s to overflow at tiny s; s D is one constant
+        argv = ["correlation", "--normalized-omega", "0.1", "--s-points", "1",
+                "--s-min", s, "--s-max", s]
+        code, out = run_to_file(tmp_path, "corr.csv", argv)
+        assert code == 0
+        _, _, _, numeric, err, _ = map(float, out.read_text().splitlines()[1].split(","))
+        assert float(s) * numeric == pytest.approx(6.6314559621623095e-3, rel=1e-15)
+        assert 0.0 < err <= 1e-10 * numeric
 
     @pytest.mark.parametrize("s", ["1e300", "1.7e308"])
     def test_largest_separations_read_zero(self, tmp_path, s):

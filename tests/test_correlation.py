@@ -25,7 +25,8 @@ from kkbec.correlation import (
 )
 from kkbec.spectrum import bogoliubov_amplitudes, rest_energy_sq
 
-from conftest import correlator_quadpack_oracle, k1_integral_oracle, long_double_level_sum
+from conftest import (correlator_quadpack_oracle, double_exponential_corr, k1_integral_oracle,
+                      long_double_level_sum)
 
 
 class TestBesselK1:
@@ -447,7 +448,7 @@ class TestNumericCorrelator:
 
     def test_flat_at_vanishing_separation(self):
         # for Delta != 0 the synthetic distance dominates: D(s) - D(0) = O(s^2),
-        # so at s = 1e-6 the nodes clustered near u = 0 must resolve eta = u/s ~ 1
+        # so at s = 1e-6 the level sum must keep the cancellation of the I_l(0)
         params = normalized_params(0.1, 101)
         tiny, err = numeric_corr(CorrelationQuery(s=1e-6, delta=3, params=params))
         small, _ = numeric_corr(CorrelationQuery(s=1e-4, delta=3, params=params))
@@ -455,30 +456,31 @@ class TestNumericCorrelator:
         assert err <= 1e-6 * small
 
     def test_scale_free_at_tiny_separation(self):
-        # D ~ 1/s as s -> 0 at fixed Delta; at s = 1e-100 the integrand reaches
-        # eta ~ 1e102, where eta^4 overflows
+        # D ~ 1/s as s -> 0 at fixed Delta: below s ~ 1e-17 every e^(-s u) is 1.0,
+        # so s D is the same sum divided by 2 pi^2, down to where 1/s overflows
         params = normalized_params(0.1, 9)
         values = [s * numeric_corr(CorrelationQuery(s=s, delta=1, params=params))[0]
-                  for s in (1e-30, 1e-100)]
-        assert values[1] == pytest.approx(values[0], rel=1e-9)
+                  for s in (1e-30, 1e-100, 1e-160, 1e-300)]
+        assert values == pytest.approx([6.6314559621623095e-3] * 4, rel=1e-15)
 
     @pytest.mark.parametrize("s", [1e292, 1e300, 1.7976931348623157e308])
     def test_vanishes_at_the_largest_separations(self, s):
-        # the first nodes give eta = u/s below the normal floats, where the
-        # massless level's excess overflows; eta times it stays finite
+        # the cut's reach, about 745/s, is subnormal or 0, and so is D ~ 1/s^2:
+        # no table entry may be NaN there
         value, err = numeric_corr(CorrelationQuery(s=s, delta=1, params=normalized_params(1e-3, 9)))
         assert (value, err) == (0.0, 0.0)
 
     def test_unrepresentable_separation_fails(self):
-        # at s = 5e-324 nearly every node u/s overflows to eta = inf
-        with pytest.raises(QuadratureError):
+        # at s = 5e-324 the sum is finite, but D = sum/(2 pi^2 s) overflows
+        with pytest.raises(QuadratureError, match="^D = inf at s = 5e-324 is not a finite float$"):
             numeric_corr(CorrelationQuery(s=5e-324, delta=1, params=normalized_params(0.1, 9)))
 
     def test_cancelling_weights_against_long_double(self):
         # at N = 1001, Delta = 500 the weights cos(2 pi j Delta/N) cancel to
         # 1e-16 of the sum only if each angle is reduced mod 2 pi exactly;
         # rounding 2 pi j Delta/N near j Delta ~ 5e5 moved D by 40 times its
-        # error estimate. Reference: all N modes in long double, same nodes.
+        # error estimate. Reference: all N modes in long double through the
+        # double-exponential rule at step 5, a second method.
         n_sp, delta, s = 1001, 500, 10.0**-2.5
         params = normalized_params(1e-3, n_sp)
         value, err = numeric_corr(CorrelationQuery(s=s, delta=delta, params=params))
@@ -545,6 +547,74 @@ class TestQuadpackOracle:
         assert 1e-16 * scale <= err <= 1e-9 * scale
 
 
+class TestBranchCutRule:
+    """numeric_corr's branch-cut integrals against the eta-domain route and 30-digit mpmath."""
+
+    # the largest |difference| / (err + reference err) measured was 1.29, over 2,200 rows:
+    # |Omega|/nU in {1e-6, 1e-3, 0.1, 0.24}, N in {3, 9, 51, 101, 1001}, four Delta, and s
+    # in logspace(-3, 5, 17) and from 1e-300 to 1e300; err holds its roundoff size
+    AGREEMENT = 2.0
+
+    @settings(max_examples=60, deadline=None)
+    @example(mode_count_and_delta=(1001, 0), log_ratio=math.log10(0.2), log_s=1.0)
+    @example(mode_count_and_delta=(1001, 1), log_ratio=-3.0, log_s=4.0)
+    @example(mode_count_and_delta=(3, 1), log_ratio=-4.0, log_s=-2.0)
+    @given(st.integers(1, 500).flatmap(lambda k: st.tuples(st.just(2 * k + 1), st.integers(0, 2 * k))),
+           st.floats(-4.0, math.log10(0.2)), st.floats(-2.0, 4.0))
+    def test_property_matches_the_eta_domain_route(self, mode_count_and_delta, log_ratio, log_s):
+        (n_sp, delta), ratio, s = mode_count_and_delta, 10.0**log_ratio, 10.0**log_s
+        params = normalized_params(ratio, n_sp)
+        value, err = numeric_corr(CorrelationQuery(s=s, delta=delta, params=params))
+        reference, reference_err = double_exponential_corr(params, s, delta)
+        assert abs(value - reference) <= self.AGREEMENT * (err + reference_err)
+
+    @staticmethod
+    def _exact_level(mu: float, s: float) -> float:
+        """I(s) = int_kappa^kappa' t e^(-t s) sqrt((kappa'^2 - t^2)/(t^2 - kappa^2)) dt, 30 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            mu, s = mpmath.mpf(mu), mpmath.mpf(s)
+            c = mpmath.sqrt(1 - mu * mu)
+            kappa, top = mu / mpmath.sqrt(1 + c), mpmath.sqrt(1 + c)
+            length = top - kappa
+
+            def integrand(u):  # t = kappa + u
+                t = kappa + u
+                return t * mpmath.exp(-s * u) * mpmath.sqrt((length - u) * (top + t)
+                                                            / (u * (t + kappa)))
+
+            # break points where e^(-s u) has fallen by e^-1, e^-10, ...: the boundary layer
+            cuts = [x / s for x in (1, 10, 100, 1000) if x / s < length]
+            return float(mpmath.exp(-s * kappa) * mpmath.quad(integrand, [0, *cuts, length]))
+
+    @pytest.mark.parametrize("mu, s", [
+        (0.0, 1e-2), (0.0, 1.0), (0.0, 1e3), (0.0, 1e4), (0.0, 1e6),
+        (1e-3, 1.0), (1e-3, 1e3), (1e-3, 1e4), (1e-3, 1e5), (1e-5, 1e4), (1e-5, 1e6),
+        (0.3, 1e-2), (0.3, 30.0), (0.3, 1e3), (1.0 - 2.0**-20, 1.0), (1.0 - 2.0**-20, 300.0)])
+    def test_single_levels_against_mpmath(self, mu, s):
+        # one level, weighted by 1/exact: the stop test reads its relative error, whatever
+        # e^(-kappa s); that carries kappa's rounding kappa s times, 207 at (0.3, 1e3)
+        exact = self._exact_level(mu, s)
+        reach = correlation._cut_reach(s)
+        sums = correlation._cut_sums(lambda call: correlation._cut_table(np.array([mu]), 1, call, reach),
+                                     np.full((2, 1), 1.0 / exact), s)
+        value, err = correlation._agree(sums, correlation._CUT_CALLS + 1, 1e-12)
+        assert abs(value - 1.0) <= err <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @example(log_ratio=-323.3, n_sp=3, log_s=308.2, call=0)
+    @example(log_ratio=-323.3, n_sp=1001, log_s=-300.0, call=3)
+    @given(log_ratio=st.floats(-323.3, math.log10(0.24)),
+           n_sp=st.integers(1, 500).map(lambda k: 2 * k + 1),
+           log_s=st.floats(-300.0, 308.25), call=st.integers(0, 3))
+    def test_property_table_entries_are_finite(self, log_ratio, n_sp, log_s, call):
+        # |Omega|/nU down to 5e-324 and reaches down to about 745/1.8e308: no entry may be
+        # NaN, inf or negative where kappa, t - kappa or the reach underflow
+        params = normalized_params(10.0**log_ratio, n_sp)
+        table = correlation._cut_call(params, call, correlation._cut_reach(10.0**log_s))
+        assert all(np.all(np.isfinite(array) & (array >= 0)) for array in table)
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18, reason="long double is not wider than double")
 class TestLevelSumRoundoff:
     """D_numeric_err bounds the roundoff of the level sum.
@@ -574,64 +644,69 @@ class TestLevelSumRoundoff:
         assert abs(value - reference) <= err
 
 
-def _integrand_calls(monkeypatch) -> list[int]:
-    """The number of eta of every call of numeric_corr's mode integrand, in order.
+def _table_calls(monkeypatch) -> list[int]:
+    """The nodes of every table call of the branch-cut rule that numeric_corr reads, in order.
 
-    The integrand memo is emptied, so that it is built again through the
-    counter; a test that counts takes ``cold_memos``, so no counter outlives it.
+    A row reads a call's (levels, n) table in one exp pass; the table itself
+    is built once per parameter set, call and reach (``_cut_call``).
     """
     calls = []
-    make_excess = correlation._amplitude_excess
+    cut_call = correlation._cut_call
 
-    def counted(mus, n_sp):
-        excess = make_excess(mus, n_sp)
+    def counted(params, call, reach):
+        table = cut_call(params, call, reach)
+        calls.append(table[1].shape[1])
+        return table
 
-        def evaluate(eta):
-            calls.append(np.size(eta))
-            return excess(eta)
-
-        return evaluate
-
-    monkeypatch.setattr(correlation, "_amplitude_excess", counted)
-    correlation._massive_excess.cache_clear()
+    monkeypatch.setattr(correlation, "_cut_call", counted)
     return calls
 
 
 @pytest.mark.parametrize("n_sp, s, delta", [(9, 0.1, 1), (51, 0.05, 17)])
 def test_evaluation_count_gate(monkeypatch, cold_memos, n_sp, s, delta):
-    # machine-independent work bound; an integrand that loses its digits to
-    # cancellation at large eta drives the first point to millions of evaluations
+    # machine-independent work bound: a row reads no table beyond the steps its stop
+    # test asks for, here steps 1 and 2, whether or not the memo is warm
     query = CorrelationQuery(s=s, delta=delta, params=normalized_params(1e-3, n_sp))
-    numeric_corr(query)  # a warm memo must not hide the evaluations from the count
-    calls = _integrand_calls(monkeypatch)
+    memo, calls = correlation._cut_call, _table_calls(monkeypatch)
     numeric_corr(query)
-    assert 0 < sum(calls) <= 2000
+    numeric_corr(query)
+    assert calls == [161, 161]
+    assert (memo.cache_info().currsize, memo.cache_info().hits) == (1, 1)
 
 
-@pytest.mark.parametrize("n_sp, s", [(9, 1.2), (9, 2.0), (9, 4.0), (51, 4.0), (51, 40.0),
-                                     (51, 400.0)])
+@pytest.mark.parametrize("n_sp, s", [(9, 1.2), (9, 2.0), (9, 4.0), (51, 4.0), (51, 40.0)])
 def test_benchmark_rows_take_one_integrand_call(monkeypatch, cold_memos, n_sp, s):
-    # rows in the ranges of both correlator benchmarks stop at step 2, so each
-    # makes one integrand call, of the 351 joined nodes of steps 1 and 2
+    # rows in the ranges of both correlator benchmarks stop at step 2 (corr-wideN's up
+    # to s ~ 90), so each reads one table call, of the 161 joined nodes of steps 1 and 2
     params = normalized_params(1e-3, n_sp)
-    calls = _integrand_calls(monkeypatch)
+    calls = _table_calls(monkeypatch)
     for delta in (0, 1, n_sp // 2):
         numeric_corr(CorrelationQuery(s=s, delta=delta, params=params))
-    assert correlation._de_call(0)[0].size == 351
-    assert calls == [351] * 3
+    assert calls == [161] * 3
+
+
+@pytest.mark.parametrize("n_sp, s", [(51, 150.0), (51, 400.0)])
+def test_far_wide_rows_take_step_three(monkeypatch, cold_memos, n_sp, s):
+    # corr-wideN's rows from s = 150 up (about a quarter of them) agree only at step 3:
+    # the boundary layer e^(-s u), of width 1/s, is too thin for step 1
+    params = normalized_params(1e-3, n_sp)
+    calls = _table_calls(monkeypatch)
+    for delta in (0, 1, n_sp // 2):
+        numeric_corr(CorrelationQuery(s=s, delta=delta, params=params))
+    assert calls == [161, 160] * 3
 
 
 def test_overflowing_integrand_fails_fast(monkeypatch, cold_memos):
-    # eta^2 overflows past ~1e154, so at s = 1e-160 the integrand is NaN at
-    # almost every node; the first step's non-finite sum must end the row
-    calls = _integrand_calls(monkeypatch)
-    with pytest.raises(QuadratureError, match="non-finite sum at step 1 of 7"):
-        numeric_corr(CorrelationQuery(s=1e-160, delta=1, params=normalized_params(0.1, 9)))
-    assert 0 < sum(calls) <= 1000
+    # at s = 5e-324 the sum agrees at step 2, and D = sum/(2 pi^2 s) overflows: the
+    # row must fail after its one table call
+    calls = _table_calls(monkeypatch)
+    with pytest.raises(QuadratureError, match="is not a finite float"):
+        numeric_corr(CorrelationQuery(s=5e-324, delta=1, params=normalized_params(0.1, 9)))
+    assert calls == [161]
 
 
 class TestStepCalls:
-    """Steps 1 and 2 of the rule share one integrand call; every later step has its own."""
+    """Steps 1 and 2 of each rule share one integrand call; every later step has its own."""
 
     def test_tables_are_the_rule_steps(self):
         calls = [correlation._de_call(call) for call in range(correlation._DE_CALLS)]
@@ -648,10 +723,22 @@ class TestStepCalls:
             assert not nodes.flags.writeable
             assert all(not table.flags.writeable for _, table in steps)
 
-    @pytest.mark.parametrize("s, expected", [(40.0, [351]), (0.01, [351, 489])])
+    def test_cut_tables_are_the_rule_steps(self):
+        # call k > 0 adds the 80 2^k odd nodes of step k + 2; the offsets u = sqrt2 p(tau) of
+        # the massless level, sorted, are those of tau = i h, |tau| <= 4, at h = 0.1 2^-(k+1)
+        tables = [correlation._cut_table(np.array([0.0]), 1, call, math.inf)
+                  for call in range(correlation._CUT_CALLS)]
+        assert [table[1].shape for table in tables] == [(1, 161), (1, 160), (1, 320), (1, 640)]
+        for call in range(correlation._CUT_CALLS):
+            tau = np.arange(-(80 << call), (80 << call) + 1) * (0.05 * 0.5**call)
+            expected = 2.0 / math.sqrt(2.0) / (1.0 + np.exp(-np.pi * np.sinh(tau)))
+            offsets = np.sort(np.concatenate([table[2][0] for table in tables[:call + 1]]))
+            assert offsets == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("s, expected", [(40.0, [161]), (0.01, [161]), (400.0, [161, 160])])
     def test_calls_of_a_row(self, monkeypatch, cold_memos, s, expected):
-        # 114 + 237 nodes for steps 1 and 2, then the 489 of step 3
-        calls = _integrand_calls(monkeypatch)
+        # 81 + 80 nodes for steps 1 and 2, then the 160 of step 3
+        calls = _table_calls(monkeypatch)
         numeric_corr(CorrelationQuery(s=s, delta=1, params=normalized_params(1e-3, 9)))
         assert calls == expected
 
@@ -765,7 +852,7 @@ def _counted(monkeypatch, name) -> list[int]:
 
 
 class TestLevelBasisMemo:
-    """Gap ratios, level weights, a/xi and the integrand's constants are built once, read-only."""
+    """Gap ratios, level weights, a/xi and the branch-cut tables are built once, read-only."""
 
     PARAMS = ModelParams(9, 1.0, 1.0, 1.0, 1e-3, -1e-3)
     TACHYONIC = ModelParams(9, 1.0, 1.0, 1.0, -0.1, 0.1)
@@ -805,13 +892,14 @@ class TestLevelBasisMemo:
         assert correlation._length_ratio(self.PARAMS) is ratio
         assert all(memo.cache_info().hits == 1 for memo in
                    (_gap_ratios, _level_weights, correlation._length_ratio))
-        excess = correlation._massive_excess(self.PARAMS)
-        assert correlation._massive_excess(self.PARAMS) is excess
-        assert correlation._massive_excess.cache_info().hits == 1
-        constants = [cell.cell_contents for cell in excess.__closure__
-                     if isinstance(cell.cell_contents, np.ndarray)]
-        assert len(constants) == 4  # mu, 1 + c, the shifts of a and b, 2c/N: levels 1..N//2
-        assert all(not array.flags.writeable for array in constants)
+        table = correlation._cut_call(self.PARAMS, 0, math.sqrt(2.0))
+        assert correlation._cut_call(self.PARAMS, 0, math.sqrt(2.0)) is table
+        assert correlation._cut_call.cache_info().hits == 1
+        # kappa, then the weights and offsets of the 161 nodes of steps 1 and 2: levels 0..N//2
+        assert [array.shape for array in table] == [(5,), (5, 161), (5, 161)]
+        assert all(not array.flags.writeable for array in table)
+        assert correlation._cut_call(self.PARAMS, 1, math.sqrt(2.0))[1].shape == (5, 160)
+        assert correlation._cut_call.cache_info().currsize == 2  # one entry a call and reach
 
     def test_level_table_holds_the_weights_and_their_sizes(self, cold_memos):
         table = _level_weights(9, 3)
@@ -820,14 +908,34 @@ class TestLevelBasisMemo:
 
     def test_bounded(self):
         for memo in (_gap_ratios, _level_weights, correlation._length_ratio,
-                     correlation._massive_excess):
+                     correlation._cut_call):
             assert memo.cache_info().maxsize is not None
 
+    def test_rows_of_one_octave_share_their_tables(self, monkeypatch, cold_memos):
+        # rows below s = 2 * 745/sqrt2 take the whole cut; past it each octave of s stops the
+        # cut at one reach in [745/s, 1490/s), where e^(-s u) is below 5e-324
+        reaches = {}
+        cut_call = correlation._cut_call
+
+        def recorded(params, call, reach):
+            reaches.setdefault(s, set()).add(reach)
+            return cut_call(params, call, reach)
+
+        monkeypatch.setattr(correlation, "_cut_call", recorded)
+        far = (1100.0, 1500.0, 2200.0, 1e5, 1e150, 1e300)
+        for s in (1e-300, 2.0, 526.0, 1053.0) + far:
+            numeric_corr(CorrelationQuery(s=s, delta=1, params=self.PARAMS))
+        assert all(len(row) == 1 for row in reaches.values())
+        reach = {s: row.pop() for s, row in reaches.items()}
+        assert [reach[s] for s in (1e-300, 2.0, 526.0, 1053.0)] == [math.sqrt(2.0)] * 4
+        assert all(745.0 <= reach[s] * s < 1490.0 for s in far)
+        assert reach[1100.0] == reach[1500.0] == math.sqrt(2.0) / 2
+
     def test_one_cache_per_table(self):
-        # the rule's steps live only in the call tables, the weights only in [w, |w|]
+        # each rule's steps live only in its call tables, the weights only in [w, |w|]
         memos = {name for name, value in vars(correlation).items() if hasattr(value, "cache_info")}
         assert memos == {"_de_call", "_length_ratio", "_gap_ratios", "_level_weights",
-                         "_massive_excess"}
+                         "_cut_call"}
 
     @pytest.mark.parametrize("first, second", EQUAL_SETS)
     def test_equal_sets_get_the_bytes_of_a_fresh_build(self, cold_memos, first, second):
@@ -856,9 +964,9 @@ class TestLevelBasisMemo:
             with pytest.raises(OverflowError):
                 _gap_ratios(ints)
             with pytest.raises(ValidityError):
-                correlation._massive_excess(floats)
+                correlation._cut_call(floats, 0, math.sqrt(2.0))
             with pytest.raises(OverflowError):
-                correlation._massive_excess(ints)
+                correlation._cut_call(ints, 0, math.sqrt(2.0))
             with pytest.raises(OverflowError):
                 correlation._length_ratio(ints)
 
@@ -890,21 +998,23 @@ class TestLevelBasisMemo:
 
     def test_work_gate(self, monkeypatch, cold_memos):
         # machine-independent: one table and ten calls of each correlator at one
-        # parameter set build its gap ratios, its scales and its integrand constants once
+        # parameter set build its gap ratios, its scales and each table call it reads once
         gap_builds = _counted(monkeypatch, "rest_energy_sq")
         scale_builds = _counted(monkeypatch, "derive_scales")
-        excess_builds = _counted(monkeypatch, "_amplitude_excess")
+        table_builds = _counted(monkeypatch, "_cut_table")
         params, delta = normalized_params(1e-3, 51), 3
         table = correlation_table(params, np.logspace(math.log10(4.0), math.log10(400.0), 25),
                                   delta)
         assert not np.isnan(table["D_numeric"]).any()
-        assert excess_builds[0] == 1  # once for the 25 rows, not once a row
+        # the 26 x 161 entries of steps 1-2 and the 26 x 160 of step 3 (rows from s ~ 90),
+        # once for the 25 rows, not once a row
+        assert table_builds[0] == 2
         for s in np.linspace(5.0, 50.0, 10).tolist():
             query = CorrelationQuery(s=s, delta=delta, params=normalized_params(1e-3, 51))
             numeric_corr(query)
             truncated_corr(query, 2)
             analytic_corr(query)
-        assert (gap_builds[0], scale_builds[0], excess_builds[0]) == (1, 1, 1)
+        assert (gap_builds[0], scale_builds[0], table_builds[0]) == (1, 1, 2)
 
 
 class TestCrossChecks:
