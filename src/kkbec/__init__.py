@@ -49,8 +49,6 @@ from .correlation import (
     analytic_corr,
     bessel_k1,
     correlation_table,
-    fourier_sin_integral,
-    mode_integrand,
     numeric_corr,
     truncated_corr,
 )

@@ -22,17 +22,14 @@ part of the remaining sine integral closes on the branch cut of its
 amplitude, from its decay mass kappa to kappa', as one positive integral
 (``_cut_table``). A tanh-sinh rule tabled once per parameter set sums all
 levels: a row is one exp over the (N//2 + 1, 161) table of steps 1 and 2,
-and a later step is read only where the stop test needs it. The Ooura-Mori
-rule for the sine integral itself, ``fourier_sin_integral``, is a second
-method; ``_amplitude_excess`` forms f_j - 1/N without cancellation.
+and a later step is read only where the stop test (``_agree``) needs it.
 
 ``correlation_table`` evaluates all three over an s grid at one Delta and
 returns the columns that the ``correlation`` command writes.
 
-Each table is built once, into one bounded cache of read-only values: the
-double-exponential rule's steps per integrand call; per ``ModelParams`` the
-gap ratios, a/xi and the branch-cut tables of each call and reach; and the
-level table per (N, Delta). Errors are not cached.
+Each table is built once, into one bounded cache of read-only values: per
+``ModelParams`` the gap ratios, a/xi and the branch-cut tables of each call
+and reach; and the level table per (N, Delta). Errors are not cached.
 """
 
 from __future__ import annotations
@@ -48,9 +45,6 @@ import numpy as np
 from .errors import DomainError, QuadratureError, StabilityError, ValidityError
 from .model import MONO_METRIC_ERROR, ModelParams, check_mono_metricity, derive_scales, kk_label
 from .spectrum import rest_energy_sq
-
-_TINY = np.finfo(float).tiny  # the smallest normal float
-
 
 # ---------------------------------------------------------------------------
 # Modified Bessel function K1
@@ -96,123 +90,6 @@ def bessel_k1(x: float) -> float:
     if x <= 2.0:
         return decay * float(np.exp(x * _K1_T_EXPONENTS) @ _K1_T_WEIGHTS)
     return decay * (float(_K1_WEIGHTS @ ((x + _K1_W_SQ) / np.sqrt(2.0 * x + _K1_W_SQ))) / x)
-
-
-# ---------------------------------------------------------------------------
-# Oscillatory quadrature: int_0^inf g(eta) sin(eta*s) d eta
-# ---------------------------------------------------------------------------
-
-def _de_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes u_k, weights w_k of int_0^inf f(u) sin(u) du ~ sum_k w_k f(u_k).
-
-    Ooura-Mori double-exponential rule for Fourier integrals (J. Comput.
-    Appl. Math. 112 (1999) 229) at step h = 0.1 * 2^-level: u = M phi(t) with
-    M = pi/h, phi = t/(1 - E), E = exp(-2t - alpha (1 - e^-t) - beta (e^t - 1)),
-    beta = 1/4 and alpha = beta/sqrt(1 + M ln(1 + M)/(4 pi)). The nodes approach
-    the zeros pi*k of sin as t -> inf; weights under 1e-30 at the ends are cut.
-    Built afresh on every call: ``_de_call`` keeps the tables.
-    """
-    h = 0.1 * 0.5**level
-    m = math.pi / h
-    beta = 0.25
-    alpha = beta / math.sqrt(1.0 + m * math.log1p(m) / (4.0 * math.pi))
-    k = np.arange(math.floor(-12.0 / h), math.ceil(7.0 / h) + 1)  # past the cut at every step
-    t = k * h
-    # E overflows at t << 0, where phi -> 0; t = 0 gives 0/0, set from the limits below
-    with np.errstate(all="ignore"):
-        u = -2.0 * t + alpha * np.expm1(-t) - beta * np.expm1(t)
-        one_minus_e = -np.expm1(u)
-        e_ratio = 1.0 / np.expm1(-u)  # E/(1 - E), exact where E under- or overflows
-        phi = t / one_minus_e
-        dphi = (1.0 - t * (2.0 + alpha * np.exp(-t) + beta * np.exp(t)) * e_ratio) / one_minus_e
-        # M phi = pi k + M t E/(1 - E) for t > 0; the direct form loses the
-        # small remainder there, the shifted one loses it for t < 0
-        sine = np.where(t > 0, (-1.0) ** k * np.sin(m * t * e_ratio), np.sin(m * phi))
-    c = 2.0 + alpha + beta  # limits at t = 0
-    phi[k == 0], dphi[k == 0] = 1.0 / c, (alpha - beta + c * c) / (2.0 * c * c)
-    sine[k == 0] = math.sin(m / c)
-    weights = h * m * dphi * sine
-    lo, hi = np.flatnonzero(np.abs(weights) > 1e-30)[[0, -1]]
-    return m * phi[lo:hi + 1], weights[lo:hi + 1]
-
-
-_DE_CALLS = 6  # integrand calls of the seven steps: steps 1 and 2 share the first
-
-
-@functools.cache
-def _de_call(call: int) -> tuple[np.ndarray, tuple]:
-    """Nodes of integrand call ``call`` of the rule, and its steps (part, [W, |W|]).
-
-    Call 0 evaluates steps 1 and 2, which the stop test always needs, and call
-    k > 0 step k + 2; part is the slice of the call's nodes that are the
-    step's own ``_de_rule`` nodes, and [W, |W|] their weights and magnitudes
-    as one (n_step, 2) table. Each call is built once, read-only.
-    """
-    rules = [_de_rule(level) for level in ((0, 1) if call == 0 else (call + 1,))]
-    nodes, weights = (np.concatenate(columns) for columns in zip(*rules))
-    table = np.stack([weights, np.abs(weights)], axis=1)
-    nodes.flags.writeable = table.flags.writeable = False
-    ends = np.cumsum([rule_nodes.size for rule_nodes, _ in rules]).tolist()
-    parts = [slice(start, end) for start, end in zip([0] + ends, ends)]
-    return nodes, tuple((part, table[part]) for part in parts)
-
-
-def _step_sums(g, s: float):
-    """Each step's (sum_k W_k values_k, sum_k |W_k| sizes_k), g called once per call."""
-    for call in range(_DE_CALLS):
-        nodes, steps = _de_call(call)
-        # an overflow in g leaves inf or NaN in the sum, which fails the stop test
-        with np.errstate(all="ignore"):
-            out = np.asarray(g(nodes / s))
-            pair = out if out.ndim == 2 else np.stack([out, np.abs(out)])
-            # one product over the step's own nodes: a NaN at a later step's leaves it finite
-            sums = [(pair[:, part] @ table).diagonal().tolist() for part, table in steps]
-        yield from sums
-
-
-def _agree(sums, steps: int, rel_tol: float) -> tuple[float, float]:
-    """The first of a rule's nested step sums (value, magnitude) to agree with the one before.
-
-    Two agree within max(min(1e-15, rel_tol), rel_tol * |value|), ``rel_tol`` > 0
-    (even an infinite one needs two finite steps); their difference, at least
-    the roundoff eps * magnitude, is the error. Raises :class:`QuadratureError`
-    (with the last value, and why) if none of the ``steps`` agree, they agree
-    only to a roundoff above the tolerance, or a value is not finite.
-    """
-    if not rel_tol > 0:
-        raise ValueError(f"need a tolerance > 0, got {rel_tol}")
-    abs_tol = min(1e-15, rel_tol)
-    value = math.inf  # the first step has no sum to agree with
-    for step, (total, magnitude) in enumerate(sums, 1):
-        prev, value = value, total
-        # a sum rounds in proportion to the magnitudes it adds (Higham, ASNA 4.2)
-        roundoff = math.ulp(1.0) * magnitude
-        err = max(abs(value - prev), roundoff)
-        tol = max(abs_tol, rel_tol * abs(value))
-        if math.isfinite(err) and err <= tol:  # finite: two finite steps agree
-            return value, err
-        if not math.isfinite(value) or err == roundoff:  # a finer step cannot help
-            break
-    why = ("got a non-finite sum" if not math.isfinite(value) else
-           "reached its roundoff floor" if err == roundoff else "ran out of steps")
-    raise QuadratureError(f"quadrature {why} at step {step} of {steps}: error {err:.3g}, "
-                          f"requested {tol:.3g}", partial_value=value, error_estimate=err)
-
-
-def fourier_sin_integral(g, s: float, rel_tol: float = 1e-10) -> tuple[float, float]:
-    """Integrate g(eta)*sin(eta*s) over [0, inf) for smooth, slowly decaying g.
-
-    ``g`` maps n nodes eta to their values, or to a (2, n) array or pair
-    (values, sizes), each value's size >= 0 before it cancelled (plain values
-    have the sizes |values|). The double-exponential rule runs at steps 0.1 *
-    2^-k, k = 0..6, until two agree as ``_agree`` tests, with the magnitude
-    sum_k |W_k| sizes_k / s (W_k the weights). Steps 1 and 2 go to ``g`` as one
-    call of their joined nodes, every later step as a call of its own.
-    """
-    if not s > 0:
-        raise ValueError("oscillation frequency s must be positive")
-    return _agree(((total / s, magnitude / s) for total, magnitude in _step_sums(g, s)),
-                  _DE_CALLS + 1, rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -312,57 +189,6 @@ def _level_weights(n_sp: int, delta: int) -> np.ndarray:
     return table
 
 
-def _amplitude_excess(mus: np.ndarray, n_sp: int):
-    """eta -> f_j(eta) - 1/N for the 1-D gap ratios mu_j, shape mus.shape + eta.shape.
-
-    With c = sqrt(1 - mu^2), a = 1 + c + eta^2 and b = mu^2/(1 + c) + eta^2,
-    r^2 = mu^2 + 2 eta^2 + eta^4 = a b, so (a - r)/(N r), which cancels at
-    large eta, equals (2 c/N)/(r + b) with r = a sqrt(b/a): no eta^4, so
-    nothing overflows before eta^2 does, and there b/a is NaN. Where b is not
-    a normal float, mu^2/(1 + c) and eta^2 lost their digits to underflow; r
-    is then sqrt(a) hypot(mu/sqrt(1 + c), eta), which a massless level needs
-    once eta^2 underflows.
-    """
-    mus = mus[:, np.newaxis]  # (L, 1) constants: a level's values at 1-D eta are one row
-    c = np.sqrt((1.0 - mus) * (1.0 + mus))  # 1 - mu is exact where mu^2 would round near 1
-    head = 1.0 + c  # a - eta^2
-    # [a; b] = shifts @ [1; eta^2]: exact products, one rounding, half a broadcast add's time
-    shifts = np.hstack([np.vstack([head, mus * mus / head]), np.ones((2 * len(mus), 1))])
-    scale = 2.0 * c / n_sp
-    head.flags.writeable = shifts.flags.writeable = scale.flags.writeable = False
-
-    def excess(eta):
-        eta = np.asarray(eta, dtype=float)
-        if eta.ndim != 1:  # rows of a flat eta, reshaped to mus.shape + eta.shape
-            return excess(eta.reshape(-1)).reshape(len(mus), *eta.shape)
-        lifted = np.ones((2, eta.size))
-        eta_sq = np.multiply(eta, eta, out=lifted[1])
-        a, b = (shifts @ lifted).reshape(2, len(mus), eta.size)
-        r = np.sqrt(b / a)
-        r *= a
-        if eta_sq.size and eta_sq.min() < _TINY:  # b is normal wherever eta^2 is
-            r = np.where(b < _TINY, np.sqrt(a) * np.hypot(mus / np.sqrt(head), eta), r)
-        r += b
-        return np.divide(scale, r, out=r)
-
-    return excess
-
-
-def mode_integrand(params: ModelParams, j: int, eta) -> float | np.ndarray:
-    """(u_j - v_j)^2 at dimensionless momentum eta = p*xi.
-
-    Equals (1/N) [(1 + eta^2) + sqrt(1 - mu_j^2)] / sqrt(mu_j^2 + 2 eta^2 +
-    eta^4) with mu_j = E_rj/(m c_s^2); requires mono-metric parameters and
-    (j, eta) != (0, 0).
-    """
-    n_sp = params.species_count
-    mus = _gap_ratios(params)[[abs(kk_label(j, n_sp))]]
-    if mus[0] == 0.0 and np.any(np.asarray(eta) == 0.0):
-        raise ValueError("the massless mode has no amplitude at eta = 0")
-    value = 1.0 / n_sp + _amplitude_excess(mus, n_sp)(eta)[0]
-    return float(value) if np.isscalar(eta) else value
-
-
 _CUT_CALLS = 4  # table calls of the branch-cut rule's five steps: steps 1 and 2 share the first
 
 
@@ -446,6 +272,35 @@ def _cut_sums(tables, level_weights: np.ndarray, s: float):
         for own in np.add.reduceat(level_weights @ terms, steps, axis=1).T:
             sums = sums / 2.0 + own
             yield tuple(sums.tolist())
+
+
+def _agree(sums, steps: int, rel_tol: float) -> tuple[float, float]:
+    """The first of a rule's nested step sums (value, magnitude) to agree with the one before.
+
+    Two agree within max(min(1e-15, rel_tol), rel_tol * |value|), ``rel_tol`` > 0
+    (even an infinite one needs two finite steps); their difference, at least
+    the roundoff eps * magnitude, is the error. Raises :class:`QuadratureError`
+    (with the last value, and why) if none of the ``steps`` agree, they agree
+    only to a roundoff above the tolerance, or a value is not finite.
+    """
+    if not rel_tol > 0:
+        raise ValueError(f"need a tolerance > 0, got {rel_tol}")
+    abs_tol = min(1e-15, rel_tol)
+    value = math.inf  # the first step has no sum to agree with
+    for step, (total, magnitude) in enumerate(sums, 1):
+        prev, value = value, total
+        # a sum rounds in proportion to the magnitudes it adds (Higham, ASNA 4.2)
+        roundoff = math.ulp(1.0) * magnitude
+        err = max(abs(value - prev), roundoff)
+        tol = max(abs_tol, rel_tol * abs(value))
+        if math.isfinite(err) and err <= tol:  # finite: two finite steps agree
+            return value, err
+        if not math.isfinite(value) or err == roundoff:  # a finer step cannot help
+            break
+    why = ("got a non-finite sum" if not math.isfinite(value) else
+           "reached its roundoff floor" if err == roundoff else "ran out of steps")
+    raise QuadratureError(f"quadrature {why} at step {step} of {steps}: error {err:.3g}, "
+                          f"requested {tol:.3g}", partial_value=value, error_estimate=err)
 
 
 def numeric_corr(query: CorrelationQuery, rel_tol: float = 1e-10) -> tuple[float, float]:
