@@ -1,7 +1,8 @@
 """Command-line surface: figure-ready CSV/JSON tables from parameter documents.
 
-Exit codes: 0 success, 2 validation failure, 3 I/O failure, 4 quadrature
-failure in at least one output row, 5 oracle mismatch. ``_report`` prints a
+Exit codes: 0 success, 2 validation failure, 3 I/O failure, 4 a ``correlation`` row
+whose D_numeric overflows or whose quadrature steps never agree at their one
+tolerance (the row reads NaN), 5 oracle mismatch. ``_report`` prints a
 document's violations once, a mono-metric request that n*U' = -Omega fails
 included: ``validate`` reports them, and ``tower``, ``dispersion`` and
 ``correlation`` refuse the document (exit 2). stderr is for humans;
@@ -289,8 +290,7 @@ def cmd_correlation(args) -> int:
     if not mono:
         raise ValueError("correlation requires mono_metric parameters")
     svals = _log_grid(args.s_min, args.s_max, args.s_points)
-    # a non-positive --quad-tol raises ValueError in the first row (exit 2 through main)
-    table = correlation.correlation_table(params, svals, args.delta, args.j_tr, args.quad_tol,
+    table = correlation.correlation_table(params, svals, args.delta, args.j_tr,
                                           not args.unweighted_truncation)
     spell = _JSON_SPELLING if args.format == "json" else {}
     cells = {name: _texts(column, spell) for name, column in table.items()}
@@ -369,7 +369,6 @@ _COMMANDS = {
         "--s-max": dict(type=float, default=40.0), "--s-points": dict(type=int, default=25),
         "--delta": dict(type=int, default=1),
         "--j-tr": dict(type=int),  # None: correlation_table's default
-        "--quad-tol": dict(type=float, default=1e-10),
         "--unweighted-truncation": dict(action="store_true",
                                         help="reproduce the unweighted printed truncated form")}),
     "oracle-check": ("closed forms vs brute-force BdG", {

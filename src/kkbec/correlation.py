@@ -121,9 +121,10 @@ def analytic_corr(query: CorrelationQuery) -> float:
     """
     ratio = _length_ratio(query.params)
     delta = abs(kk_label(query.delta, query.params.species_count))
-    # R_l/rho^3 as (R_l/rho)/rho^2 stays finite where rho^3 overflows
+    # R_l/rho^3 as (R_l/rho)/rho^2 is finite where rho^3 overflows; /rho/rho/rho where rho^2 is 0
     rho = math.hypot(query.s, ratio * delta)
-    return ratio / rho / (rho * rho) / (2.0 * math.sqrt(2.0) * math.pi**2)
+    scaled = ratio / rho / (rho * rho) if rho * rho else ratio / rho / rho / rho
+    return scaled / (2.0 * math.sqrt(2.0) * math.pi**2)
 
 
 _FIELDS = operator.attrgetter(*(field.name for field in dataclasses.fields(ModelParams)))
@@ -190,6 +191,7 @@ def _level_weights(n_sp: int, delta: int) -> np.ndarray:
 
 
 _CUT_CALLS = 4  # table calls of the branch-cut rule's five steps: steps 1 and 2 share the first
+_REL_TOL = 1e-10  # the tolerance of its stop test, relative, over an absolute 1e-15
 
 
 def _cut_table(mus: np.ndarray, n_sp: int, call: int, reach: float):
@@ -277,14 +279,11 @@ def _cut_sums(tables, level_weights: np.ndarray, s: float):
 def _agree(sums, steps: int, rel_tol: float) -> tuple[float, float]:
     """The first of a rule's nested step sums (value, magnitude) to agree with the one before.
 
-    Two agree within max(min(1e-15, rel_tol), rel_tol * |value|), ``rel_tol`` > 0
-    (even an infinite one needs two finite steps); their difference, at least
-    the roundoff eps * magnitude, is the error. Raises :class:`QuadratureError`
-    (with the last value, and why) if none of the ``steps`` agree, they agree
-    only to a roundoff above the tolerance, or a value is not finite.
+    Two agree within max(min(1e-15, rel_tol), rel_tol * |value|); their difference,
+    at least the roundoff eps * magnitude, is the error. Raises
+    :class:`QuadratureError` (with the last value, and why) if none of the ``steps``
+    agree, they agree only to a roundoff above the tolerance, or a value is not finite.
     """
-    if not rel_tol > 0:
-        raise ValueError(f"need a tolerance > 0, got {rel_tol}")
     abs_tol = min(1e-15, rel_tol)
     value = math.inf  # the first step has no sum to agree with
     for step, (total, magnitude) in enumerate(sums, 1):
@@ -293,7 +292,7 @@ def _agree(sums, steps: int, rel_tol: float) -> tuple[float, float]:
         roundoff = math.ulp(1.0) * magnitude
         err = max(abs(value - prev), roundoff)
         tol = max(abs_tol, rel_tol * abs(value))
-        if math.isfinite(err) and err <= tol:  # finite: two finite steps agree
+        if math.isfinite(err) and err <= tol:  # an overflowed sum's error and tolerance are inf
             return value, err
         if not math.isfinite(value) or err == roundoff:  # a finer step cannot help
             break
@@ -303,19 +302,19 @@ def _agree(sums, steps: int, rel_tol: float) -> tuple[float, float]:
                           f"requested {tol:.3g}", partial_value=value, error_estimate=err)
 
 
-def numeric_corr(query: CorrelationQuery, rel_tol: float = 1e-10) -> tuple[float, float]:
+def numeric_corr(query: CorrelationQuery) -> tuple[float, float]:
     """Exact mode-sum correlator in 1/xi^3 units, with an error estimate bounding its roundoff.
 
     D = sum_l w_l I_l / (2 pi^2 s) over the levels' cut integrals (``_cut_table``). Steps 1
-    to 5 (at most 1,281 nodes a level) run until two agree (``_agree``); the estimate is
-    their difference, at least eps times the size of ``_cut_sums``. Raises
+    to 5 (at most 1,281 nodes a level) run until two agree within ``_REL_TOL`` (``_agree``);
+    the estimate is their difference, at least eps times the size of ``_cut_sums``. Raises
     :class:`QuadratureError` as ``_agree`` does, or where D is not a finite float.
     """
     params, s = query.params, query.s
     reach = _cut_reach(s)
     integral, err = _agree(_cut_sums(lambda call: _cut_call(params, call, reach),
                                      _level_weights(params.species_count, query.delta), s),
-                           _CUT_CALLS + 1, rel_tol)
+                           _CUT_CALLS + 1, _REL_TOL)
     norm = 2.0 * math.pi**2 * s
     value, err = integral / norm, err / norm
     if not (math.isfinite(value) and math.isfinite(err)):
@@ -328,24 +327,25 @@ def truncated_corr(query: CorrelationQuery, j_tr: int, weighted: bool = True) ->
     """Low-mode relativistic correlator, in 1/xi^3 units.
 
     Sums the levels |n| = 0..j_tr with the level weights of the numeric mode
-    sum; level 0 uses the massless limit m K1(m s) -> 1/s. ``weighted=False``
-    takes the weights at Delta = 0, the phase-free variant of the sum.
+    sum; level 0, and a level whose m s underflows to 0, uses the limit m K1(m s)
+    -> 1/s. ``weighted=False`` takes the weights at Delta = 0, the phase-free
+    variant of the sum.
     """
     n_sp = query.params.species_count
     if not 0 <= j_tr <= (n_sp - 1) // 2:
         raise ValueError(f"j_tr must lie in 0..{(n_sp - 1) // 2}, got {j_tr}")
-    ratio = _length_ratio(query.params)
+    ratio, s = _length_ratio(query.params), query.s
     weights = _level_weights(n_sp, query.delta if weighted else 0)[0, :j_tr + 1].tolist()
-    masses = [(2.0 * math.pi * n / n_sp) / ratio for n in range(1, j_tr + 1)]
-    terms = [1.0 / query.s] + [mass * bessel_k1(mass * query.s) for mass in masses]
+    masses = [(2.0 * math.pi * n / n_sp) / ratio for n in range(j_tr + 1)]  # level 0 is massless
+    terms = [mass * bessel_k1(mass * s) if mass * s > 0 else 1.0 / s for mass in masses]
     total = 0.0
     for n in range(j_tr, -1, -1):  # m K1(m s) falls with m: smallest first, as the sum can cancel
         total += weights[n] * terms[n]
-    return total / (n_sp * math.sqrt(2.0) * math.pi**2 * query.s)
+    return total / (n_sp * math.sqrt(2.0) * math.pi**2 * s)
 
 
 def correlation_table(params: ModelParams, s, delta: int, j_tr: int | None = None,
-                      rel_tol: float = 1e-10, weighted: bool = True) -> dict[str, np.ndarray]:
+                      weighted: bool = True) -> dict[str, np.ndarray]:
     """All three correlators at one Delta over a sequence of separations ``s``, as columns.
 
     Keys, in the CLI's order: ``s, delta, D_analytic, D_numeric, D_numeric_err,
@@ -361,7 +361,7 @@ def correlation_table(params: ModelParams, s, delta: int, j_tr: int | None = Non
         query = CorrelationQuery(s=s_row, delta=delta, params=params)
         analytic, truncated = analytic_corr(query), truncated_corr(query, j_tr, weighted)
         try:
-            numeric, err = numeric_corr(query, rel_tol)
+            numeric, err = numeric_corr(query)
         except QuadratureError:
             numeric = err = math.nan
         rows.append((analytic, numeric, err, truncated))

@@ -254,8 +254,7 @@ def _amplitude_excess(mus: np.ndarray, n_sp: int):
     return excess
 
 
-def double_exponential_corr(params: ModelParams, s: float, delta: int,
-                            rel_tol: float = 1e-10) -> tuple[float, float]:
+def double_exponential_corr(params: ModelParams, s: float, delta: int) -> tuple[float, float]:
     """The correlator and its error estimate from the eta-domain integral, a second method.
 
     The integrand is eta sum_l w_l (f_l - 1/N) over the levels, built from
@@ -277,13 +276,13 @@ def double_exponential_corr(params: ModelParams, s: float, delta: int,
         sums *= eta
         return np.add(sums, (2.0 / n_sp) / (np.sqrt(2.0 + eta * eta) + eta), out=sums)
 
-    integral, err = fourier_sin_integral(g, s, rel_tol)
+    integral, err = fourier_sin_integral(g, s)
     norm = 2.0 * math.pi**2 * s
     return integral / norm, err / norm
 
 
-def long_double_level_sum(params: ModelParams, s: float, delta: int,
-                          rel_tol: float = 1e-10) -> tuple[float, float, float]:
+def long_double_level_sum(params: ModelParams, s: float,
+                          delta: int) -> tuple[float, float, float]:
     """numeric_corr's (value, error) and its level sum redone in long double.
 
     The reference takes the package's gap ratios, level weights and reach of
@@ -302,8 +301,7 @@ def long_double_level_sum(params: ModelParams, s: float, delta: int,
         patch.setattr(correlation, "_cut_call",
                       lambda params, call, reach: calls.append((call, reach))
                       or cut_call(params, call, reach))
-        value, err = correlation.numeric_corr(correlation.CorrelationQuery(s, delta, params),
-                                              rel_tol)
+        value, err = correlation.numeric_corr(correlation.CorrelationQuery(s, delta, params))
     last, reach = calls[-1]
     ld = np.longdouble
     pi = 4 * np.arctan(ld(1))

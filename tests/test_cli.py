@@ -176,7 +176,7 @@ class TestDispersion:
 
 
 class TestCorrelation:
-    ARGS = ["--s-min", "10", "--s-max", "20", "--s-points", "3", "--quad-tol", "1e-9"]
+    ARGS = ["--s-min", "10", "--s-max", "20", "--s-points", "3"]
 
     def test_columns_and_values(self, tmp_path):
         code, out = run_to_file(
@@ -214,38 +214,46 @@ class TestCorrelation:
         assert code == 2
 
     def test_quadrature_failure_exit_code(self, tmp_path):
+        # at s = 1e-322 D overflows, and the K1 argument of level 1 underflows to 0
         code, out = run_to_file(
             tmp_path, "corr.csv",
             ["correlation", "--normalized-omega", "0.001", "--s-points", "1",
-             "--s-min", "15", "--s-max", "15", "--quad-tol", "1e-18"],
+             "--s-min", "1e-322", "--s-max", "1e-322"],
         )
         assert code == 4
         row = out.read_text().splitlines()[1].split(",")
-        assert row[3] == "nan"
+        assert row[3:] == ["nan", "nan", "inf"]
 
-    def test_floor_limited_row_exit_code(self, tmp_path):
-        # two steps of the branch-cut rule agree to their roundoff, far above a
-        # tolerance of 1e-300: the row must fail there instead of refining the step
+    def test_overflowing_row_exit_code(self, tmp_path):
+        # at s = 5e-324 D overflows: the row fails, and its closed forms stay, the truncated
+        # sum at its limit 1/s for every level, with no K1 of 0
         argv = ["correlation", "--normalized-omega", "0.1", "--s-points", "1",
-                "--s-min", "1e-160", "--s-max", "1e-160", "--quad-tol", "1e-300"]
+                "--s-min", "5e-324", "--s-max", "5e-324"]
         code, out = run_to_file(tmp_path, "corr.csv", argv)
         assert code == 4
-        assert out.read_text().splitlines()[1].split(",")[3] == "nan"
+        assert out.read_text().splitlines()[1:] == ["5e-324,1,0.0029852040013060217,nan,nan,inf"]
         code, out = run_to_file(tmp_path, "corr.json", argv + ["--format", "json"])
         assert code == 4
         assert '"D_numeric": NaN,' in out.read_text()
-        assert math.isnan(json.loads(out.read_text())[0]["D_numeric"])
+        assert '"D_truncated": Infinity' in out.read_text()
+        [row] = json.loads(out.read_text())
+        assert math.isnan(row["D_numeric"]) and row["D_truncated"] == math.inf
 
     @pytest.mark.parametrize("s", ["1e-160", "1e-300"])
     def test_tiny_separation_gets_its_answer(self, tmp_path, s):
-        # a cut integral has no eta = u/s to overflow at tiny s; s D is one constant
-        argv = ["correlation", "--normalized-omega", "0.1", "--s-points", "1",
-                "--s-min", s, "--s-max", s]
-        code, out = run_to_file(tmp_path, "corr.csv", argv)
-        assert code == 0
-        _, _, _, numeric, err, _ = map(float, out.read_text().splitlines()[1].split(","))
-        assert float(s) * numeric == pytest.approx(6.6314559621623095e-3, rel=1e-15)
-        assert 0.0 < err <= 1e-10 * numeric
+        # a cut integral has no eta = u/s to overflow at tiny s; s D is one constant a Delta.
+        # At Delta = 0 the closed form R_l/s^3 overflows to inf
+        for delta, analytic, scaled in (("1", 0.0029852040013060217, 6.6314559621623095e-3),
+                                        ("0", math.inf, 6.631455962162305e-2)):
+            argv = ["correlation", "--normalized-omega", "0.1", "--s-points", "1",
+                    "--s-min", s, "--s-max", s, "--delta", delta]
+            code, out = run_to_file(tmp_path, "corr.csv", argv)
+            assert code == 0
+            row = out.read_text().splitlines()[1].split(",")
+            _, _, d_analytic, numeric, err, _ = map(float, row)
+            assert row[1] == delta and d_analytic == analytic
+            assert float(s) * numeric == pytest.approx(scaled, rel=1e-15)
+            assert 0.0 < err <= 1e-10 * numeric
 
     @pytest.mark.parametrize("s", ["1e300", "1.7e308"])
     def test_largest_separations_read_zero(self, tmp_path, s):
@@ -269,19 +277,6 @@ class TestCorrelation:
         assert len(rows) == int(argv[argv.index("--s-points") + 1])
         assert all(math.isfinite(float(cell)) for row in rows for cell in row)
 
-    def test_infinite_tolerance_still_takes_two_steps(self, tmp_path):
-        # step 1's error is inf, and so is the tolerance: the row must not stop there
-        argv = ["correlation", "--normalized-omega", "0.001", "--s-points", "1",
-                "--s-min", "5", "--s-max", "5"]
-        rows = []
-        for name, tol in (("inf.csv", ["--quad-tol", "inf"]), ("default.csv", [])):
-            code, out = run_to_file(tmp_path, name, argv + tol)
-            assert code == 0
-            rows.append([float(cell) for cell in out.read_text().splitlines()[1].split(",")])
-        (_, _, _, loose, loose_err, _), (_, _, _, value, err, _) = rows
-        assert 0.0 < loose_err < 1e-10 * loose
-        assert abs(loose - value) <= loose_err + err
-
     def test_default_truncation_fits_three_species(self):
         # N = 3 has the levels 0 and 1 only: the default J is min(2, (N-1)//2) = 1
         argv = ["correlation", "--normalized-omega", "0.01", "--species", "3"]
@@ -304,7 +299,7 @@ class TestCorrelation:
     @pytest.mark.parametrize("species", [3, 9])
     def test_library_default_truncation_is_the_cli_default(self, species):
         table = correlation.correlation_table(model.normalized_params(1e-3, species),
-                                              cli._log_grid(10.0, 20.0, 3), 1, rel_tol=1e-9)
+                                              cli._log_grid(10.0, 20.0, 3), 1)
         rows = list(zip(*(column.tolist() for column in table.values())))
         argv = ["correlation", "--normalized-omega", "0.001", "--species", str(species)]
         for fmt in ("csv", "json"):
@@ -606,7 +601,6 @@ class TestConfigHandling:
         assert main(["dispersion", "--config", config, "--eta-min", "-1"]) == 2
         assert main(["dispersion", "--config", config, "--eta-min", "5",
                      "--eta-max", "2"]) == 2
-        assert main(["correlation", "--config", config, "--quad-tol", "0"]) == 2
         assert main(["correlation", "--config", config, "--delta", "12"]) == 2
 
 
@@ -780,7 +774,7 @@ class TestOptions:
                        "--svg", "--eta-min", "--eta-max", "--eta-points"},
         "correlation": {"--config", "--normalized-omega", "--species", "--out", "--format",
                         "--svg", "--s-min", "--s-max", "--s-points", "--delta", "--j-tr",
-                        "--quad-tol", "--unweighted-truncation"},
+                        "--unweighted-truncation"},
         "oracle-check": {"--out", "--seed", "--cases", "--p-points"},
         "validate": {"--config", "--normalized-omega", "--species", "--out", "--regime"},
     }
@@ -948,10 +942,10 @@ class TestDispatch:
         ["tower", *INPUT],
         ["tower", "--config", "params.json", "--format", "json", "--out", "t.csv", "--svg"],
         ["correlation", "--normalized-omega", "0.001", "--s-min", "5", "--s-max", "5",
-         "--s-points", "1", "--delta", "2", "--j-tr", "1", "--quad-tol", "1e-8",
-         "--unweighted-truncation"],
-        ["correlation", "--normalized-omega", "0.001", *ROW, "--quad-tol", "nan"],
-        ["correlation", "--normalized-omega", "0.001", *ROW, "--quad-tol", "inf"],
+         "--s-points", "1", "--delta", "2", "--j-tr", "1", "--unweighted-truncation"],
+        ["correlation", "--normalized-omega", "0.001", *ROW, "--format", "json"],
+        ["correlation", "--normalized-omega", "0.1", "--s-min", "1e-300", "--s-max", "1",
+         "--s-points", "3", "--delta", "0"],
         ["oracle-check", "--cases", "1", "--p-points", "1"],
         ["validate", *INPUT, "--regime", "unrestricted"],
         ["validate", "--config", "params.json"],
@@ -990,6 +984,7 @@ class TestDispatch:
         ["tower", *INPUT, "--format", "--out", "x"],
         ["tower", *INPUT, "--svg", "yes"],
         ["tower", *INPUT, "--format", "json", "-h"],
+        ["correlation", "--normalized-omega", "0.001", "--quad-tol", "1e-9"],  # a removed option
     ]
 
     @staticmethod
@@ -1314,8 +1309,7 @@ FUZZ = {
     "tower": _flags(**INPUTS, **TABLE),
     "dispersion": st.tuples(_flags(**INPUTS, **TABLE), _grid("eta")).map(lambda p: p[0] + p[1]),
     "correlation": st.tuples(
-        _flags(**INPUTS, **TABLE, delta=st.integers(-1, 4), j_tr=st.integers(-1, 3),
-               quad_tol=FLOATS),
+        _flags(**INPUTS, **TABLE, delta=st.integers(-1, 4), j_tr=st.integers(-1, 3)),
         _grid("s"),
     ).map(lambda p: p[0] + p[1]),
     "oracle-check": _flags(seed=st.integers(-1, 2**64), cases=COUNTS, p_points=COUNTS),

@@ -192,29 +192,22 @@ class TestFourierSinIntegral:
 
 
 class TestQuadConfig:
-    """The quadrature's one setting, rel_tol; its absolute floor is min(1e-15, rel_tol)."""
+    """The stop test of the nested steps, at one fixed tolerance: 1e-10 relative over an
+    absolute 1e-15."""
 
     QUERY = CorrelationQuery(s=3.0, delta=1, params=normalized_params(1e-3, 9))
 
     @pytest.mark.parametrize("kwargs", [
+        {"rel_tol": 1e-10},
         {"rel_tol": 0.0},
-        {"rel_tol": -1e-10},
-        {"rel_tol": float("nan")},
+        {"quad_tol": 1e-10},
     ])
     def test_rejects_invalid_settings(self, kwargs):
-        with pytest.raises(ValueError, match="need a tolerance > 0"):
+        # the tolerance is no setting of the library's correlators
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
             numeric_corr(self.QUERY, **kwargs)
-
-    @pytest.mark.parametrize("rel_tol, s", [(math.inf, 1.0), (1e300, 1e10)])
-    def test_a_tolerance_that_overflows_still_takes_two_steps(self, rel_tol, s):
-        # step 1 has no sum to agree with, so its error is inf, and so is the tolerance
-        # rel_tol * |sum| at rel_tol = inf: inf <= inf must not stop there. Step 2's
-        # estimate, the difference of the two steps, bounds its error.
-        query = CorrelationQuery(s=s, delta=1, params=normalized_params(1e-3, 9))
-        value, err = numeric_corr(query, rel_tol)
-        converged, converged_err = numeric_corr(query)
-        assert 0.0 < err < math.inf
-        assert abs(value - converged) <= err + converged_err
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            correlation_table(self.QUERY.params, [3.0], 1, **kwargs)
 
     @pytest.mark.parametrize("sums, why", [
         ([(1.0, 1.0), (1.1, 1.1), (1.11, 1.11)], "ran out of steps at step 3 of 3: error 0.01"),
@@ -267,6 +260,12 @@ class TestAnalyticCorrelator:
         direct = analytic_corr(CorrelationQuery(s=3.0, delta=1, params=standard_params))
         wrapped = analytic_corr(CorrelationQuery(s=3.0, delta=8, params=standard_params))
         assert direct == wrapped
+
+    @pytest.mark.parametrize("s", [1.5e-162, 5e-324])
+    def test_coincident_sites_overflow_to_inf(self, standard_params, s):
+        # at Delta = 0, rho = s: below s = 1.57e-162 rho^2 underflows to 0, where R_l/rho^3
+        # has long overflowed
+        assert analytic_corr(CorrelationQuery(s=s, delta=0, params=standard_params)) == math.inf
 
 
 class TestModeIntegrand:
@@ -454,14 +453,6 @@ class TestNumericCorrelator:
         far = numeric_corr(CorrelationQuery(s=12.0, delta=8, params=figure_params))
         assert near == far
 
-    def test_tolerance_refinement_within_estimate(self, figure_params):
-        query = CorrelationQuery(s=17.0, delta=1, params=figure_params)
-        coarse, err = numeric_corr(query, rel_tol=1e-8)
-        fine, _ = numeric_corr(query, rel_tol=1e-9)
-        assert abs(coarse - fine) <= max(err, 1e-16 * abs(fine))
-        finer, _ = numeric_corr(query, rel_tol=1e-11)
-        assert abs(fine - finer) / abs(finer) <= 1e-6
-
     def test_imaginary_part_cancels(self, figure_params):
         # the sine-weighted companion of the cosine mode sum must vanish
         n_sp = figure_params.species_count
@@ -542,11 +533,34 @@ class TestNumericCorrelator:
         expected = float(np.sum(rule.astype(ld) * integrand) / ld(s)) / (2.0 * math.pi**2 * s)
         assert abs(value - expected) <= 2.0 * err
 
+    @settings(max_examples=60, deadline=None)
+    @example(log_ratio=-6.0, n_sp=3, delta=0, log_s=-300.0)
+    @example(log_ratio=-6.0, n_sp=1001, delta=500, log_s=300.0)
+    @example(log_ratio=-4.0, n_sp=101, delta=50, log_s=-3.0)
+    @example(log_ratio=-3.0, n_sp=1001, delta=333, log_s=5.0)
+    @example(log_ratio=-1.0, n_sp=9, delta=1, log_s=-160.0)
+    @example(log_ratio=math.log10(0.24), n_sp=51, delta=17, log_s=0.0)
+    @example(log_ratio=math.log10(0.4), n_sp=9, delta=4, log_s=-300.0)
+    @example(log_ratio=math.log10(0.9), n_sp=1001, delta=500, log_s=-300.0)
+    @example(log_ratio=math.log10(0.9), n_sp=3, delta=1, log_s=math.log10(1.7e308))
+    @given(log_ratio=st.floats(-6.0, math.log10(0.9)),
+           n_sp=st.integers(1, 500).map(lambda k: 2 * k + 1),
+           delta=st.integers(0, 1000), log_s=st.floats(-300.0, math.log10(1.7e308)))
+    def test_property_every_row_passes_the_one_tolerance(self, log_ratio, n_sp, delta, log_s):
+        # what lets the tolerance be fixed: across |Omega|/nU in [1e-6, 0.9], odd N up to
+        # 1001, any Delta and s in [1e-300, 1.7e308], no row fails at it
+        params = normalized_params(10.0**log_ratio, n_sp)
+        value, err = numeric_corr(CorrelationQuery(s=10.0**log_s, delta=delta % n_sp,
+                                                   params=params))
+        assert math.isfinite(value) and 0.0 <= err < math.inf
+
     def test_quadrature_error_propagates(self, figure_params):
-        query = CorrelationQuery(s=20.0, delta=1, params=figure_params)
+        # D overflows at s = 5e-324: the error carries the overflowed value and its estimate
+        query = CorrelationQuery(s=5e-324, delta=1, params=figure_params)
         with pytest.raises(QuadratureError) as excinfo:
-            numeric_corr(query, rel_tol=1e-30)
-        assert excinfo.value.partial_value is not None
+            numeric_corr(query)
+        assert excinfo.value.partial_value == math.inf
+        assert excinfo.value.error_estimate is not None
 
 
 class TestQuadpackOracle:
@@ -834,6 +848,16 @@ class TestTruncatedCorrelator:
         truncated_corr(CorrelationQuery(s=15.0, delta=1, params=figure_params), j_tr)
         assert len(calls) == j_tr
 
+    @pytest.mark.parametrize("ratio, s", [(1e-3, 1e-322), (0.1, 5e-324)])
+    def test_underflowing_argument_takes_the_limit(self, monkeypatch, ratio, s):
+        # a level whose m s underflows to 0 (level 1 at least) takes the limit 1/s, and K1
+        # sees only positive arguments
+        calls, k1 = [], correlation.bessel_k1
+        monkeypatch.setattr(correlation, "bessel_k1", lambda x: calls.append(x) or k1(x))
+        query = CorrelationQuery(s=s, delta=1, params=normalized_params(ratio, 9))
+        assert truncated_corr(query, 2) == math.inf
+        assert len(calls) < 2 and all(x > 0 for x in calls)
+
     @pytest.mark.parametrize("delta", [24, 25, 26, 27])
     def test_cancelling_full_tower_against_mpmath(self, delta):
         # near Delta = N/2 the level weights alternate in sign and the terms
@@ -1071,17 +1095,19 @@ class TestCrossChecks:
 
     def test_table_rows_match_scalar_calls(self, figure_params):
         s = [2.0, 15.0, 40.0]
-        table = correlation_table(figure_params, s, 1, j_tr=3, rel_tol=1e-8, weighted=False)
+        table = correlation_table(figure_params, s, 1, j_tr=3, weighted=False)
         assert list(table) == ["s", "delta", "D_analytic", "D_numeric", "D_numeric_err",
                                "D_truncated"]
         assert table["s"].tolist() == s and table["delta"].tolist() == [1, 1, 1]
         for row, s_row in enumerate(s):
             query = CorrelationQuery(s=s_row, delta=1, params=figure_params)
-            numeric, err = numeric_corr(query, 1e-8)
+            numeric, err = numeric_corr(query)
             assert table["D_analytic"][row] == analytic_corr(query)
             assert table["D_truncated"][row] == truncated_corr(query, 3, False)
             assert (table["D_numeric"][row], table["D_numeric_err"][row]) == (numeric, err)
-        # a row whose quadrature fails keeps its closed-form columns
-        failed = correlation_table(figure_params, [20.0], 1, rel_tol=1e-30)
+        # a row whose D overflows keeps its closed-form columns
+        failed = correlation_table(figure_params, [5e-324], 1)
+        query = CorrelationQuery(s=5e-324, delta=1, params=figure_params)
         assert np.isnan(failed["D_numeric"]).all() and np.isnan(failed["D_numeric_err"]).all()
-        assert np.isfinite(failed["D_analytic"]).all() and np.isfinite(failed["D_truncated"]).all()
+        assert failed["D_analytic"].tolist() == [analytic_corr(query)]
+        assert failed["D_truncated"].tolist() == [truncated_corr(query, 2)] == [math.inf]
