@@ -20,14 +20,14 @@ Modes j and N - j share a gap, so both sums run over the Kaluza-Klein levels
 The radial reduction of the 3D Fourier integral is analytic; each level's
 part of the remaining sine integral closes on the branch cut of its
 amplitude, from its decay mass kappa to kappa', as one positive integral
-(``_cut_table``). A tanh-sinh rule tabled once per parameter set sums all
-levels: a row is one exp over the (N//2 + 1, 161) table of steps 1 and 2,
-and a later step is read only where the stop test (``_agree``) needs it.
+(``_cut_table``). A tanh-sinh rule tabled once per parameter set and reach
+(``_cut_reach``: s times the cut stays below 2X, X = 39) sums all levels: a row
+is one exp over the (N//2 + 1, 161) table of steps 1 and 2 at every s, and a
+later step is read only where the stop test (``_agree``) needs it.
 
-``correlation_table`` evaluates all three over an s grid at one Delta and
-returns the columns that the ``correlation`` command writes.
-
-Each table is built once, into one bounded cache of read-only values: per
+``correlation_table`` evaluates all three over an s grid at one Delta, by the
+row code of each public function, and returns the columns of ``correlation``.
+Each basis is built once, into one bounded cache of read-only values: per
 ``ModelParams`` the gap ratios, a/xi and the branch-cut tables of each call
 and reach; and the level table per (N, Delta). Errors are not cached.
 """
@@ -119,10 +119,14 @@ def analytic_corr(query: CorrelationQuery) -> float:
     Delta is the ring-site separation, so the synthetic distance uses the
     nearest image min(Delta, N - Delta).
     """
-    ratio = _length_ratio(query.params)
     delta = abs(kk_label(query.delta, query.params.species_count))
+    return _analytic_row(_length_ratio(query.params), delta, query.s)
+
+
+def _analytic_row(ratio: float, delta: int, s: float) -> float:
+    """``analytic_corr`` at s, a/xi = ``ratio`` and nearest-image separation ``delta``."""
     # R_l/rho^3 as (R_l/rho)/rho^2 is finite where rho^3 overflows; /rho/rho/rho where rho^2 is 0
-    rho = math.hypot(query.s, ratio * delta)
+    rho = math.hypot(s, ratio * delta)
     scaled = ratio / rho / (rho * rho) if rho * rho else ratio / rho / rho / rho
     return scaled / (2.0 * math.sqrt(2.0) * math.pi**2)
 
@@ -132,22 +136,22 @@ _FIELDS = operator.attrgetter(*(field.name for field in dataclasses.fields(Model
 
 def _memo(maxsize: int):
     """A bounded ``functools.lru_cache`` of a builder of a ModelParams (and more arguments),
-    keyed on every field's type too.
+    keyed on every field and its type, and built from a ModelParams of those fields.
 
     Equal sets can build different values: an int density 2**600, squared,
     overflows a conversion to float where the equal float gives inf.
     """
     def memoize(build):
         cached = functools.lru_cache(maxsize, typed=True)(
-            lambda params, args, *fields: build(params, *args))
-        memo = functools.wraps(build)(lambda params, *args: cached(params, args, *_FIELDS(params)))
+            lambda args, *fields: build(ModelParams(*fields), *args))
+        memo = functools.wraps(build)(lambda params, *args: cached(args, *_FIELDS(params)))
         memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
         return memo
 
     return memoize
 
 
-# a bound on the parameter sets kept, one float and one ModelParams key each
+# a bound on the parameter sets kept, one float and one key of seven fields each
 @_memo(maxsize=32)
 def _length_ratio(params: ModelParams) -> float:
     """a/xi under mono-metricity, the length ratio R_l of the closed form and the tower."""
@@ -191,6 +195,7 @@ def _level_weights(n_sp: int, delta: int) -> np.ndarray:
 
 
 _CUT_CALLS = 4  # table calls of the branch-cut rule's five steps: steps 1 and 2 share the first
+_CUT_X = 39.0  # past s = sqrt2 X a reach R stops the cut at s R >= X (``_cut_reach``)
 _REL_TOL = 1e-10  # the tolerance of its stop test, relative, over an absolute 1e-15
 
 
@@ -234,55 +239,31 @@ def _cut_table(mus: np.ndarray, n_sp: int, call: int, reach: float):
 
 
 def _cut_reach(s: float) -> float:
-    """sqrt2 2^-m, m >= 0 the octave of s sqrt2/745: the whole cut (of length < sqrt2) below
-    s = 1490/sqrt2, and beyond a reach in [745/s, 1490/s), past which e^(-s u) < 5e-324."""
-    return math.ldexp(math.sqrt(2.0), -max(0, math.frexp(s * (math.sqrt(2.0) / 745.0))[1] - 1))
+    """sqrt2 2^-m, m >= 0 the octave of s sqrt2/X: the whole cut (of length < sqrt2) below
+    s = sqrt2 X, and beyond a reach R in [X/s, 2X/s). The cut's integrand g(u) e^(-su)
+    (``_cut_table``) has g = t sqrt((kappa'^2 - t^2)/(t^2 - kappa^2)) falling with t, so the
+    tail int_R^d = e^(-sR) int_0^(d-R) g(u + R) e^(-su) du is below e^(-sR) <= e^-X of the
+    level. X = 39 is the least whole X with e^-X < eps/16 (1.2e-17 < 1.4e-17): the tail stays
+    under a 64th of the roundoff floor eps sum_l |w_l| I_l (4 + kappa_l s) of the estimate.
+    """
+    return math.ldexp(math.sqrt(2.0), -max(0, math.frexp(s * (math.sqrt(2.0) / _CUT_X))[1] - 1))
 
 
-# a bound on the tables kept, (2 n + 1)(N//2 + 1) floats for a call of n <= 640 nodes: 8
-# tables, each 2.6 MB for steps 1 and 2 (n = 161) and at most 10 MB at N = 1001, 258 MB and
-# at most 1 GB at N = 200,001
+# a bound on the tables kept, (2 n + 1)(N//2 + 1) floats for a call of n nodes: 8 tables of
+# steps 1 and 2 (n = 161) are 10 MB at N = 1001 and 2.1 GB at N = 200,001, one of step 5 4x
 @_memo(maxsize=8)
 def _cut_call(params: ModelParams, call: int, reach: float):
     """``_cut_table`` of the levels of ``params``, built once a call and reach."""
     return _cut_table(_gap_ratios(params), params.species_count, call, reach)
 
 
-def _cut_sums(tables, level_weights: np.ndarray, s: float):
-    """Each step's (sum_l w_l I_l, its roundoff size) at s, [w; |w|] = ``level_weights``.
-
-    A call's table, ``tables(call)``, is read when the stop test asks for its
-    steps: one exp, one product with the level weights and a sum a step. The
-    size is sum_l |w_l| I_l (4 + kappa_l s): each term carries its roundings
-    (2.5 eps sum_l |w_l| I_l at most against long double, 9,000 rows at N <=
-    101 and s in [1e-3, 1e5]), and e^(-kappa s) those of kappa, kappa s times.
-    """
-    sums = 0.0
-    for call in range(_CUT_CALLS):
-        kappa, weights, offsets = tables(call)
-        # s u overflows only where e^(-s u) is 0.0; at s = inf, s kappa is NaN where kappa = 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = np.multiply(offsets, -s)
-            if call == 0:
-                exponent = s * kappa
-                level_weights = level_weights * np.exp(-exponent, where=kappa > 0,
-                                                       out=np.ones(kappa.size))
-                level_weights[1] *= 4.0 + np.fmin(exponent, 746.0)
-        terms = np.exp(terms, out=terms)
-        terms *= weights
-        steps = (0, 81) if call == 0 else (0,)  # where each step's own nodes start
-        for own in np.add.reduceat(level_weights @ terms, steps, axis=1).T:
-            sums = sums / 2.0 + own
-            yield tuple(sums.tolist())
-
-
-def _agree(sums, steps: int, rel_tol: float) -> tuple[float, float]:
+def _agree(sums, steps: int, rel_tol: float) -> tuple[float, float] | None:
     """The first of a rule's nested step sums (value, magnitude) to agree with the one before.
 
-    Two agree within max(min(1e-15, rel_tol), rel_tol * |value|); their difference,
-    at least the roundoff eps * magnitude, is the error. Raises
-    :class:`QuadratureError` (with the last value, and why) if none of the ``steps``
-    agree, they agree only to a roundoff above the tolerance, or a value is not finite.
+    Two agree within max(min(1e-15, rel_tol), rel_tol * |value|); their difference, at least
+    the roundoff eps * magnitude, is the error; None if ``sums`` ends first. Raises
+    :class:`QuadratureError` (with the last value, and why) if none of the ``steps`` agree,
+    they agree only to a roundoff above the tolerance, or a value is not finite.
     """
     abs_tol = min(1e-15, rel_tol)
     value = math.inf  # the first step has no sum to agree with
@@ -296,6 +277,8 @@ def _agree(sums, steps: int, rel_tol: float) -> tuple[float, float]:
             return value, err
         if not math.isfinite(value) or err == roundoff:  # a finer step cannot help
             break
+    if step < steps and math.isfinite(value) and err != roundoff:  # more steps may agree
+        return None
     why = ("got a non-finite sum" if not math.isfinite(value) else
            "reached its roundoff floor" if err == roundoff else "ran out of steps")
     raise QuadratureError(f"quadrature {why} at step {step} of {steps}: error {err:.3g}, "
@@ -307,16 +290,41 @@ def numeric_corr(query: CorrelationQuery) -> tuple[float, float]:
 
     D = sum_l w_l I_l / (2 pi^2 s) over the levels' cut integrals (``_cut_table``). Steps 1
     to 5 (at most 1,281 nodes a level) run until two agree within ``_REL_TOL`` (``_agree``);
-    the estimate is their difference, at least eps times the size of ``_cut_sums``. Raises
-    :class:`QuadratureError` as ``_agree`` does, or where D is not a finite float.
+    the estimate is their difference, at least eps times the size that ``_numeric_row`` gives.
+    Raises :class:`QuadratureError` as ``_agree`` does, or where D is not a finite float.
     """
-    params, s = query.params, query.s
-    reach = _cut_reach(s)
-    integral, err = _agree(_cut_sums(lambda call: _cut_call(params, call, reach),
-                                     _level_weights(params.species_count, query.delta), s),
-                           _CUT_CALLS + 1, _REL_TOL)
-    norm = 2.0 * math.pi**2 * s
-    value, err = integral / norm, err / norm
+    reach = _cut_reach(query.s)
+    return _numeric_row(query.params, reach, _cut_call(query.params, 0, reach),
+                        _level_weights(query.params.species_count, query.delta), query.s)
+
+
+def _numeric_row(params: ModelParams, reach: float, first, level_weights: np.ndarray,
+                 s: float) -> tuple[float, float]:
+    """``numeric_corr`` at s, ``first`` the table ``_cut_call(params, 0, reach)``. A call is one
+    exp, one product with [w e^(-kappa s); |w| e^(-kappa s) (4 + kappa s)] and a sum a step.
+    The size sum_l |w_l| I_l (4 + kappa_l s) bounds the roundoff: each term carries its
+    roundings (2.5 eps sum_l |w_l| I_l at most against long double, 9,000 rows at N <= 101
+    and s in [1e-3, 1e5]), and e^(-kappa s) those of kappa, kappa s times."""
+    if s == math.inf:  # D vanishes; s kappa would be NaN where kappa = 0
+        return 0.0, 0.0
+    kappa, weights, offsets = first
+    exponent = kappa * s
+    scaled = level_weights * np.exp(-exponent)
+    scaled[1] *= 4.0 + exponent  # a size of 0.0 where e^(-kappa s) is, past kappa s = 745
+    sums, total, magnitude = [], 0.0, 0.0
+    for call in range(_CUT_CALLS):
+        if call:
+            weights, offsets = _cut_call(params, call, reach)[1:]
+        terms = np.multiply(offsets, -s)  # s u < 2 X: no overflow
+        np.exp(terms, out=terms)
+        terms *= weights
+        steps = (0, 81) if call == 0 else (0,)  # where each step's own nodes start
+        for own, size in np.add.reduceat(scaled @ terms, steps, axis=1).T.tolist():
+            total, magnitude = total / 2.0 + own, magnitude / 2.0 + size
+            sums.append((total, magnitude))
+        if agreed := _agree(sums, _CUT_CALLS + 1, _REL_TOL):
+            break
+    value, err = (part / (2.0 * math.pi**2 * s) for part in agreed)
     if not (math.isfinite(value) and math.isfinite(err)):
         raise QuadratureError(f"D = {value!r} at s = {s!r} is not a finite float",
                               partial_value=value, error_estimate=err)
@@ -328,20 +336,31 @@ def truncated_corr(query: CorrelationQuery, j_tr: int, weighted: bool = True) ->
 
     Sums the levels |n| = 0..j_tr with the level weights of the numeric mode
     sum; level 0, and a level whose m s underflows to 0, uses the limit m K1(m s)
-    -> 1/s. ``weighted=False`` takes the weights at Delta = 0, the phase-free
-    variant of the sum.
+    -> 1/s; where terms overflow, the sum has the sign of its limit, sum_n w_n/s.
+    ``weighted=False`` takes the weights at Delta = 0, the phase-free variant.
     """
-    n_sp = query.params.species_count
+    return _truncated_row(*_truncated_levels(query.params, query.delta, j_tr, weighted), query.s)
+
+
+def _truncated_levels(params: ModelParams, delta: int, j_tr: int, weighted: bool):
+    """(m_n, w_n) of ``truncated_corr``'s levels n = j_tr..0, and its norm N sqrt2 pi^2."""
+    n_sp = params.species_count
     if not 0 <= j_tr <= (n_sp - 1) // 2:
         raise ValueError(f"j_tr must lie in 0..{(n_sp - 1) // 2}, got {j_tr}")
-    ratio, s = _length_ratio(query.params), query.s
-    weights = _level_weights(n_sp, query.delta if weighted else 0)[0, :j_tr + 1].tolist()
-    masses = [(2.0 * math.pi * n / n_sp) / ratio for n in range(j_tr + 1)]  # level 0 is massless
-    terms = [mass * bessel_k1(mass * s) if mass * s > 0 else 1.0 / s for mass in masses]
+    ratio = _length_ratio(params)
+    weights = _level_weights(n_sp, delta if weighted else 0)[0, j_tr::-1].tolist()
+    masses = [(2.0 * math.pi * n / n_sp) / ratio for n in range(j_tr, -1, -1)]  # level 0: 0
+    return masses, weights, n_sp * math.sqrt(2.0) * math.pi**2
+
+
+def _truncated_row(masses: list, weights: list, norm: float, s: float) -> float:
+    """``truncated_corr`` at s: m K1(m s) falls with m, so the sum adds the smallest first."""
     total = 0.0
-    for n in range(j_tr, -1, -1):  # m K1(m s) falls with m: smallest first, as the sum can cancel
-        total += weights[n] * terms[n]
-    return total / (n_sp * math.sqrt(2.0) * math.pi**2 * s)
+    for mass, weight in zip(masses, weights):
+        total += weight * (mass * bessel_k1(mass * s) if mass * s > 0 else 1.0 / s)
+    if math.isnan(total):  # inf - inf where the terms overflow
+        total = math.inf * sum(weights)
+    return total / (norm * s)
 
 
 def correlation_table(params: ModelParams, s, delta: int, j_tr: int | None = None,
@@ -353,18 +372,24 @@ def correlation_table(params: ModelParams, s, delta: int, j_tr: int | None = Non
     fails reads NaN in ``D_numeric`` and ``D_numeric_err``; any other error
     raises. ``j_tr`` defaults to min(2, (N - 1)//2), the CLI's default too.
     """
-    if j_tr is None:
-        j_tr = min(2, (params.species_count - 1) // 2)
+    n_sp = params.species_count
+    j_tr = min(2, (n_sp - 1) // 2) if j_tr is None else j_tr
     s = np.array(s, dtype=float)
-    rows = []
-    for s_row in s.tolist():
-        query = CorrelationQuery(s=s_row, delta=delta, params=params)
-        analytic, truncated = analytic_corr(query), truncated_corr(query, j_tr, weighted)
+    rows = s.tolist()
+    # a query's checks, at the first s that fails them
+    CorrelationQuery(next((s_row for s_row in rows if not s_row > 0), 1.0), delta, params)
+    ratio, folded = _length_ratio(params), abs(kk_label(delta, n_sp))
+    levels = _truncated_levels(params, delta, j_tr, weighted)
+    level_weights, reach, columns = _level_weights(n_sp, delta), None, []
+    for s_row in rows:
+        if reach != (reach := _cut_reach(s_row)):
+            first = _cut_call(params, 0, reach)
         try:
-            numeric, err = numeric_corr(query)
+            numeric, err = _numeric_row(params, reach, first, level_weights, s_row)
         except QuadratureError:
             numeric = err = math.nan
-        rows.append((analytic, numeric, err, truncated))
-    analytic, numeric, err, truncated = np.array(rows, dtype=float).reshape(-1, 4).T
+        columns.append((_analytic_row(ratio, folded, s_row), numeric, err,
+                        _truncated_row(*levels, s_row)))
+    analytic, numeric, err, truncated = np.array(columns, dtype=float).reshape(-1, 4).T
     return {"s": s, "delta": np.full(s.size, delta), "D_analytic": analytic,
             "D_numeric": numeric, "D_numeric_err": err, "D_truncated": truncated}

@@ -239,6 +239,18 @@ class TestCorrelation:
         [row] = json.loads(out.read_text())
         assert math.isnan(row["D_numeric"]) and row["D_truncated"] == math.inf
 
+    def test_overflowing_truncated_sum_takes_the_sign_of_its_limit(self, tmp_path):
+        # at Delta = N//2 the level weights alternate, and at s = 1e-310 every term ~ 1/s
+        # overflows: the sum is (sum_n w_n)/s -> +inf (the weights sum to +0.653), not inf - inf
+        argv = ["correlation", "--normalized-omega", "0.001", "--species", "9", "--delta", "4",
+                "--s-min", "1e-310", "--s-max", "1e-310", "--s-points", "1"]
+        code, out = run_to_file(tmp_path, "corr.csv", argv)
+        assert code == 0
+        assert out.read_text().splitlines()[1].split(",")[-1] == "inf"
+        code, out = run_to_file(tmp_path, "corr.json", argv + ["--format", "json"])
+        assert code == 0
+        assert '"D_truncated": Infinity' in out.read_text()
+
     @pytest.mark.parametrize("s", ["1e-160", "1e-300"])
     def test_tiny_separation_gets_its_answer(self, tmp_path, s):
         # a cut integral has no eta = u/s to overflow at tiny s; s D is one constant a Delta.

@@ -495,10 +495,10 @@ class TestNumericCorrelator:
                   for s in (1e-30, 1e-100, 1e-160, 1e-300)]
         assert values == pytest.approx([6.6314559621623095e-3] * 4, rel=1e-15)
 
-    @pytest.mark.parametrize("s", [1e292, 1e300, 1.7976931348623157e308])
+    @pytest.mark.parametrize("s", [1e292, 1e300, 1.7976931348623157e308, math.inf])
     def test_vanishes_at_the_largest_separations(self, s):
-        # the cut's reach, about 745/s, is subnormal or 0, and so is D ~ 1/s^2:
-        # no table entry may be NaN there
+        # the cut's reach, about 39/s, is subnormal or 0, and so is D ~ 1/s^2:
+        # no table entry may be NaN there, nor s kappa at s = inf
         value, err = numeric_corr(CorrelationQuery(s=s, delta=1, params=normalized_params(1e-3, 9)))
         assert (value, err) == (0.0, 0.0)
 
@@ -624,8 +624,9 @@ class TestBranchCutRule:
         assert abs(value - reference) <= self.AGREEMENT * (err + reference_err)
 
     @staticmethod
-    def _exact_level(mu: float, s: float) -> float:
-        """I(s) = int_kappa^kappa' t e^(-t s) sqrt((kappa'^2 - t^2)/(t^2 - kappa^2)) dt, 30 digits."""
+    def _exact_level(mu: float, s: float, decay: bool = True) -> float:
+        """I(s) = int_kappa^kappa' t e^(-t s) sqrt((kappa'^2 - t^2)/(t^2 - kappa^2)) dt, 30 digits;
+        without its decay e^(-kappa s) if not ``decay``."""
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             mu, s = mpmath.mpf(mu), mpmath.mpf(s)
@@ -640,21 +641,40 @@ class TestBranchCutRule:
 
             # break points where e^(-s u) has fallen by e^-1, e^-10, ...: the boundary layer
             cuts = [x / s for x in (1, 10, 100, 1000) if x / s < length]
-            return float(mpmath.exp(-s * kappa) * mpmath.quad(integrand, [0, *cuts, length]))
+            scale = mpmath.exp(-s * kappa) if decay else 1
+            return float(scale * mpmath.quad(integrand, [0, *cuts, length]))
+
+    # where the cut's reach drops the most: s R = X exactly (R = sqrt2/16), and the first s
+    # past sqrt2 X, whose reach sqrt2/2 halves the whole cut
+    AT_X = correlation._CUT_X / math.ldexp(math.sqrt(2.0), -4)
+    PAST_WHOLE = math.nextafter(math.sqrt(2.0) * correlation._CUT_X, math.inf)
 
     @pytest.mark.parametrize("mu, s", [
         (0.0, 1e-2), (0.0, 1.0), (0.0, 1e3), (0.0, 1e4), (0.0, 1e6),
         (1e-3, 1.0), (1e-3, 1e3), (1e-3, 1e4), (1e-3, 1e5), (1e-5, 1e4), (1e-5, 1e6),
-        (0.3, 1e-2), (0.3, 30.0), (0.3, 1e3), (1.0 - 2.0**-20, 1.0), (1.0 - 2.0**-20, 300.0)])
-    def test_single_levels_against_mpmath(self, mu, s):
-        # one level, weighted by 1/exact: the stop test reads its relative error, whatever
-        # e^(-kappa s); that carries kappa's rounding kappa s times, 207 at (0.3, 1e3)
-        exact = self._exact_level(mu, s)
+        (0.3, 1e-2), (0.3, 30.0), (0.3, 1e3), (1.0 - 2.0**-20, 1.0), (1.0 - 2.0**-20, 300.0),
+        *((mu, s) for s in (AT_X, PAST_WHOLE, 1e4) for mu in (0.0, 1e-5, 1e-3, 0.3, 1.0 - 2.0**-20)
+          if (mu, s) not in ((0.0, 1e4), (1e-3, 1e4), (1e-5, 1e4)))])
+    def test_single_levels_against_mpmath(self, monkeypatch, mu, s):
+        # one level at a tolerance of 1e-12, weighted by 2 pi^2 s over its exact value so that
+        # the row reads its relative error: with its decay e^(-kappa s), which carries kappa's
+        # rounding kappa s times (207 at (0.3, 1e3)), and as the cut sum e^(kappa s) I alone
+        # (kappa = 0 in the table), all that is left to check where the decay underflows
+        monkeypatch.setattr(correlation, "_REL_TOL", 1e-12)
         reach = correlation._cut_reach(s)
-        sums = correlation._cut_sums(lambda call: correlation._cut_table(np.array([mu]), 1, call, reach),
-                                     np.full((2, 1), 1.0 / exact), s)
-        value, err = correlation._agree(sums, correlation._CUT_CALLS + 1, 1e-12)
-        assert abs(value - 1.0) <= err <= 1e-12
+        for decay in (True, False):
+            exact = self._exact_level(mu, s, decay)
+            if exact == 0.0:  # e^(-kappa s) underflows: (0.3, 1e4) and (1 - 2^-20, 1e4)
+                continue
+
+            def level(params, call, reach):
+                kappa, weights, offsets = correlation._cut_table(np.array([mu]), 1, call, reach)
+                return kappa * decay, weights, offsets
+
+            monkeypatch.setattr(correlation, "_cut_call", level)
+            value, err = correlation._numeric_row(None, reach, level(None, 0, reach),
+                                                  np.full((2, 1), 2.0 * math.pi**2 * s / exact), s)
+            assert abs(value - 1.0) <= err <= 1e-12, decay
 
     def test_where_the_eta_domain_estimate_falls_short(self):
         # |Omega|/nU = 0.9, N = 51, Delta = 0 at s = 11.48 of the default grid: the eta-domain
@@ -677,7 +697,7 @@ class TestBranchCutRule:
            n_sp=st.integers(1, 500).map(lambda k: 2 * k + 1),
            log_s=st.floats(-300.0, 308.25), call=st.integers(0, 3))
     def test_property_table_entries_are_finite(self, log_ratio, n_sp, log_s, call):
-        # |Omega|/nU down to 5e-324 and reaches down to about 745/1.8e308: no entry may be
+        # |Omega|/nU down to 5e-324 and reaches down to about 39/1.8e308: no entry may be
         # NaN, inf or negative where kappa, t - kappa or the reach underflow
         params = normalized_params(10.0**log_ratio, n_sp)
         table = correlation._cut_call(params, call, correlation._cut_reach(10.0**log_s))
@@ -743,26 +763,18 @@ def test_evaluation_count_gate(monkeypatch, cold_memos, n_sp, s, delta):
     assert (memo.cache_info().currsize, memo.cache_info().hits) == (1, 1)
 
 
-@pytest.mark.parametrize("n_sp, s", [(9, 1.2), (9, 2.0), (9, 4.0), (51, 4.0), (51, 40.0)])
+@pytest.mark.parametrize("n_sp, s", [(9, 1.2), (9, 2.0), (9, 4.0), (51, 4.0), (51, 40.0),
+                                     (51, 56.0), (51, 100.0), (51, 150.0), (51, 250.0),
+                                     (51, 400.0)])
 def test_benchmark_rows_take_one_integrand_call(monkeypatch, cold_memos, n_sp, s):
-    # rows in the ranges of both correlator benchmarks stop at step 2 (corr-wideN's up
-    # to s ~ 90), so each reads one table call, of the 161 joined nodes of steps 1 and 2
+    # rows in the ranges of both correlator benchmarks stop at step 2, so each reads one
+    # table call, of the 161 joined nodes of steps 1 and 2: past s = sqrt2 X the cut stops
+    # at s R < 2X, so the boundary layer e^(-s u) spans the same nodes at every s
     params = normalized_params(1e-3, n_sp)
     calls = _table_calls(monkeypatch)
     for delta in (0, 1, n_sp // 2):
         numeric_corr(CorrelationQuery(s=s, delta=delta, params=params))
     assert calls == [161] * 3
-
-
-@pytest.mark.parametrize("n_sp, s", [(51, 150.0), (51, 400.0)])
-def test_far_wide_rows_take_step_three(monkeypatch, cold_memos, n_sp, s):
-    # corr-wideN's rows from s = 150 up (about a quarter of them) agree only at step 3:
-    # the boundary layer e^(-s u), of width 1/s, is too thin for step 1
-    params = normalized_params(1e-3, n_sp)
-    calls = _table_calls(monkeypatch)
-    for delta in (0, 1, n_sp // 2):
-        numeric_corr(CorrelationQuery(s=s, delta=delta, params=params))
-    assert calls == [161, 160] * 3
 
 
 def test_overflowing_integrand_fails_fast(monkeypatch, cold_memos):
@@ -789,12 +801,20 @@ class TestStepCalls:
             offsets = np.sort(np.concatenate([table[2][0] for table in tables[:call + 1]]))
             assert offsets == pytest.approx(expected, rel=1e-15, abs=0.0)
 
-    @pytest.mark.parametrize("s, expected", [(40.0, [161]), (0.01, [161]), (400.0, [161, 160])])
+    @pytest.mark.parametrize("s, expected", [(40.0, [161]), (0.01, [161]), (400.0, [161])])
     def test_calls_of_a_row(self, monkeypatch, cold_memos, s, expected):
         # 81 + 80 nodes for steps 1 and 2, then the 160 of step 3
         calls = _table_calls(monkeypatch)
         numeric_corr(CorrelationQuery(s=s, delta=1, params=normalized_params(1e-3, 9)))
         assert calls == expected
+
+    def test_a_cancelling_row_reads_step_three(self, monkeypatch, cold_memos):
+        # at |Omega|/nU = 1e-6 the weights at Delta = N//2 cancel the level sum to 1.8e-8 of
+        # its size, 2.4: steps 1 and 2 differ by 8e-15, above the absolute tolerance of 1e-15,
+        # and step 3 agrees
+        calls = _table_calls(monkeypatch)
+        numeric_corr(CorrelationQuery(s=1.0, delta=4, params=normalized_params(1e-6, 9)))
+        assert calls == [161, 160]
 
 
 class TestTruncatedCorrelator:
@@ -963,8 +983,8 @@ class TestLevelBasisMemo:
             assert memo.cache_info().maxsize is not None
 
     def test_rows_of_one_octave_share_their_tables(self, monkeypatch, cold_memos):
-        # rows below s = 2 * 745/sqrt2 take the whole cut; past it each octave of s stops the
-        # cut at one reach in [745/s, 1490/s), where e^(-s u) is below 5e-324
+        # rows below s = sqrt2 X take the whole cut; past it each octave of s stops the cut at
+        # one reach in [X/s, 2X/s), where e^(-s u) is below e^-X
         reaches = {}
         cut_call = correlation._cut_call
 
@@ -973,14 +993,16 @@ class TestLevelBasisMemo:
             return cut_call(params, call, reach)
 
         monkeypatch.setattr(correlation, "_cut_call", recorded)
-        far = (1100.0, 1500.0, 2200.0, 1e5, 1e150, 1e300)
-        for s in (1e-300, 2.0, 526.0, 1053.0) + far:
+        x = correlation._CUT_X
+        whole = (1e-300, 2.0, 27.0, math.sqrt(2.0) * x - 1e-13)
+        far = (math.sqrt(2.0) * x, 56.0, 100.0, 2200.0, 1e5, 1e150, 1e300, 1.7976931348623157e308)
+        for s in whole + far:
             numeric_corr(CorrelationQuery(s=s, delta=1, params=self.PARAMS))
         assert all(len(row) == 1 for row in reaches.values())
         reach = {s: row.pop() for s, row in reaches.items()}
-        assert [reach[s] for s in (1e-300, 2.0, 526.0, 1053.0)] == [math.sqrt(2.0)] * 4
-        assert all(745.0 <= reach[s] * s < 1490.0 for s in far)
-        assert reach[1100.0] == reach[1500.0] == math.sqrt(2.0) / 2
+        assert [reach[s] for s in whole] == [math.sqrt(2.0)] * 4
+        assert all(x <= reach[s] * s < 2.0 * x for s in far)
+        assert reach[math.sqrt(2.0) * x] == reach[100.0] == math.sqrt(2.0) / 2
 
     def test_one_cache_per_table(self):
         # the rule's steps live only in its call tables, the weights only in [w, |w|]
@@ -1051,20 +1073,23 @@ class TestLevelBasisMemo:
         # parameter set build its gap ratios, its scales and each table call it reads once
         gap_builds = _counted(monkeypatch, "rest_energy_sq")
         scale_builds = _counted(monkeypatch, "derive_scales")
-        table_builds = _counted(monkeypatch, "_cut_table")
+        table_builds, cut_table = [], correlation._cut_table
+        monkeypatch.setattr(correlation, "_cut_table", lambda mus, n_sp, call, reach:
+                            table_builds.append((call, reach)) or cut_table(mus, n_sp, call, reach))
         params, delta = normalized_params(1e-3, 51), 3
         table = correlation_table(params, np.logspace(math.log10(4.0), math.log10(400.0), 25),
                                   delta)
         assert not np.isnan(table["D_numeric"]).any()
-        # the 26 x 161 entries of steps 1-2 and the 26 x 160 of step 3 (rows from s ~ 90),
-        # once for the 25 rows, not once a row
-        assert table_builds[0] == 2
+        # the 26 x 161 entries of steps 1-2 once a reach, for the 25 rows, not once a row: the
+        # whole cut, then one reach an octave from s = sqrt2 X (X = 39), [55, 110), [110, 221)
+        # and [221, 441); no row reads the 160 nodes of step 3
+        assert table_builds == [(0, math.sqrt(2.0) / 2**m) for m in range(4)]
         for s in np.linspace(5.0, 50.0, 10).tolist():
             query = CorrelationQuery(s=s, delta=delta, params=normalized_params(1e-3, 51))
             numeric_corr(query)
             truncated_corr(query, 2)
             analytic_corr(query)
-        assert (gap_builds[0], scale_builds[0], table_builds[0]) == (1, 1, 2)
+        assert (gap_builds[0], scale_builds[0], len(table_builds)) == (1, 1, 4)
 
 
 class TestCrossChecks:
