@@ -257,13 +257,13 @@ def _cut_call(params: ModelParams, call: int, reach: float):
     return _cut_table(_gap_ratios(params), params.species_count, call, reach)
 
 
-def _agree(sums, steps: int, rel_tol: float) -> tuple[float, float] | None:
+def _agree(sums, steps: int, rel_tol: float) -> tuple[float, float]:
     """The first of a rule's nested step sums (value, magnitude) to agree with the one before.
 
     Two agree within max(min(1e-15, rel_tol), rel_tol * |value|); their difference, at least
-    the roundoff eps * magnitude, is the error; None if ``sums`` ends first. Raises
-    :class:`QuadratureError` (with the last value, and why) if none of the ``steps`` agree,
-    they agree only to a roundoff above the tolerance, or a value is not finite.
+    the roundoff eps * magnitude, is the error. Raises :class:`QuadratureError` (with the
+    last value, and why) if none of the ``steps`` agree, they agree only to a roundoff above
+    the tolerance, or a value is not finite.
     """
     abs_tol = min(1e-15, rel_tol)
     value = math.inf  # the first step has no sum to agree with
@@ -277,8 +277,6 @@ def _agree(sums, steps: int, rel_tol: float) -> tuple[float, float] | None:
             return value, err
         if not math.isfinite(value) or err == roundoff:  # a finer step cannot help
             break
-    if step < steps and math.isfinite(value) and err != roundoff:  # more steps may agree
-        return None
     why = ("got a non-finite sum" if not math.isfinite(value) else
            "reached its roundoff floor" if err == roundoff else "ran out of steps")
     raise QuadratureError(f"quadrature {why} at step {step} of {steps}: error {err:.3g}, "
@@ -293,38 +291,39 @@ def numeric_corr(query: CorrelationQuery) -> tuple[float, float]:
     the estimate is their difference, at least eps times the size that ``_numeric_row`` gives.
     Raises :class:`QuadratureError` as ``_agree`` does, or where D is not a finite float.
     """
-    reach = _cut_reach(query.s)
-    return _numeric_row(query.params, reach, _cut_call(query.params, 0, reach),
+    return _numeric_row(query.params, _cut_reach(query.s),
                         _level_weights(query.params.species_count, query.delta), query.s)
 
 
-def _numeric_row(params: ModelParams, reach: float, first, level_weights: np.ndarray,
+def _numeric_row(params: ModelParams, reach: float, level_weights: np.ndarray,
                  s: float) -> tuple[float, float]:
-    """``numeric_corr`` at s, ``first`` the table ``_cut_call(params, 0, reach)``. A call is one
-    exp, one product with [w e^(-kappa s); |w| e^(-kappa s) (4 + kappa s)] and a sum a step.
-    The size sum_l |w_l| I_l (4 + kappa_l s) bounds the roundoff: each term carries its
-    roundings (2.5 eps sum_l |w_l| I_l at most against long double, 9,000 rows at N <= 101
-    and s in [1e-3, 1e5]), and e^(-kappa s) those of kappa, kappa s times."""
+    """``numeric_corr`` at s. A call's table, ``_cut_call(params, call, reach)``, is read when
+    ``_agree`` asks for its steps: one exp, one product with [w e^(-kappa s); |w| e^(-kappa s)
+    (4 + kappa s)] and a sum a step. The size sum_l |w_l| I_l (4 + kappa_l s) bounds the
+    roundoff: each term carries its roundings (2.5 eps sum_l |w_l| I_l at most against long
+    double, 9,000 rows at N <= 101 and s in [1e-3, 1e5]), and e^(-kappa s) those of kappa,
+    kappa s times."""
     if s == math.inf:  # D vanishes; s kappa would be NaN where kappa = 0
         return 0.0, 0.0
-    kappa, weights, offsets = first
-    exponent = kappa * s
-    scaled = level_weights * np.exp(-exponent)
-    scaled[1] *= 4.0 + exponent  # a size of 0.0 where e^(-kappa s) is, past kappa s = 745
-    sums, total, magnitude = [], 0.0, 0.0
-    for call in range(_CUT_CALLS):
-        if call:
-            weights, offsets = _cut_call(params, call, reach)[1:]
-        terms = np.multiply(offsets, -s)  # s u < 2 X: no overflow
-        np.exp(terms, out=terms)
-        terms *= weights
-        steps = (0, 81) if call == 0 else (0,)  # where each step's own nodes start
-        for own, size in np.add.reduceat(scaled @ terms, steps, axis=1).T.tolist():
-            total, magnitude = total / 2.0 + own, magnitude / 2.0 + size
-            sums.append((total, magnitude))
-        if agreed := _agree(sums, _CUT_CALLS + 1, _REL_TOL):
-            break
-    value, err = (part / (2.0 * math.pi**2 * s) for part in agreed)
+
+    def step_sums():
+        total = magnitude = 0.0
+        for call in range(_CUT_CALLS):
+            kappa, weights, offsets = _cut_call(params, call, reach)
+            if call == 0:
+                exponent = kappa * s
+                scaled = level_weights * np.exp(-exponent)
+                scaled[1] *= 4.0 + exponent  # 0.0 where e^(-kappa s) is, past kappa s = 745
+            terms = np.multiply(offsets, -s)  # s u < 2 X: no overflow
+            np.exp(terms, out=terms)
+            terms *= weights
+            steps = (0, 81) if call == 0 else (0,)  # where each step's own nodes start
+            for own, size in np.add.reduceat(scaled @ terms, steps, axis=1).T.tolist():
+                total, magnitude = total / 2.0 + own, magnitude / 2.0 + size
+                yield total, magnitude
+
+    norm = 2.0 * math.pi**2 * s
+    value, err = (part / norm for part in _agree(step_sums(), _CUT_CALLS + 1, _REL_TOL))
     if not (math.isfinite(value) and math.isfinite(err)):
         raise QuadratureError(f"D = {value!r} at s = {s!r} is not a finite float",
                               partial_value=value, error_estimate=err)
@@ -380,12 +379,10 @@ def correlation_table(params: ModelParams, s, delta: int, j_tr: int | None = Non
     CorrelationQuery(next((s_row for s_row in rows if not s_row > 0), 1.0), delta, params)
     ratio, folded = _length_ratio(params), abs(kk_label(delta, n_sp))
     levels = _truncated_levels(params, delta, j_tr, weighted)
-    level_weights, reach, columns = _level_weights(n_sp, delta), None, []
+    level_weights, columns = _level_weights(n_sp, delta), []
     for s_row in rows:
-        if reach != (reach := _cut_reach(s_row)):
-            first = _cut_call(params, 0, reach)
         try:
-            numeric, err = _numeric_row(params, reach, first, level_weights, s_row)
+            numeric, err = _numeric_row(params, _cut_reach(s_row), level_weights, s_row)
         except QuadratureError:
             numeric = err = math.nan
         columns.append((_analytic_row(ratio, folded, s_row), numeric, err,

@@ -672,7 +672,7 @@ class TestBranchCutRule:
                 return kappa * decay, weights, offsets
 
             monkeypatch.setattr(correlation, "_cut_call", level)
-            value, err = correlation._numeric_row(None, reach, level(None, 0, reach),
+            value, err = correlation._numeric_row(None, reach,
                                                   np.full((2, 1), 2.0 * math.pi**2 * s / exact), s)
             assert abs(value - 1.0) <= err <= 1e-12, decay
 
