@@ -5,11 +5,15 @@ whose D_numeric overflows or whose quadrature steps never agree at their one
 tolerance (the row reads NaN), 5 oracle mismatch. ``_report`` prints a
 document's violations once, a mono-metric request that n*U' = -Omega fails
 included: ``validate`` reports them, and ``tower``, ``dispersion`` and
-``correlation`` refuse the document (exit 2). stderr is for humans;
+``correlation`` refuse the document (exit 2). Each parameter set, regime and
+mono flag is validated once, into a bounded memo (``_checked``, 32 entries);
+the violations print on every call. stderr is for humans;
 files and stdout carry only machine-readable output. Floats are rendered with
 ``repr`` (shortest round-trip form), so identical inputs produce byte-identical
-outputs. One cell formatter, ``_texts``, renders a column at a time, and one row
-writer, ``_write_rows``, writes ``tower``'s and ``correlation``'s rows. ``tower``
+outputs. One cell formatter, ``_texts``, renders a column at a time, or a
+``correlation`` row of Python scalars as ``correlation._rows`` yields it, with no
+column arrays between (they are built only for ``--svg``); one row writer,
+``_write_rows``, writes ``tower``'s and ``correlation``'s rows. ``tower``
 and ``dispersion`` format each Kaluza-Klein level's cells once for both of its
 modes j and N - j (``dispersion`` writes each mode's block as one join of its
 level's rows), and ``validate`` its mode constraints a column at a time. JSON
@@ -57,9 +61,10 @@ _json_string = json.encoder.encode_basestring_ascii  # json.dumps of a str, in C
 _NOTES = [(note, _json_string(note)) for note in ("ok", "warn", "reject")]  # on a mode's constraint
 
 
-def _texts(values: np.ndarray, spell: dict) -> list[str]:
-    """``repr`` of each value of a 1-D float or int array, spelled as ``spell`` says."""
-    texts = list(map(repr, values.tolist()))
+def _texts(values, spell: dict) -> list[str]:
+    """``repr`` of each value of a 1-D float or int array, or of a sequence of Python floats
+    and ints, spelled as ``spell`` says."""
+    texts = list(map(repr, values.tolist() if isinstance(values, np.ndarray) else values))
     return [spell.get(text, text) for text in texts] if spell else texts
 
 
@@ -177,14 +182,23 @@ def _log_grid(low: float, high: float, points: int) -> np.ndarray:
     return grid
 
 
-def _report(params: model.ModelParams, regime: str, mono: bool) -> model.ValidationReport:
+# a bound on the reports kept, one per parameter set, regime and mono flag, each a few
+# violations: 32 entries
+@model._memo(maxsize=32)
+def _checked(params: model.ModelParams, regime: str, mono: bool) -> model.ValidationReport:
     """The model's violations in ``regime``, and a mono_metricity error where a document asks
-    for mono-metric scales that n*U' = -Omega does not give; each is printed once."""
+    for mono-metric scales that n*U' = -Omega does not give."""
     report = model.validate(params, regime)
     if mono and not model.check_mono_metricity(params):
         message = model.MONO_METRIC_ERROR.format(params.nUprime, params.rabi)
         report = model.ValidationReport(
             (*report.violations, model.Violation("mono_metricity", message, "error")))
+    return report
+
+
+def _report(params: model.ModelParams, regime: str, mono: bool) -> model.ValidationReport:
+    """``_checked``'s report, each violation printed once, on every call."""
+    report = _checked(params, regime, mono)
     for violation in report.violations:
         print(f"{violation.severity}: {violation.constraint}: {violation.message}",
               file=sys.stderr)
@@ -290,14 +304,15 @@ def cmd_correlation(args) -> int:
     if not mono:
         raise ValueError("correlation requires mono_metric parameters")
     svals = _log_grid(args.s_min, args.s_max, args.s_points)
-    table = correlation.correlation_table(params, svals, args.delta, args.j_tr,
-                                          not args.unweighted_truncation)
+    rows = list(correlation._rows(params, svals, args.delta, args.j_tr,
+                                  not args.unweighted_truncation))
     spell = _JSON_SPELLING if args.format == "json" else {}
-    cells = {name: _texts(column, spell) for name, column in table.items()}
-    _write_rows(args.out, table, zip(*cells.values()), args.format)
-    _maybe_svg(args, table["s"], {name: table["D_" + name]
-                                  for name in ("analytic", "numeric", "truncated")})
-    return EXIT_QUADRATURE if spell.get("nan", "nan") in cells["D_numeric"] else EXIT_OK
+    _write_rows(args.out, correlation._COLUMNS, [tuple(_texts(row, spell)) for row in rows],
+                args.format)
+    if args.svg:
+        s, _, analytic, numeric, _, truncated = np.array(rows, dtype=float).T
+        _maybe_svg(args, s, {"analytic": analytic, "numeric": numeric, "truncated": truncated})
+    return EXIT_QUADRATURE if any(math.isnan(row[3]) for row in rows) else EXIT_OK
 
 
 def cmd_oracle_check(args) -> int:

@@ -25,25 +25,29 @@ amplitude, from its decay mass kappa to kappa', as one positive integral
 is one exp over the (N//2 + 1, 161) table of steps 1 and 2 at every s, and a
 later step is read only where the stop test (``_agree``) needs it.
 
-``correlation_table`` evaluates all three over an s grid at one Delta, by the
-row code of each public function, and returns the columns of ``correlation``.
-Each basis is built once, into one bounded cache of read-only values: per
-``ModelParams`` the gap ratios, a/xi and the branch-cut tables of each call
-and reach; and the level table per (N, Delta). Errors are not cached.
+``_rows`` evaluates all three over an s grid at one Delta, by the row code of
+each public function, and yields each row as a tuple of Python scalars, which
+the ``correlation`` command formats straight to text; ``correlation_table``
+stacks the same rows into columns. Each basis is built once, into one bounded
+cache of read-only values: per ``ModelParams`` the gap ratios, a/xi, the
+branch-cut tables of each call and reach, and the truncated levels of each
+weighting Delta and j_tr as tuples; and the level table per (N, Delta). The
+caches key on every field and its type (``model._memo``); a set with a zero
+field, whose sign its hash does not see, is built on every call. Errors are
+not cached.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError, StabilityError, ValidityError
-from .model import MONO_METRIC_ERROR, ModelParams, check_mono_metricity, derive_scales, kk_label
+from .model import (MONO_METRIC_ERROR, ModelParams, _memo, check_mono_metricity, derive_scales,
+                    kk_label)
 from .spectrum import rest_energy_sq
 
 # ---------------------------------------------------------------------------
@@ -129,26 +133,6 @@ def _analytic_row(ratio: float, delta: int, s: float) -> float:
     rho = math.hypot(s, ratio * delta)
     scaled = ratio / rho / (rho * rho) if rho * rho else ratio / rho / rho / rho
     return scaled / (2.0 * math.sqrt(2.0) * math.pi**2)
-
-
-_FIELDS = operator.attrgetter(*(field.name for field in dataclasses.fields(ModelParams)))
-
-
-def _memo(maxsize: int):
-    """A bounded ``functools.lru_cache`` of a builder of a ModelParams (and more arguments),
-    keyed on every field and its type, and built from a ModelParams of those fields.
-
-    Equal sets can build different values: an int density 2**600, squared,
-    overflows a conversion to float where the equal float gives inf.
-    """
-    def memoize(build):
-        cached = functools.lru_cache(maxsize, typed=True)(
-            lambda args, *fields: build(ModelParams(*fields), *args))
-        memo = functools.wraps(build)(lambda params, *args: cached(args, *_FIELDS(params)))
-        memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
-        return memo
-
-    return memoize
 
 
 # a bound on the parameter sets kept, one float and one key of seven fields each
@@ -338,21 +322,26 @@ def truncated_corr(query: CorrelationQuery, j_tr: int, weighted: bool = True) ->
     -> 1/s; where terms overflow, the sum has the sign of its limit, sum_n w_n/s.
     ``weighted=False`` takes the weights at Delta = 0, the phase-free variant.
     """
-    return _truncated_row(*_truncated_levels(query.params, query.delta, j_tr, weighted), query.s)
+    levels = _truncated_levels(query.params, query.delta if weighted else 0, j_tr)
+    return _truncated_row(*levels, query.s)
 
 
-def _truncated_levels(params: ModelParams, delta: int, j_tr: int, weighted: bool):
-    """(m_n, w_n) of ``truncated_corr``'s levels n = j_tr..0, and its norm N sqrt2 pi^2."""
+# a bound on the levels kept, 2 (j_tr + 1) floats per parameter set, Delta and j_tr: 128
+# entries, as many as level tables
+@_memo(maxsize=128)
+def _truncated_levels(params: ModelParams, delta: int, j_tr: int):
+    """(m_n, w_n) of ``truncated_corr``'s levels n = j_tr..0, weighted at ``delta`` (0 for
+    the unweighted sum), as tuples, and its norm N sqrt2 pi^2."""
     n_sp = params.species_count
     if not 0 <= j_tr <= (n_sp - 1) // 2:
         raise ValueError(f"j_tr must lie in 0..{(n_sp - 1) // 2}, got {j_tr}")
     ratio = _length_ratio(params)
-    weights = _level_weights(n_sp, delta if weighted else 0)[0, j_tr::-1].tolist()
-    masses = [(2.0 * math.pi * n / n_sp) / ratio for n in range(j_tr, -1, -1)]  # level 0: 0
+    weights = tuple(_level_weights(n_sp, delta)[0, j_tr::-1].tolist())
+    masses = tuple((2.0 * math.pi * n / n_sp) / ratio for n in range(j_tr, -1, -1))  # level 0: 0
     return masses, weights, n_sp * math.sqrt(2.0) * math.pi**2
 
 
-def _truncated_row(masses: list, weights: list, norm: float, s: float) -> float:
+def _truncated_row(masses: tuple, weights: tuple, norm: float, s: float) -> float:
     """``truncated_corr`` at s: m K1(m s) falls with m, so the sum adds the smallest first."""
     total = 0.0
     for mass, weight in zip(masses, weights):
@@ -360,6 +349,33 @@ def _truncated_row(masses: list, weights: list, norm: float, s: float) -> float:
     if math.isnan(total):  # inf - inf where the terms overflow
         total = math.inf * sum(weights)
     return total / (norm * s)
+
+
+_COLUMNS = ("s", "delta", "D_analytic", "D_numeric", "D_numeric_err", "D_truncated")
+
+
+def _rows(params: ModelParams, s, delta: int, j_tr: int | None, weighted: bool):
+    """Yield ``correlation_table``'s rows, one per s in the order given, each a tuple of
+    Python floats (and ``delta`` as given) in the order of ``_COLUMNS``.
+
+    The checks and the table's basis come before the first row; a row whose quadrature
+    fails reads NaN in ``D_numeric`` and ``D_numeric_err``, and any other error raises.
+    """
+    n_sp = params.species_count
+    j_tr = min(2, (n_sp - 1) // 2) if j_tr is None else j_tr
+    rows = np.array(s, dtype=float).tolist()
+    # a query's checks, at the first s that fails them
+    CorrelationQuery(next((s_row for s_row in rows if not s_row > 0), 1.0), delta, params)
+    ratio, folded = _length_ratio(params), abs(kk_label(delta, n_sp))
+    levels = _truncated_levels(params, delta if weighted else 0, j_tr)
+    level_weights = _level_weights(n_sp, delta)
+    for s_row in rows:
+        try:
+            numeric, err = _numeric_row(params, _cut_reach(s_row), level_weights, s_row)
+        except QuadratureError:
+            numeric = err = math.nan
+        yield (s_row, delta, _analytic_row(ratio, folded, s_row), numeric, err,
+               _truncated_row(*levels, s_row))
 
 
 def correlation_table(params: ModelParams, s, delta: int, j_tr: int | None = None,
@@ -371,22 +387,7 @@ def correlation_table(params: ModelParams, s, delta: int, j_tr: int | None = Non
     fails reads NaN in ``D_numeric`` and ``D_numeric_err``; any other error
     raises. ``j_tr`` defaults to min(2, (N - 1)//2), the CLI's default too.
     """
-    n_sp = params.species_count
-    j_tr = min(2, (n_sp - 1) // 2) if j_tr is None else j_tr
     s = np.array(s, dtype=float)
-    rows = s.tolist()
-    # a query's checks, at the first s that fails them
-    CorrelationQuery(next((s_row for s_row in rows if not s_row > 0), 1.0), delta, params)
-    ratio, folded = _length_ratio(params), abs(kk_label(delta, n_sp))
-    levels = _truncated_levels(params, delta, j_tr, weighted)
-    level_weights, columns = _level_weights(n_sp, delta), []
-    for s_row in rows:
-        try:
-            numeric, err = _numeric_row(params, _cut_reach(s_row), level_weights, s_row)
-        except QuadratureError:
-            numeric = err = math.nan
-        columns.append((_analytic_row(ratio, folded, s_row), numeric, err,
-                        _truncated_row(*levels, s_row)))
-    analytic, numeric, err, truncated = np.array(columns, dtype=float).reshape(-1, 4).T
-    return {"s": s, "delta": np.full(s.size, delta), "D_analytic": analytic,
-            "D_numeric": numeric, "D_numeric_err": err, "D_truncated": truncated}
+    rows = list(_rows(params, s, delta, j_tr, weighted))
+    columns = np.array(rows, dtype=float).reshape(-1, len(_COLUMNS)).T
+    return {"s": s, "delta": np.full(s.size, delta), **dict(zip(_COLUMNS[2:], columns[2:]))}

@@ -9,7 +9,10 @@ carries units beyond the documented powers of energy/length.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +75,37 @@ class ModelParams:
     def alphas(self) -> np.ndarray:
         """Internal Fourier angles alpha_j = 2*pi*j/N for j = 0..N-1."""
         return 2.0 * np.pi * np.arange(self.species_count) / self.species_count
+
+
+_FIELDS = operator.attrgetter(*(field.name for field in dataclasses.fields(ModelParams)))
+_FIELD_COUNT = len(dataclasses.fields(ModelParams))
+
+
+def _memo(maxsize: int):
+    """A bounded ``functools.lru_cache`` of a builder of a ModelParams (and more arguments),
+    keyed on every field and argument and the type of each, and built from a ModelParams of
+    those fields. A set with a zero field is built on every call.
+
+    Equal sets can build different values: an int density 2**600, squared,
+    overflows a conversion to float where the equal float gives inf, and a
+    message prints -0.0 where the equal 0.0, of the same hash, prints 0.0.
+    No builder takes more than two arguments: a key of 20 items (7 fields and 3
+    arguments, and their types) would hold 400 kB on CPython 3.11, which keeps
+    up to 2,000 freed 20-item tuples on a free list that it never takes from.
+    """
+    def memoize(build):
+        cached = functools.lru_cache(maxsize, typed=True)(
+            lambda *key: build(ModelParams(*key[:_FIELD_COUNT]), *key[_FIELD_COUNT:]))
+
+        @functools.wraps(build)
+        def memo(params, *args):
+            fields = _FIELDS(params)
+            return build(params, *args) if 0 in fields else cached(*fields, *args)
+
+        memo.cache_info, memo.cache_clear = cached.cache_info, cached.cache_clear
+        return memo
+
+    return memoize
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 from scipy.integrate import IntegrationWarning
 
-from kkbec import correlation
+from kkbec import cli, correlation
 from kkbec.model import ModelParams
 
 
@@ -52,11 +52,13 @@ def n3_params():
 
 @pytest.fixture
 def cold_memos():
-    """Every memo of ``kkbec.correlation``, emptied before and after the test.
+    """Every memo of ``kkbec.correlation``, and the CLI's report memo, emptied before and
+    after the test.
 
     Counts of what a test builds then do not depend on the order tests run in.
     """
     memos = [value for value in vars(correlation).values() if hasattr(value, "cache_clear")]
+    memos.append(cli._checked)
     for memo in memos:
         memo.cache_clear()
     yield

@@ -570,6 +570,38 @@ class TestValidate:
         assert _captured(["validate", "--config", str(path), "--regime", regime]) == expected
 
 
+class TestReportMemo:
+    """Each parameter set is validated once; its violations print on every call."""
+
+    def test_warning_prints_on_every_call(self, cold_memos):
+        argv = ["validate", "--normalized-omega", "0.3"]
+        first = _captured(argv)
+        assert "warning: rabi_small" in first[2]
+        assert _captured(argv) == first
+        assert cli._checked.cache_info().hits == 1
+
+    def test_failed_mono_request_is_refused_on_every_call(self, tmp_path, cold_memos):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({**STANDARD_DOC, "Uprime": 0.001, "Omega": -0.002}))
+        argv = ["correlation", "--config", str(path), "--s-points", "1", "--s-max", "2"]
+        first = _captured(argv)
+        assert first == (2, "", "error: mono_metricity: mono_metric scales requested but "
+                                "n*U' != -Omega (nU'=0.001, Omega=-0.002)\n"
+                                "error: parameters violate the model constraints\n")
+        assert _captured(argv) == first
+        assert cli._checked.cache_info().hits == 1
+
+    def test_equal_sets_keep_their_types(self, capsys, cold_memos):
+        # 9.0 == 9, but N must be an int: the float set gets its own report
+        assert cli._report(model.ModelParams(9, 1.0, 1.0, 1.0, 0.1, -0.1),
+                           model.UNRESTRICTED, True).ok
+        report = cli._report(model.ModelParams(9.0, 1.0, 1.0, 1.0, 0.1, -0.1),
+                             model.UNRESTRICTED, True)
+        assert [v.constraint for v in report.errors()] == ["species_count_min"]
+        assert capsys.readouterr().err == (
+            "error: species_count_min: N must be an integer >= 3, got 9.0\n")
+
+
 class TestConfigHandling:
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "p.json"
@@ -1223,6 +1255,37 @@ class TestTableWriter:
                 assert code == 0
                 _assert_same_text(out, _per_cell_table(["j", "eta", "p", "E", "E_over_csp"],
                                                        rows, fmt))
+
+    # (|Omega|/nU, N, Delta, s_min, s_max, points, exit code): a row at s = 5e-324 whose D
+    # overflows to NaN, Delta = 0 rows whose closed form reads inf (s = 1e-300 included),
+    # and rows on both sides of s = sqrt2 X = 55.15, where the cut's reach starts to shrink
+    CORRELATION_GRIDS = [
+        ("0.1", 9, 0, "5e-324", "1e-300", 3, 4),
+        ("0.001", 9, 0, "1e-300", "1e-290", 2, 0),
+        ("0.001", 51, 25, "40.0", "80.0", 9, 0),
+        ("0.001", 9, 1, "5e-324", "80.0", 7, 4),
+    ]
+
+    @pytest.mark.parametrize("ratio, n_sp, delta, low, high, points, exit_code",
+                             CORRELATION_GRIDS)
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_correlation_rows_match_the_table_columns(self, tmp_path, fmt, ratio, n_sp, delta,
+                                                      low, high, points, exit_code):
+        """The rows the command formats are ``correlation_table``'s columns, byte for byte."""
+        params = model.normalized_params(float(ratio), n_sp)
+        grid = cli._log_grid(float(low), float(high), points)
+        table = correlation.correlation_table(params, grid, delta)
+        assert np.isnan(table["D_numeric"]).any() == (exit_code == 4)
+        assert (delta != 0) or np.isinf(table["D_analytic"][grid < 1e-162]).all()
+        code, out, err = _captured([
+            "correlation", "--normalized-omega", ratio, "--species", str(n_sp),
+            "--delta", str(delta), "--s-min", low, "--s-max", high, "--s-points", str(points),
+            "--format", fmt])
+        assert (code, err) == (exit_code, "")
+        _assert_same_text(out, _column_table(tmp_path, table, fmt))
+        # every cell a Python int or float: numpy 2 writes np.float64(...), an array 1.0
+        for row in correlation._rows(params, grid, delta, None, True):
+            assert [type(cell) for cell in row] == [float, int, float, float, float, float]
 
 
 # text that json has to escape: quotes, backslashes, control and non-ASCII characters,

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from kkbec import correlation
+from kkbec import cli, correlation, model
 from kkbec.errors import DomainError, QuadratureError, StabilityError, ValidityError
 from kkbec.model import ModelParams, derive_scales, kk_label, normalized_params
 from kkbec.correlation import (
@@ -937,6 +937,8 @@ class TestLevelBasisMemo:
         (ModelParams(9, 1.0, 1.0, 1.0, 0.0, -1e-15), ModelParams(9, 1.0, 1.0, 1.0, -0.0, -1e-15)),
         (ModelParams(9, 1.0, 1.0, 1.0, 0.0, 0.0), ModelParams(9, 1.0, 1.0, 1.0, -0.0, -0.0)),
         (ModelParams(9, 1.0, 0.0, 1.0, 1.0, -1e-15), ModelParams(9, 1.0, -0.0, 1, 1.0, -1e-15)),
+        # validate prints the sign of this zero: "atom_mass must be > 0, got -0.0"
+        (ModelParams(9, 0.0, 1.0, 1.0, 1e-3, -1e-3), ModelParams(9, -0.0, 1.0, 1.0, 1e-3, -1e-3)),
     ]
     EQUAL_DELTAS = [(3, np.int64(3)), (3, 3.0), (0, -0.0), (0.0, -0.0), (1, True)]
 
@@ -947,7 +949,10 @@ class TestLevelBasisMemo:
             value = build(*args)
         except Exception as error:  # the type of any error is the outcome compared
             return type(error)
-        return np.float64(value).tobytes() if isinstance(value, float) else value.tobytes()
+        if isinstance(value, float):
+            return np.float64(value).tobytes()
+        # a report, or tuples of floats, whose repr round-trips each float
+        return value.tobytes() if isinstance(value, np.ndarray) else repr(value)
 
     def test_built_once_and_read_only(self, cold_memos):
         for memo, args in ((_gap_ratios, (self.PARAMS,)), (_level_weights, (9, 3))):
@@ -979,7 +984,7 @@ class TestLevelBasisMemo:
 
     def test_bounded(self):
         for memo in (_gap_ratios, _level_weights, correlation._length_ratio,
-                     correlation._cut_call):
+                     correlation._cut_call, correlation._truncated_levels, cli._checked):
             assert memo.cache_info().maxsize is not None
 
     def test_rows_of_one_octave_share_their_tables(self, monkeypatch, cold_memos):
@@ -1007,15 +1012,29 @@ class TestLevelBasisMemo:
     def test_one_cache_per_table(self):
         # the rule's steps live only in its call tables, the weights only in [w, |w|]
         memos = {name for name, value in vars(correlation).items() if hasattr(value, "cache_info")}
-        assert memos == {"_length_ratio", "_gap_ratios", "_level_weights", "_cut_call"}
+        assert memos == {"_length_ratio", "_gap_ratios", "_level_weights", "_cut_call",
+                         "_truncated_levels"}
 
     @pytest.mark.parametrize("first, second", EQUAL_SETS)
     def test_equal_sets_get_the_bytes_of_a_fresh_build(self, cold_memos, first, second):
         assert first == second
-        for memo in (_gap_ratios, correlation._length_ratio):
-            self._outcome(memo, first)
-            assert self._outcome(memo, second) == self._outcome(memo.__wrapped__, second)
-            assert self._outcome(memo, first) == self._outcome(memo.__wrapped__, first)
+        for memo, args in ((_gap_ratios, ()), (correlation._length_ratio, ()),
+                           (correlation._truncated_levels, (3, 2)),
+                           (cli._checked, (model.UNRESTRICTED, True)),
+                           (cli._checked, (model.RELATIVISTIC, False))):
+            self._outcome(memo, first, *args)
+            assert (self._outcome(memo, second, *args)
+                    == self._outcome(memo.__wrapped__, second, *args))
+            assert (self._outcome(memo, first, *args)
+                    == self._outcome(memo.__wrapped__, first, *args))
+
+    def test_equal_arguments_are_kept_apart(self, cold_memos):
+        # 2.0 == 2, but a j_tr of 2.0 cannot slice the levels: it raises on every call
+        correlation._truncated_levels(self.PARAMS, 1, 2)
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                correlation._truncated_levels(self.PARAMS, 1, 2.0)
+        assert correlation._truncated_levels.cache_info().currsize == 1
 
     @pytest.mark.parametrize("first, second", EQUAL_DELTAS)
     def test_equal_deltas_get_the_bytes_of_a_fresh_build(self, cold_memos, first, second):
@@ -1051,7 +1070,12 @@ class TestLevelBasisMemo:
                 _gap_ratios(params)
             with pytest.raises(error):
                 numeric_corr(query)
-        assert _gap_ratios.cache_info().currsize == 0
+            with pytest.raises(ValueError, match="j_tr"):
+                correlation._truncated_levels(params, 1, 5)
+            with pytest.raises(ValueError, match="unknown regime"):
+                cli._checked(params, "ultrarelativistic", False)
+        for memo in (_gap_ratios, correlation._truncated_levels, cli._checked):
+            assert memo.cache_info().currsize == 0
 
     def test_analytic_corr_needs_no_gap_ratios(self, monkeypatch, cold_memos):
         def refused(params):
